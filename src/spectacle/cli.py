@@ -210,7 +210,6 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", metavar="PATH", default=None)
-    p.add_argument("--threads", type=int, default=1, help="reserved; results are deterministic for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,10 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        raise SystemExit("--threads must be >= 1")
     log.debug("dispatching %s", args.command)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # bad input; internal failures (LiftError, ArithmeticError) keep their traceback
+        print(f"spectacle: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

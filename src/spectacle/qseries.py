@@ -149,6 +149,37 @@ class QExpansion:
     def __sub__(self, other: "QExpansion") -> "QExpansion":
         return self + (-1) * other
 
+    def __mul__(self, other: "QExpansion") -> "QExpansion":
+        """Exact product, truncated at the smaller reliable bound.
+
+        A 1/(pi v) part times a holomorphic part stays a 1/(pi v) part; two
+        1/(pi v) parts would give a 1/(pi v)^2 term, which is refused.
+        """
+        if not isinstance(other, QExpansion):
+            return NotImplemented
+        if self.nonholo and other.nonholo:
+            raise ValueError("product of two non-holomorphic parts is not representable")
+        den, n_max = self._unified(other)
+        sa, sb = den // self.exp_den, den // other.exp_den
+
+        def convolve(x: Dict[int, Fraction], y: Dict[int, Fraction]) -> Dict[int, Fraction]:
+            out: Dict[int, Fraction] = {}
+            for n, c in x.items():
+                for m, d in y.items():
+                    e = n * sa + m * sb
+                    if e <= n_max:
+                        out[e] = out.get(e, Fraction(0)) + c * d
+            return out
+
+        nh: Optional[Dict[int, Fraction]] = None
+        if self.nonholo is not None or other.nonholo is not None:
+            # at most one of the two tables is non-empty
+            nh = {
+                **convolve(self.nonholo or {}, other.coeffs),
+                **convolve(self.coeffs, other.nonholo or {}),
+            }
+        return QExpansion(den, n_max, convolve(self.coeffs, other.coeffs), nh)
+
     def dilate(self, m: int) -> "QExpansion":
         """Substitute q -> q^m (exponents scale by m)."""
         if m < 1:

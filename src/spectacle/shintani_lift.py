@@ -10,17 +10,19 @@ imaginary axis:
 Pairing the theta lift against that symbol with coefficient u'^k gives a
 q-series in two ways, and the package computes both:
 
-* theta side: the split-plane sum sgn-weighted over interior vectors, plus a
-  boundary cross block (Bernoulli constant times the positive-definite theta
-  series of the w0-line), plus for k = 1 a holomorphic remainder from the cap
-  at the zero cusp; the two 1/(pi v) pieces (one from the split-plane
-  integral, one from the cap term) must cancel exactly and are checked
-  symbolically per exponent.
+* theta side: a Witt product.  The split-plane factor is the unimodular
+  split theta series of ``theta11`` for the coefficient u'^k, taken before
+  its global sign (a Bernoulli constant plus the sgn-weighted interior), and
+  the other factor is theta_W = sum_{m in Z + h} q^{m^2}, the theta series of
+  the w0-line.  For k = 1 the cap at the zero cusp adds a holomorphic
+  remainder -2 q d/dq theta_W; the two 1/(pi v) pieces (-theta_W/4 from the
+  split-plane integral, +theta_W/4 from the cap term) must cancel exactly
+  and are checked symbolically per exponent.
 
 * geometric side: intersection numbers.  Interior crossings use the cross
   product orientation sign; boundary contributions count the cap components
   of the cycles hitting each cusp (a Bernoulli multiple at infinity, and for
-  k = 1 a -2cn/M2 term at zero); the degree-zero term pairs the boundary
+  k = 1 a -2cn term at zero); the degree-zero term pairs the boundary
   cycle at infinity with the symbol.
 
 Sign arbitration.  Three binary conventions are pinned programmatically, in
@@ -38,11 +40,12 @@ multiple of the half-integral weight Eisenstein coefficients H(k+1, N).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple
 
-from .exact_arith import bernoulli_poly
+from .exact_arith import bernoulli_number, bernoulli_poly
 from .qseries import QExpansion, cohen_eisenstein
 from .quad_space import (
     LINE_INFINITY,
@@ -53,8 +56,6 @@ from .quad_space import (
     line_lattice_data,
 )
 from . import theta11
-
-RationalLike = Union[int, Fraction]
 
 __all__ = [
     "LiftConfig",
@@ -68,7 +69,6 @@ __all__ = [
     "main_theorem_check",
     "PlusSpaceResult",
     "plus_space_check",
-    "boundary_family_multiplicity",
 ]
 
 log = logging.getLogger("spectacle.lift")
@@ -110,12 +110,6 @@ class LiftConfig:
 
     def coset(self) -> LatticeCoset:
         return LatticeCoset.standard(half_shift=self.h != 0)
-
-    # split-plane data: both isotropic progressions are Z + 0
-    M1 = Fraction(1)
-    h1 = Fraction(0)
-    M2 = Fraction(1)
-    h2 = Fraction(0)
 
     def w_values(self, bound: Fraction) -> Iterator[Fraction]:
         """Points m of the w0-progression Z + h with m*m <= bound."""
@@ -176,17 +170,6 @@ def _interior_terms(cfg: LiftConfig) -> Iterator[Tuple[int, int, Fraction, Fract
                 yield (-m1, -m2, m, base + m * m)
 
 
-def _interior_theta(cfg: LiftConfig) -> Dict[int, Fraction]:
-    """Split-plane route: sgn(m1) (x_U, u')^k = sgn(m1) (-m1)^k."""
-    out: Dict[int, Fraction] = {}
-    for m1, _m2, _m, e in _interior_terms(cfg):
-        num = int(e * cfg.exp_den)
-        sgn = 1 if m1 > 0 else -1
-        val = Fraction(sgn * (-m1) ** cfg.k)
-        out[num] = out.get(num, Fraction(0)) + val
-    return out
-
-
 def _interior_geometric(cfg: LiftConfig) -> Dict[int, Fraction]:
     """Cross-product route: epsilon(x, w0) (x_U, u')^k per interior vector."""
     out: Dict[int, Fraction] = {}
@@ -199,44 +182,47 @@ def _interior_geometric(cfg: LiftConfig) -> Dict[int, Fraction]:
     return out
 
 
-def _bernoulli_block_scalar(cfg: LiftConfig) -> Fraction:
-    """(-1)^(k+1) M1^k B_{k+1}(h1/M1) / (k+1); the boundary cross constant."""
-    k = cfg.k
-    return (
-        (-1) ** (k + 1)
-        * cfg.M1**k
-        * bernoulli_poly(k + 1, cfg.h1 / cfg.M1)
-        / (k + 1)
+def _bernoulli_block_scalar(k: int) -> Fraction:
+    """(-1)^(k+1) B_{k+1} / (k+1); the boundary cross constant."""
+    return (-1) ** (k + 1) * bernoulli_number(k + 1) / (k + 1)
+
+
+def _split_series(cfg: LiftConfig, interior_sign: int = 1) -> QExpansion:
+    """The split-plane factor: theta11's unimodular series for w = u'^k before
+    its global sign, with the q^n (n > 0) block times ``interior_sign``.
+
+    It lives on integer exponents, so it is truncated at the first integer
+    not below the coset's bound; its product with theta_W then stops there.
+    """
+    lit = theta11._literal_series(
+        theta11.SplitLatticeU.unimodular(),
+        cfg.k,
+        Fraction(0),
+        Fraction(1),
+        math.ceil(cfg.exponent_bound),
     )
+    coeffs = {n: c if n == 0 else interior_sign * c for n, c in lit.coeffs.items()}
+    return QExpansion(1, lit.n_max, coeffs, lit.nonholo)
 
 
-def _const_block(cfg: LiftConfig) -> Dict[int, Fraction]:
-    """Cross block: the Bernoulli scalar times the w0-line theta series."""
-    scalar = _bernoulli_block_scalar(cfg)
-    out: Dict[int, Fraction] = {}
-    if cfg.h2 != 0 or scalar == 0:
-        return out
-    for num in range(cfg.n_max + 1):
-        e = Fraction(num, cfg.exp_den)
-        cnt = cfg.w_square_count(e)
-        if cnt:
-            out[num] = scalar * cnt
-    return out
+def _theta_w(cfg: LiftConfig) -> QExpansion:
+    """theta_W = sum over the w0-progression Z + h of q^{m^2}."""
+    coeffs: Dict[int, Fraction] = {}
+    for m in cfg.w_values(cfg.exponent_bound):
+        num = int(m * m * cfg.exp_den)
+        coeffs[num] = coeffs.get(num, Fraction(0)) + 1
+    return QExpansion(cfg.exp_den, cfg.n_max, coeffs)
 
 
-def _cap_remainder(cfg: LiftConfig) -> Dict[int, Fraction]:
-    """k = 1 only: -delta(h1=0)/M2 * sum (w, w) q^{q(w)} over the w0-line."""
-    out: Dict[int, Fraction] = {}
-    if cfg.k != 1 or cfg.h1 != 0:
-        return out
-    top = cfg.exponent_bound
-    for m in cfg.w_values(top):
-        e = m * m
-        if e == 0:
-            continue
-        num = int(e * cfg.exp_den)
-        out[num] = out.get(num, Fraction(0)) - 2 * e / cfg.M2
-    return out
+def _cap_term(cfg: LiftConfig, theta_w: QExpansion) -> QExpansion:
+    """k = 1 only: the cap at the zero cusp, -2 q d/dq theta_W, with
+    +theta_W/4 in the 1/(pi v) part."""
+    return QExpansion(
+        cfg.exp_den,
+        cfg.n_max,
+        {n: -2 * Fraction(n, cfg.exp_den) * c for n, c in theta_w.coeffs.items()},
+        {n: c / 4 for n, c in theta_w.coeffs.items()},
+    )
 
 
 def lift_theta_nonholo_parts(
@@ -244,23 +230,15 @@ def lift_theta_nonholo_parts(
 ) -> Tuple[Dict[int, Fraction], Dict[int, Fraction]]:
     """The two 1/(pi v) multiplier tables for k = 1.
 
-    First: from the split-plane integral, -delta(h1=0)/(4 M2) theta_W;
-    second: from the cap term at the zero cusp, +delta(h1=0)/(4 M2) theta_W.
-    They must cancel exactly; ``lift_theta_side`` asserts it.
+    First: the split-plane factor's -1/4 times theta_W; second: from the cap
+    term at the zero cusp, +theta_W/4.  They must cancel exactly;
+    ``lift_theta_side`` asserts it.
     """
     if cfg.k != 1:
         return {}, {}
-    part1: Dict[int, Fraction] = {}
-    part2: Dict[int, Fraction] = {}
-    if cfg.h1 != 0:
-        return part1, part2
-    for num in range(cfg.n_max + 1):
-        e = Fraction(num, cfg.exp_den)
-        cnt = cfg.w_square_count(e)
-        if cnt:
-            part1[num] = Fraction(-1, 4) / cfg.M2 * cnt
-            part2[num] = Fraction(1, 4) / cfg.M2 * cnt
-    return part1, part2
+    theta_w = _theta_w(cfg)
+    part1 = (_split_series(cfg) * theta_w).nonholo or {}
+    return part1, _cap_term(cfg, theta_w).nonholo or {}
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +258,19 @@ def arbitrate_signs() -> SignConvention:
         return _CONVENTION
     sigma = theta11.global_sign()
     probe = LiftConfig(k=1, h=Fraction(0), n_max=6)
+    split = _split_series(probe)
+    theta_w = _theta_w(probe)
+    const_block = split.coefficient(0) * theta_w
 
-    theta_const = _const_block(probe).get(0, Fraction(0))
-    geo_const_unsigned = _bernoulli_block_scalar(probe)  # incidence not applied
+    theta_const = const_block.coefficient(0)
+    geo_const_unsigned = _bernoulli_block_scalar(probe.k)  # incidence not applied
     if geo_const_unsigned == 0 or theta_const % geo_const_unsigned != 0:
         raise LiftError("cannot pin boundary incidence sign at q^0")
     incidence = int(theta_const / geo_const_unsigned)
     if incidence not in (1, -1):
         raise LiftError("boundary incidence sign is not a sign")
 
-    t_int = _interior_theta(probe)
+    t_int = (split * theta_w - const_block).coeffs
     g_int = _interior_geometric(probe)
     relative = 1
     for num in sorted(set(t_int) | set(g_int)):
@@ -328,41 +309,21 @@ def arbitrate_signs() -> SignConvention:
 def lift_theta_side(
     cfg: LiftConfig, convention: Optional[SignConvention] = None
 ) -> QExpansion:
-    """Theta route: interior sum + boundary cross block (+ k=1 remainder).
+    """Theta route: split-plane factor times theta_W (+ k=1 cap remainder).
 
-    The k = 1 non-holomorphic multipliers are computed on both routes and
-    must cancel exactly per exponent; the returned expansion carries an
-    identically-zero nonholo table for k = 1 as a witness.
+    The arbitrated sign applies to the split factor's interior block.  The
+    k = 1 non-holomorphic multipliers of the two terms must cancel exactly
+    per exponent; the returned expansion carries an identically-zero nonholo
+    table for k = 1 as a witness.
     """
     conv = convention or arbitrate_signs()
-    s = conv.effective_interior
-    coeffs: Dict[int, Fraction] = {}
-    for num, v in _interior_theta(cfg).items():
-        coeffs[num] = coeffs.get(num, Fraction(0)) + s * v
-    for num, v in _const_block(cfg).items():
-        coeffs[num] = coeffs.get(num, Fraction(0)) + v
-    for num, v in _cap_remainder(cfg).items():
-        coeffs[num] = coeffs.get(num, Fraction(0)) + v
-    nonholo: Optional[Dict[int, Fraction]] = None
+    theta_w = _theta_w(cfg)
+    series = _split_series(cfg, conv.effective_interior) * theta_w
     if cfg.k == 1:
-        p1, p2 = lift_theta_nonholo_parts(cfg)
-        total = {n: p1.get(n, Fraction(0)) + p2.get(n, Fraction(0)) for n in set(p1) | set(p2)}
-        bad = {n: v for n, v in total.items() if v}
-        if bad:
-            raise LiftError(f"non-holomorphic parts fail to cancel: {bad}")
-        nonholo = {}
-    return QExpansion(cfg.exp_den, cfg.n_max, coeffs, nonholo)
-
-
-def boundary_family_multiplicity(cfg: LiftConfig) -> int:
-    """Boundary family multiplicity c: 2 when twice the shift lies in the
-    w0-line lattice (both oriented geodesic families hit the cusp), else 1.
-
-    Equals the number of progression points with m^2 = e whenever vectors of
-    that length exist; the geometric side counts the families directly via
-    ``w_square_count``.
-    """
-    return 2 if (2 * cfg.h) % 1 == 0 else 1
+        series = series + _cap_term(cfg, theta_w)
+    if series.nonholo:
+        raise LiftError(f"non-holomorphic parts fail to cancel: {series.nonholo}")
+    return series
 
 
 def lift_geometric_side(
@@ -372,25 +333,17 @@ def lift_geometric_side(
     conv = convention or arbitrate_signs()
     coeffs: Dict[int, Fraction] = dict(_interior_geometric(cfg))
     k = cfg.k
-    block = _bernoulli_block_scalar(cfg)
-    top = cfg.exponent_bound
-    if cfg.h2 == 0:
-        for m in cfg.w_values(top):
-            if m <= 0:
-                continue
-            e = m * m
-            num = int(e * cfg.exp_den)
-            fams = cfg.w_square_count(e)  # families terminating/originating
-            coeffs[num] = coeffs.get(num, Fraction(0)) + fams * block
-    if k == 1 and cfg.h1 == 0:
-        # each oriented family contributes -2 m^2 / M2 at the zero cusp
-        for m in cfg.w_values(top):
-            if m <= 0:
-                continue
-            e = m * m
-            num = int(e * cfg.exp_den)
-            fams = cfg.w_square_count(e)
-            coeffs[num] = coeffs.get(num, Fraction(0)) - 2 * fams * e / cfg.M2
+    block = _bernoulli_block_scalar(k)
+    for m in cfg.w_values(cfg.exponent_bound):
+        if m <= 0:
+            continue
+        e = m * m
+        num = int(e * cfg.exp_den)
+        fams = cfg.w_square_count(e)  # families terminating/originating
+        coeffs[num] = coeffs.get(num, Fraction(0)) + fams * block
+        if k == 1:
+            # each oriented family contributes -2 m^2 at the zero cusp
+            coeffs[num] -= 2 * fams * e
     # constant term: boundary cycle at infinity paired with the symbol
     data = line_lattice_data(cfg.coset(), LINE_INFINITY)
     if data is not None:

@@ -28,10 +28,15 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .exact_arith import bernoulli_number, bernoulli_poly
 from .qseries import QExpansion, eisenstein_level1
+from .quad_space import (
+    _progression_min_abs_nonzero,
+    _progression_normalize,
+    _progression_range,
+)
 
 RationalLike = Union[int, Fraction]
 
@@ -84,26 +89,6 @@ class SplitLatticeU:
         return lcm(*dens)
 
 
-def _progression_values(
-    M: Fraction, h: Fraction, bound: Fraction
-) -> Iterator[Fraction]:
-    """Nonzero progression points m = h + M t with 0 < |m| <= bound."""
-    t = 0
-    while True:
-        hit = False
-        for m in {h + M * t, h - M * t}:
-            if m != 0 and abs(m) <= bound:
-                hit = True
-                yield m
-        if not hit and (M * t > bound + abs(h)):
-            return
-        t += 1
-
-
-def _min_abs_nonzero(M: Fraction, h: Fraction) -> Fraction:
-    return M if h == 0 else min(h, M - h)
-
-
 def _literal_series(
     lat: SplitLatticeU, k: int, w_u: Fraction, w_up: Fraction, n_max: int
 ) -> QExpansion:
@@ -122,10 +107,14 @@ def _literal_series(
     if const:
         coeffs[0] = const
     top = Fraction(n_max, den)
-    min2 = _min_abs_nonzero(lat.M2, lat.h2)
-    for m1 in _progression_values(lat.M1, lat.h1, top / min2):
+    prog1 = _progression_normalize(lat.h1, lat.M1)
+    prog2 = _progression_normalize(lat.h2, lat.M2)
+    bound1 = top / _progression_min_abs_nonzero(prog2)
+    for m1 in _progression_range(prog1, -bound1, bound1):
+        if m1 == 0:
+            continue
         bound2 = top / abs(m1)
-        for m2 in _progression_values(lat.M2, lat.h2, bound2):
+        for m2 in _progression_range(prog2, -bound2, bound2):
             if m1 * m2 >= 0:
                 continue
             n = -m1 * m2

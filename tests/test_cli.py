@@ -86,9 +86,24 @@ def test_unknown_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_bad_threads_rejected():
-    with pytest.raises(SystemExit):
-        main(["eisenstein", "--weight", "4", "--threads", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["caps", "--k", "2", "--x", "0,0,0"],
+        ["lift", "--k", "0"],
+        ["cohen", "--r", "0"],
+        ["eisenstein", "--weight", "3"],
+        ["lvalue", "--weight", "4", "--T", "3,x"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_is_one_line_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("spectacle: error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_byte_identical_output(capsys):

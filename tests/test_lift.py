@@ -1,9 +1,12 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from spectacle.cli import main as cli_main
+
 from spectacle.exact_arith import bernoulli_number
-from spectacle.qseries import cohen_eisenstein
+from spectacle.qseries import QExpansion, cohen_eisenstein
 from spectacle.quad_space import VecV, W0_VEC, epsilon_sign
 from spectacle.shintani_lift import (
     LiftConfig,
@@ -13,8 +16,8 @@ from spectacle.shintani_lift import (
     lift_theta_side,
     main_theorem_check,
     plus_space_check,
-    boundary_family_multiplicity,
 )
+from spectacle.theta11 import SplitLatticeU, global_sign, theta11_series
 
 
 def test_sign_convention_record():
@@ -49,6 +52,23 @@ def test_theta_side_half_coset_values():
     assert ts.coefficient(0) == 0
     assert ts.coefficient(Fraction(1, 4)) == Fraction(-5, 6)
     assert ts.coefficient(Fraction(9, 4)) == Fraction(-125, 6)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("h", [Fraction(0), Fraction(1, 2)])
+def test_theta_side_is_witt_product(k, h):
+    # theta side = (split series before its global sign) x theta_W, with
+    # theta_W counted directly over the w0-progression Z + h
+    cfg = LiftConfig(k=k, h=h, n_max=41)
+    theta_w = {}
+    for t in range(-10, 11):
+        num = (t + h) ** 2 * cfg.exp_den
+        if num <= cfg.n_max:
+            theta_w[int(num)] = theta_w.get(int(num), 0) + 1
+    split = global_sign() * theta11_series(SplitLatticeU.unimodular(), k, 0, 1, 42)
+    want = split * QExpansion(cfg.exp_den, cfg.n_max, theta_w)
+    assert want.n_max == cfg.n_max
+    assert lift_theta_side(cfg) == want
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -88,7 +108,7 @@ def test_interior_epsilon_routes_agree_vectorwise():
 def test_interior_against_generic_enumeration(k, h):
     # brute force through the generic coset enumerator: same index set,
     # epsilon from the cross product, (x_U, u')^k = (-c)^k
-    from spectacle.quad_space import CosetConstraint, enumerate_coset
+    from coset_oracle import CosetConstraint, enumerate_coset
     from spectacle.shintani_lift import _interior_geometric
 
     cfg = LiftConfig(k=k, h=h, n_max=20)
@@ -104,7 +124,7 @@ def test_interior_against_generic_enumeration(k, h):
 
 def test_interior_k1_n1_counts():
     # two coset solutions at the first exponent, each weighted by its sign
-    from spectacle.quad_space import CosetConstraint, enumerate_coset
+    from coset_oracle import CosetConstraint, enumerate_coset
 
     coset = LiftConfig(k=1, h=Fraction(0), n_max=4).coset()
     vecs = list(enumerate_coset(coset, CosetConstraint(q_value=Fraction(1), u_positive=True)))
@@ -132,16 +152,6 @@ def test_geometric_constant_from_line_data():
     assert gs.coefficient(0) == Fraction(1, 12)
     gsh = lift_geometric_side(LiftConfig(k=1, h=Fraction(1, 2), n_max=4))
     assert gsh.coefficient(0) == 0
-
-
-def test_boundary_family_multiplicity():
-    assert boundary_family_multiplicity(LiftConfig(k=1, h=Fraction(0), n_max=4)) == 2
-    assert boundary_family_multiplicity(LiftConfig(k=1, h=Fraction(1, 2), n_max=4)) == 2
-    # and it matches the family count wherever boundary vectors exist
-    cfg = LiftConfig(k=1, h=Fraction(1, 2), n_max=16)
-    for num in (1, 9):
-        e = Fraction(num, 4)
-        assert cfg.w_square_count(e) == boundary_family_multiplicity(cfg)
 
 
 def test_even_k_vanishing():
@@ -228,3 +238,26 @@ def test_config_validation():
         LiftConfig(k=0, h=Fraction(0), n_max=5)
     with pytest.raises(ValueError):
         LiftConfig(k=1, h=Fraction(1, 3), n_max=5)
+
+
+# SHA-256 of the ``--format json`` bytes, frozen before the theta side was
+# rebuilt as a Witt product; any change to a coefficient, the sign record or
+# the serialization shows up here.
+GOLDEN_DIGESTS = {
+    ("lift", "--k", "1", "--h", "0", "--nmax", "40"): "f0ae460fe7032f519f9c7357810472f9c473470ecd980e6e084ad98516c22b44",
+    ("lift", "--k", "1", "--h", "half", "--nmax", "160"): "0d1375811b0913daacfe8b4ba80850fe1bac509404b3332937a45be2687f458e",
+    ("lift", "--k", "2", "--h", "0", "--nmax", "40"): "61b27cc3e4e69c8e30de9ddd28ab66fb770817cea3434029e760f3ddedb46bc6",
+    ("lift", "--k", "2", "--h", "half", "--nmax", "160"): "53abbc813b55d2d84ee88eafb2edfbbe124402b0d327961a984c1d61543b192a",
+    ("lift", "--k", "3", "--h", "0", "--nmax", "40"): "ff9c495cf7331116ff7c8989c3c968d1f61d8ed1e0c54339582ad60248441ce4",
+    ("lift", "--k", "3", "--h", "half", "--nmax", "160"): "ca69b5f1a1bfbcd6371b387994e5978c91578d8424b97fb214fa53d1786bd0f5",
+    ("lift", "--k", "5", "--h", "0", "--nmax", "40"): "e4854c6bc6356bfeb788ac16f5878e23a39516bac56a6c1b99bb2625262a3112",
+    ("lift", "--k", "5", "--h", "half", "--nmax", "160"): "efdeb33bc142b51866599ad76cf55bcab76980864124e3fb5d06d75aa7dcefc7",
+    ("theta11", "--k", "3", "--nmax", "60", "--m1", "2", "--h1", "1", "--m2", "3", "--h2", "0"): "6d95804df8c8dce8475a4b7c4826404fb4f274a8a9fb76c00c456a39b2e0bb5e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_DIGESTS), ids=" ".join)
+def test_golden_json_digest(argv, tmp_path):
+    out = tmp_path / "out.json"
+    assert cli_main(list(argv) + ["--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[argv]

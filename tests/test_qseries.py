@@ -135,6 +135,56 @@ def test_exp_den_unification():
     assert c.exponent_bound == Fraction(5)
 
 
+def test_mul_unifies_grids():
+    a = QExpansion(1, 5, {0: 2, 1: Fraction(1, 3)})
+    b = QExpansion(4, 20, {1: Fraction(1, 2), 8: 5})
+    c = a * b
+    assert c.exp_den == 4 and c.n_max == 20
+    assert c.coefficient(Fraction(1, 4)) == 1
+    assert c.coefficient(Fraction(5, 4)) == Fraction(1, 6)
+    assert c.coefficient(2) == 10
+    assert c.coefficient(3) == Fraction(5, 3)
+    assert c.support() == [Fraction(1, 4), Fraction(5, 4), Fraction(2), Fraction(3)]
+    assert b * a == c
+
+
+def test_mul_truncates_at_smaller_bound():
+    a = QExpansion(1, 10, {0: 1, 1: 1, 3: 1})
+    b = QExpansion(2, 5, {0: 1, 3: 1})
+    c = a * b
+    assert c.exp_den == 2 and c.exponent_bound == Fraction(5, 2)
+    # q^3 and q^(9/2) lie beyond the smaller bound 5/2
+    assert c.coeffs == {0: 1, 2: 1, 3: 1, 5: 1}
+    with pytest.raises(TruncationError):
+        c.coefficient(3)
+
+
+def test_mul_constant_one_is_identity():
+    f = eisenstein_level1(4, 15)
+    one = QExpansion(1, 15, {0: 1})
+    assert f * one == f and one * f == f
+    g = QExpansion(4, 20, {1: Fraction(1, 2), 8: 5}, {0: Fraction(-1, 4)})
+    assert g * QExpansion(1, 5, {0: 1}) == g
+
+
+def test_mul_carries_nonholo_times_holo():
+    a = QExpansion(1, 4, {1: 3}, {0: Fraction(-1, 4), 1: 2})
+    b = QExpansion(1, 4, {0: 1, 2: 5})
+    c = a * b
+    assert c.coeffs == {1: 3, 3: 15}
+    assert c.nonholo == {0: Fraction(-1, 4), 1: 2, 2: Fraction(-5, 4), 3: 10}
+    assert b * a == c
+    # an identically-zero nonholo table stays present
+    assert (QExpansion(1, 4, {0: 1}, {}) * b).nonholo == {}
+    assert (b * b).nonholo is None
+
+
+def test_mul_refuses_nonholo_squared():
+    a = QExpansion(1, 4, {0: 1}, {0: 1})
+    with pytest.raises(ValueError, match="non-holomorphic"):
+        a * a
+
+
 def test_equality_beyond_truncation_is_error():
     a = QExpansion(1, 8, {0: 1})
     b = QExpansion(1, 5, {0: 1})
