@@ -45,8 +45,11 @@ def _emit(args: argparse.Namespace, payload: dict, table: str) -> None:
         else table
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -68,7 +71,7 @@ def _series_table(series: QExpansion, label: str) -> str:
 def _parse_vec(text: str) -> VecV:
     parts = text.split(",")
     if len(parts) != 3:
-        raise SystemExit(f"expected a,b,c (three rationals), got {text!r}")
+        raise ValueError(f"expected a,b,c (three rationals), got {text!r}")
     return VecV(*(Fraction(p) for p in parts))
 
 
@@ -153,7 +156,7 @@ def cmd_eisenstein(args: argparse.Namespace) -> int:
 def cmd_lvalue(args: argparse.Namespace) -> int:
     heights = [float(t) for t in args.T.split(",")]
     if any(t <= 1 for t in heights):
-        raise SystemExit("heights must exceed 1")
+        raise ValueError("heights must exceed 1")
     k = args.weight // 2 - 1
     form = HolomorphicFormSpec.eisenstein(args.weight)
     values = [

@@ -126,33 +126,33 @@ def divisor_power_sum(n: int, k: int) -> int:
     return sum(d**k for d in divisors(n))
 
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    t = pow(a, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
-
-
 def kronecker_symbol(D: int, m: int) -> int:
-    """Kronecker symbol (D/m) for m >= 1, completely multiplicative in m."""
+    """Kronecker symbol (D/m) for m >= 1, completely multiplicative in m.
+
+    The factor 2^v of m contributes (D/2)^v; the odd part is the Jacobi symbol,
+    evaluated by quadratic reciprocity without factoring m.
+    """
     if m < 1:
         raise ValueError("kronecker_symbol expects m >= 1")
-    out = 1
-    for p, e in factorize(m).items():
-        if p == 2:
-            if D % 2 == 0:
-                return 0
-            s = 1 if D % 8 in (1, 7) else -1
-        else:
-            s = _legendre(D, p)
-            if s == 0:
-                return 0
-        if e % 2 == 1:
-            out *= s
-        elif s == 0:
+    s = 1
+    v = (m & -m).bit_length() - 1
+    if v:
+        if D % 2 == 0:
             return 0
-    return out
+        if v % 2 and D % 8 in (3, 5):
+            s = -1
+        m >>= v
+    a = D % m
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if m % 8 in (3, 5):
+                s = -s
+        a, m = m, a
+        if a % 4 == 3 and m % 4 == 3:
+            s = -s
+        a %= m
+    return s if m == 1 else 0
 
 
 def _squarefree_check(n: int) -> Tuple[bool, int]:
@@ -185,7 +185,14 @@ def generalized_bernoulli(n: int, D: int) -> Fraction:
     chi_D attached to a fundamental discriminant D (or the trivial character
     for D = 1).
 
-    B_{n,chi} = |D|^(n-1) * sum_{a=1}^{|D|} chi_D(a) B_n(a/|D|).
+    By definition B_{n,chi} = m^(n-1) sum_{a=1}^{m} chi_D(a) B_n(a/m) with
+    m = |D|.  Expanding B_n(a/m) = sum_j C(n, j) B_j (a/m)^(n-j) gives
+
+        B_{n,chi} = sum_{j=0}^{n} C(n, j) B_j m^(j-1) S_{n-j},
+        S_i = sum_{a=1}^{m} chi_D(a) a^i,
+
+    which is what is computed: the integer power sums S_0..S_n in one pass
+    over a, then n + 1 rational terms.
     """
     if n < 1:
         raise ValueError("generalized Bernoulli index must be >= 1")
@@ -195,13 +202,18 @@ def generalized_bernoulli(n: int, D: int) -> Fraction:
         return bernoulli_number(n)
     if not is_fundamental_discriminant(D):
         raise ValueError(_non_fundamental_message(D))
-    aD = abs(D)
-    total = Fraction(0)
-    for a in range(1, aD + 1):
-        chi = kronecker_symbol(D, a)
-        if chi:
-            total += chi * bernoulli_poly(n, Fraction(a, aD))
-    return Fraction(aD) ** (n - 1) * total
+    m = abs(D)
+    S = [0] * (n + 1)
+    for a in range(1, m + 1):
+        term = kronecker_symbol(D, a)  # chi_D(a) a^i for i = 0, 1, ...
+        if term:
+            for i in range(n + 1):
+                S[i] += term
+                term *= a
+    total = sum(
+        comb(n, j) * bernoulli_number(j) * m**j * S[n - j] for j in range(n + 1)
+    )
+    return total / m
 
 
 def _non_fundamental_message(D: int) -> str:

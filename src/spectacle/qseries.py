@@ -281,7 +281,7 @@ def eisenstein_level1(m: int, n_max: int) -> QExpansion:
     return QExpansion(1, n_max, coeffs)
 
 
-def _cohen_coefficient(r: int, N: int) -> Fraction:
+def _cohen_coefficient(r: int, N: int, bern: Dict[int, Fraction]) -> Fraction:
     if N == 0:
         # zeta(1 - 2r)
         return -bernoulli_number(2 * r) / (2 * r)
@@ -299,7 +299,9 @@ def _cohen_coefficient(r: int, N: int) -> Fraction:
                 * d ** (r - 1)
                 * divisor_power_sum(f // d, 2 * r - 1)
             )
-    return -generalized_bernoulli(r, D) / r * total
+    if D not in bern:
+        bern[D] = generalized_bernoulli(r, D)
+    return -bern[D] / r * total
 
 
 def cohen_eisenstein(r: int, n_max: int) -> QExpansion:
@@ -311,9 +313,12 @@ def cohen_eisenstein(r: int, n_max: int) -> QExpansion:
         H(r, N) = (-B_{r,chi_D}/r) sum_{d | f} mu(d) chi_D(d) d^(r-1)
                   sigma_{2r-1}(f/d),
 
-    and H(r, N) = 0 unless (-1)^r N = 0, 1 (mod 4).
+    and H(r, N) = 0 unless (-1)^r N = 0, 1 (mod 4).  Every N with the same
+    fundamental D shares B_{r,chi_D}: it is computed once per distinct D, by
+    O(|D| r) integer work, and kept only for the length of this call.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    coeffs = {N: _cohen_coefficient(r, N) for N in range(n_max + 1)}
+    bern: Dict[int, Fraction] = {}  # B_{r,chi_D} by fundamental D
+    coeffs = {N: _cohen_coefficient(r, N, bern) for N in range(n_max + 1)}
     return QExpansion(1, n_max, coeffs)

@@ -90,10 +90,12 @@ def test_unknown_command_exits_2(capsys):
     "argv",
     [
         ["caps", "--k", "2", "--x", "0,0,0"],
+        ["caps", "--k", "1", "--x", "1,2"],
         ["lift", "--k", "0"],
         ["cohen", "--r", "0"],
         ["eisenstein", "--weight", "3"],
         ["lvalue", "--weight", "4", "--T", "3,x"],
+        ["lvalue", "--weight", "4", "--T", "0.5,3"],
     ],
     ids=" ".join,
 )
@@ -118,6 +120,17 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     d = json.loads(target.read_text())
     assert d["coeffs"][0] == [0, "1"]
+
+
+def test_out_file_unwritable_is_one_line_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["eisenstein", "--weight", "4", "--nmax", "2", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"spectacle: error: cannot write {target}: ")
+    assert "Traceback" not in captured.err
 
 
 def test_spectacle_log_env(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cohen_oracle
 from spectacle.exact_arith import (
     bernoulli_number,
     bernoulli_poly,
@@ -71,6 +72,12 @@ def test_kronecker_multiplicative(D, m, n):
     assert kronecker_symbol(D, m * n) == kronecker_symbol(D, m) * kronecker_symbol(D, n)
 
 
+def test_kronecker_matches_factorization_oracle():
+    for D in range(-500, 501):
+        for m in range(1, 301):
+            assert kronecker_symbol(D, m) == cohen_oracle.kronecker_symbol(D, m), (D, m)
+
+
 def test_generalized_bernoulli_values():
     assert generalized_bernoulli(1, -4) == Fraction(-1, 2)
     assert generalized_bernoulli(1, -3) == Fraction(-1, 3)
@@ -88,6 +95,21 @@ def test_generalized_bernoulli_parity(n, D):
     chi_minus1 = 1 if D > 0 else -1
     if chi_minus1 != (-1) ** n:
         assert generalized_bernoulli(n, D) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_generalized_bernoulli_matches_definition(n):
+    for aD in range(1, 401):
+        for D in (aD, -aD):
+            if not is_fundamental_discriminant(D):
+                continue
+            if D != 1 and (D > 0) != (n % 2 == 0):
+                # chi_D(-1) != (-1)^n: the definition's terms cancel in pairs
+                # a, |D| - a, so the oracle's value is 0 without summing it
+                assert generalized_bernoulli(n, D) == 0, (n, D)
+            else:
+                want = cohen_oracle.generalized_bernoulli(n, D)
+                assert generalized_bernoulli(n, D) == want, (n, D)
 
 
 def test_non_fundamental_rejected_with_square_factor():

@@ -261,3 +261,22 @@ def test_golden_json_digest(argv, tmp_path):
     out = tmp_path / "out.json"
     assert cli_main(list(argv) + ["--format", "json", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
+# SHA-256 of the Cohen H(r, N) tables, frozen before the generalized Bernoulli
+# and Kronecker kernels were rewritten (power sums, reciprocity).
+COHEN_GOLDEN_DIGESTS = {
+    ("cohen", "--r", "1", "--nmax", "400", "--format", "json"): "20c4aadc9eefb384dc8b3d762a596e43879024fbd41859018dd91a857ef00364",
+    ("cohen", "--r", "2", "--nmax", "400", "--format", "json"): "cccce93a1595c786b8b95ff6f0811f4a8629e2f86e514968e89bc6b2f209f05a",
+    ("cohen", "--r", "3", "--nmax", "400", "--format", "json"): "16a1be4d3026b0a2cc3f6114991b60ceb02ebc65809dcffa4df6987e24f06cdf",
+    ("cohen", "--r", "4", "--nmax", "400", "--format", "json"): "6466183266a6cbd4b3f4b151437a290ba9b3e6dbb9823c5dd96138e5b26863ea",
+    ("cohen", "--r", "5", "--nmax", "400", "--format", "json"): "de848a72922c06d220b5ed3f9f835c342c2845d341db74497700f546b639bf1f",
+    ("cohen", "--r", "2", "--nmax", "400", "--format", "table"): "965c8716db8d485a62b5ce1eb49e9d019878df0ff449770c7469d73a15da2a32",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COHEN_GOLDEN_DIGESTS), ids=" ".join)
+def test_cohen_golden_digest(argv, tmp_path):
+    out = tmp_path / "out"
+    assert cli_main(list(argv) + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COHEN_GOLDEN_DIGESTS[argv]

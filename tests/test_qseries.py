@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -93,10 +94,22 @@ def hurwitz_by_form_counting(N):
 
 
 def test_cohen_r1_matches_form_counting():
-    series = cohen_eisenstein(1, 80)
-    for N in range(81):
+    series = cohen_eisenstein(1, 800)
+    for N in range(801):
         if (-N) % 4 in (0, 1):
             assert series.coefficient(N) == hurwitz_by_form_counting(N), N
+
+
+def test_cohen_r1_kronecker_hurwitz_relation():
+    # sum_{t^2 <= 4n} H(4n - t^2) = 2 sigma(n) - sum_{d | n} min(d, n/d)
+    series = cohen_eisenstein(1, 800)
+    for n in range(1, 201):
+        s = math.isqrt(4 * n)
+        lhs = sum(series.coefficient(4 * n - t * t) for t in range(-s, s + 1))
+        rhs = 2 * divisor_power_sum(n, 1) - sum(
+            min(d, n // d) for d in range(1, n + 1) if n % d == 0
+        )
+        assert lhs == rhs, n
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
