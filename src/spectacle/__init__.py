@@ -15,13 +15,11 @@ from .exact_arith import (
 )
 from .quad_space import (
     IsotropicLine,
-    LatticeCoset,
     VecV,
     cross,
     epsilon_sign,
     inner,
     isotropic_lines_of,
-    line_lattice_data,
     qform,
     triple,
 )

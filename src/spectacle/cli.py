@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from fractions import Fraction
@@ -68,11 +69,18 @@ def _series_table(series: QExpansion, label: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"expected a rational number, got {text!r}") from None
+
+
 def _parse_vec(text: str) -> VecV:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected a,b,c (three rationals), got {text!r}")
-    return VecV(*(Fraction(p) for p in parts))
+    return VecV(*(_rational(p) for p in parts))
 
 
 def _h_fraction(tag: str) -> Fraction:
@@ -80,10 +88,8 @@ def _h_fraction(tag: str) -> Fraction:
 
 
 def cmd_theta11(args: argparse.Namespace) -> int:
-    lat = SplitLatticeU(
-        Fraction(args.m1), Fraction(args.h1), Fraction(args.m2), Fraction(args.h2)
-    )
-    series = theta11_series(lat, args.k, Fraction(args.wu), Fraction(args.wup), args.nmax)
+    lat = SplitLatticeU(*(_rational(t) for t in (args.m1, args.h1, args.m2, args.h2)))
+    series = theta11_series(lat, args.k, _rational(args.wu), _rational(args.wup), args.nmax)
     _emit(args, series.to_json_dict(), _series_table(series, f"theta series, k={args.k}"))
     return 0
 
@@ -129,7 +135,7 @@ def cmd_caps(args: argparse.Namespace) -> int:
         table = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         _emit(args, payload, table)
         return 0
-    w = cap_closed_form(args.k, args.i, Fraction(args.r), Fraction(args.M))
+    w = cap_closed_form(args.k, args.i, _rational(args.r), _rational(args.M))
     payload = {
         "k": args.k,
         "i": args.i,
@@ -155,8 +161,8 @@ def cmd_eisenstein(args: argparse.Namespace) -> int:
 
 def cmd_lvalue(args: argparse.Namespace) -> int:
     heights = [float(t) for t in args.T.split(",")]
-    if any(t <= 1 for t in heights):
-        raise ValueError("heights must exceed 1")
+    if not all(math.isfinite(t) and t > 1 for t in heights):
+        raise ValueError("heights must be finite and exceed 1")
     k = args.weight // 2 - 1
     form = HolomorphicFormSpec.eisenstein(args.weight)
     values = [

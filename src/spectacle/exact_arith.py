@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 Rational = Fraction
 
@@ -155,29 +155,26 @@ def kronecker_symbol(D: int, m: int) -> int:
     return s if m == 1 else 0
 
 
-def _squarefree_check(n: int) -> Tuple[bool, int]:
-    """(is_squarefree, offending prime) for n >= 1; prime is 0 when squarefree."""
-    for p, e in factorize(n).items():
+def _fundamental_defect(D: int) -> Optional[str]:
+    """Why D is not a fundamental discriminant; None for 1 and fundamental D."""
+    head = f"D = {D} is not a fundamental discriminant"
+    if D == 0:
+        return head
+    r = D % 4
+    if r in (2, 3):
+        return f"{head}: D = {r} (mod 4)"
+    q = D if r == 1 else D // 4
+    if r == 0 and q % 4 in (0, 1):
+        return f"{head}: divisible by the square 2**2 (D/4 = {q % 4} mod 4)"
+    for p, e in factorize(abs(q)).items():
         if e > 1:
-            return False, p
-    return True, 0
+            return f"{head}: divisible by the square {p}**2"
+    return None
 
 
 def is_fundamental_discriminant(D: int) -> bool:
     """True when D is 1 or a fundamental discriminant."""
-    if D == 1:
-        return True
-    if D == 0:
-        return False
-    r = D % 4
-    if r == 1:
-        return _squarefree_check(abs(D))[0]
-    if r == 0:
-        q = D // 4
-        if q % 4 in (2, 3):
-            return _squarefree_check(abs(q))[0]
-        return False
-    return False
+    return _fundamental_defect(D) is None
 
 
 def generalized_bernoulli(n: int, D: int) -> Fraction:
@@ -200,8 +197,9 @@ def generalized_bernoulli(n: int, D: int) -> Fraction:
         # Trivial character mod 1; only reached with n >= 2 in the Cohen
         # coefficient formula, where the a=1 endpoint convention is moot.
         return bernoulli_number(n)
-    if not is_fundamental_discriminant(D):
-        raise ValueError(_non_fundamental_message(D))
+    defect = _fundamental_defect(D)
+    if defect is not None:
+        raise ValueError(defect)
     m = abs(D)
     S = [0] * (n + 1)
     for a in range(1, m + 1):
@@ -214,35 +212,6 @@ def generalized_bernoulli(n: int, D: int) -> Fraction:
         comb(n, j) * bernoulli_number(j) * m**j * S[n - j] for j in range(n + 1)
     )
     return total / m
-
-
-def _non_fundamental_message(D: int) -> str:
-    if D == 0:
-        return "D = 0 is not a fundamental discriminant"
-    r = D % 4
-    if r in (2, 3):
-        return f"D = {D} is not a fundamental discriminant: D = {r} (mod 4)"
-    if r == 1:
-        ok, p = _squarefree_check(abs(D))
-        if not ok:
-            return (
-                f"D = {D} is not a fundamental discriminant: "
-                f"divisible by the square {p}**2"
-            )
-    if r == 0:
-        q = D // 4
-        if q % 4 in (0, 1):
-            return (
-                f"D = {D} is not a fundamental discriminant: "
-                f"divisible by the square 2**2 (D/4 = {q % 4} mod 4)"
-            )
-        ok, p = _squarefree_check(abs(q))
-        if not ok:
-            return (
-                f"D = {D} is not a fundamental discriminant: "
-                f"divisible by the square {p}**2"
-            )
-    return f"D = {D} is not a fundamental discriminant"
 
 
 def fundamental_discriminant_split(delta: int) -> Tuple[int, int]:

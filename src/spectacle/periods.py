@@ -254,9 +254,20 @@ def spectacle_period(
 # ---------------------------------------------------------------------------
 # numerical geodesic intersections
 
+_OUT_OF_FLOAT_RANGE = "vector coordinates exceed the float range"
+
 
 def _geodesic_params(x: VecV) -> Tuple[float, float, float]:
-    return (float(x.a), float(x.b), float(x.c))
+    """Float coordinates (a, b, c); refuses a coordinate that overflows or a
+    nonzero one that underflows to 0."""
+    exact = (x.a, x.b, x.c)
+    try:
+        a, b, c = (float(t) for t in exact)
+    except OverflowError:
+        raise GeometryError(_OUT_OF_FLOAT_RANGE) from None
+    if any(f == 0.0 and t for f, t in zip((a, b, c), exact)):
+        raise GeometryError(_OUT_OF_FLOAT_RANGE)
+    return a, b, c
 
 
 def _tangent_direction(x: VecV, z: complex) -> Tuple[float, float]:

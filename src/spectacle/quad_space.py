@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -50,8 +50,6 @@ __all__ = [
     "isotropic_lines_of",
     "is_rational_square",
     "rational_sqrt",
-    "LatticeCoset",
-    "line_lattice_data",
 ]
 
 
@@ -130,12 +128,6 @@ def cross(x: VecV, y: VecV) -> VecV:
     )
 
 
-def _check_positive_plane(x: VecV, y: VecV) -> None:
-    gram = qform(x) * qform(y) * 4 - inner(x, y) ** 2
-    if qform(x) <= 0 or qform(y) <= 0 or gram <= 0:
-        raise GeometryError("not a positive 2-plane")
-
-
 def epsilon_sign(x: VecV, y: VecV) -> int:
     """Intersection multiplicity (+1/-1) of the oriented geodesics of x and y.
 
@@ -143,11 +135,13 @@ def epsilon_sign(x: VecV, y: VecV) -> int:
     module docstring for the derivation.  Requires x, y spacelike spanning a
     positive-definite plane.
     """
-    _check_positive_plane(x, y)
-    s = inner(cross(x, y), _DOWN_TEST)
-    # s = 0 cannot happen: the complement of a positive 2-plane is a negative
+    qx, qy = qform(x), qform(y)
+    if qx <= 0 or qy <= 0 or 4 * qx * qy <= inner(x, y) ** 2:
+        raise GeometryError("not a positive 2-plane")
+    # (cross(x, y), u + u') = triple(x, y, u + u') by the defining property of
+    # cross.  It is never 0: the complement of a positive 2-plane is a negative
     # line, so cross(x, y) is timelike and never orthogonal to e_3.
-    return 1 if s > 0 else -1
+    return 1 if triple(x, y, _DOWN_TEST) > 0 else -1
 
 
 def _normalize_cusp(alpha: int, beta: int) -> Tuple[int, int]:
@@ -176,14 +170,6 @@ class IsotropicLine:
         alpha, beta = _normalize_cusp(alpha, beta)
         gen = VecV(-beta * beta, -alpha * beta, alpha * alpha)
         return cls(gen, (alpha, beta))
-
-    @classmethod
-    def from_ratio(cls, num: RationalLike, den: RationalLike) -> "IsotropicLine":
-        r_num = Fraction(num)
-        r_den = Fraction(den)
-        alpha = r_num.numerator * r_den.denominator
-        beta = r_den.numerator * r_num.denominator
-        return cls.from_cusp(alpha, beta)
 
 
 LINE_INFINITY = IsotropicLine.from_cusp(1, 0)
@@ -270,7 +256,7 @@ def isotropic_lines_of(x: VecV) -> Tuple[IsotropicLine, IsotropicLine]:
             _line_from_fraction((x.b - s) / x.a),
         ]
     else:
-        second = IsotropicLine.from_ratio(-x.c, 2 * x.b)
+        second = _line_from_fraction(-x.c / (2 * x.b))
         lines = [LINE_INFINITY, second]
     l1, l2 = lines
     t = triple(l1.generator, x, l2.generator)
@@ -286,74 +272,13 @@ def _line_from_fraction(t: Fraction) -> IsotropicLine:
 
 
 # ---------------------------------------------------------------------------
-# Lattice cosets
-
-
-@dataclass(frozen=True)
-class LatticeCoset:
-    """Coset L + shift of an even lattice spanned by three vectors."""
-
-    basis: Tuple[VecV, VecV, VecV]
-    shift: VecV
-
-    def __post_init__(self) -> None:
-        gram = [[inner(b1, b2) for b2 in self.basis] for b1 in self.basis]
-        for i in range(3):
-            if gram[i][i].denominator != 1 or gram[i][i] % 2 != 0:
-                raise ValueError("lattice is not even: (b, b) not in 2Z")
-            for j in range(3):
-                if gram[i][j].denominator != 1:
-                    raise ValueError("lattice is not integral")
-
-    @classmethod
-    def standard(cls, half_shift: bool = False) -> "LatticeCoset":
-        """Z*w0 + Z*u + Z*u', shifted by w0/2 when half_shift is set."""
-        shift = Fraction(1, 2) * W0_VEC if half_shift else VecV(0, 0, 0)
-        return cls((W0_VEC, U_VEC, UPRIME_VEC), shift)
-
-    def coordinates_of(self, x: VecV) -> Tuple[Fraction, Fraction, Fraction]:
-        """Coordinates of x in the lattice basis (exact 3x3 solve)."""
-        b1, b2, b3 = self.basis
-        det = triple(b1, b2, b3)
-        if det == 0:
-            raise ValueError("degenerate lattice basis")
-        return (
-            triple(x, b2, b3) / det,
-            triple(b1, x, b3) / det,
-            triple(b1, b2, x) / det,
-        )
-
-    def contains(self, x: VecV) -> bool:
-        coords = self.coordinates_of(x - self.shift)
-        return all(t.denominator == 1 for t in coords)
-
-
-# Arithmetic progressions {offset + step*Z}, step > 0, or None for empty.
+# Arithmetic progressions offset + step*Z, stored as (offset, step), step > 0.
 Progression = Tuple[Fraction, Fraction]
 
 
 def _progression_normalize(offset: Fraction, step: Fraction) -> Progression:
     step = abs(step)
     return (offset % step, step)
-
-
-def _progression_intersect(
-    p1: Optional[Progression], p2: Optional[Progression]
-) -> Optional[Progression]:
-    if p1 is None or p2 is None:
-        return None
-    o1, s1 = p1
-    o2, s2 = p2
-    d = math.lcm(o1.denominator, s1.denominator, o2.denominator, s2.denominator)
-    O1, S1, O2, S2 = (int(t * d) for t in (o1, s1, o2, s2))
-    g = math.gcd(S1, S2)
-    if (O2 - O1) % g:
-        return None
-    m = S2 // g
-    k0 = ((O2 - O1) // g * pow(S1 // g, -1, m)) % m if m > 1 else 0
-    step = Fraction(math.lcm(S1, S2), d)
-    offset = Fraction(O1 + S1 * k0, d)
-    return _progression_normalize(offset, step)
 
 
 def _progression_min_abs_nonzero(p: Progression) -> Fraction:
@@ -368,31 +293,3 @@ def _progression_range(p: Progression, lo: Fraction, hi: Fraction) -> Iterator[F
     while t <= hi:
         yield t
         t += s
-
-
-def line_lattice_data(
-    coset: LatticeCoset, line: IsotropicLine
-) -> Optional[Tuple[Fraction, Fraction]]:
-    """The arithmetic progression (M Z + h) u_line cut out of the line by the
-    coset, as (M, h) with 0 <= h < M, or None when the coset misses the line.
-    """
-    u = line.generator
-    p = coset.coordinates_of(u)
-    q_ = coset.coordinates_of(coset.shift)
-    # Solve t*p_i - q_i in Z for each basis coordinate; u != 0 guarantees at
-    # least one condition, so no spurious integrality is assumed up front.
-    prog: Optional[Progression] = None
-    have_condition = False
-    for pi, qi in zip(p, q_):
-        if pi == 0:
-            if qi.denominator != 1:
-                return None
-            continue
-        cond = _progression_normalize(qi / pi, Fraction(1) / pi)
-        prog = cond if not have_condition else _progression_intersect(prog, cond)
-        have_condition = True
-        if prog is None:
-            return None
-    assert prog is not None
-    o, s = prog
-    return (s, o)

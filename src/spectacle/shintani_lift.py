@@ -23,7 +23,9 @@ q-series in two ways, and the package computes both:
   product orientation sign; boundary contributions count the cap components
   of the cycles hitting each cusp (a Bernoulli multiple at infinity, and for
   k = 1 a -2cn term at zero); the degree-zero term pairs the boundary
-  cycle at infinity with the symbol.
+  cycle at infinity with the symbol.  The coset meets the line Q u in Z u
+  when h = 0 and misses it when h = 1/2, so that term is the boundary
+  incidence sign times (-1)^(k+1) B_{k+1}/(k+1), or 0 on the half coset.
 
 Sign arbitration.  Three binary conventions are pinned programmatically, in
 order: (1) the split-plane global sign comes from ``theta11.global_sign``
@@ -45,16 +47,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
-from .exact_arith import bernoulli_number, bernoulli_poly
+from .exact_arith import bernoulli_number
 from .qseries import QExpansion, cohen_eisenstein
-from .quad_space import (
-    LINE_INFINITY,
-    LatticeCoset,
-    VecV,
-    W0_VEC,
-    epsilon_sign,
-    line_lattice_data,
-)
+from .quad_space import VecV, W0_VEC, epsilon_sign
 from . import theta11
 
 __all__ = [
@@ -107,9 +102,6 @@ class LiftConfig:
     @property
     def exponent_bound(self) -> Fraction:
         return Fraction(self.n_max, self.exp_den)
-
-    def coset(self) -> LatticeCoset:
-        return LatticeCoset.standard(half_shift=self.h != 0)
 
     def w_values(self, bound: Fraction) -> Iterator[Fraction]:
         """Points m of the w0-progression Z + h with m*m <= bound."""
@@ -329,7 +321,13 @@ def lift_theta_side(
 def lift_geometric_side(
     cfg: LiftConfig, convention: Optional[SignConvention] = None
 ) -> QExpansion:
-    """Intersection route: cross-product interior + boundary cap counts."""
+    """Intersection route: cross-product interior + boundary cap counts.
+
+    The constant term comes from the coset's vectors on the line Q u at
+    infinity: they are c u with c in Z, present exactly when 0 lies on the
+    w0-progression Z + h (``w_square_count(0)`` is then 1, else 0), and they
+    contribute the boundary incidence sign times (-1)^(k+1) B_{k+1}/(k+1).
+    """
     conv = convention or arbitrate_signs()
     coeffs: Dict[int, Fraction] = dict(_interior_geometric(cfg))
     k = cfg.k
@@ -344,19 +342,10 @@ def lift_geometric_side(
         if k == 1:
             # each oriented family contributes -2 m^2 at the zero cusp
             coeffs[num] -= 2 * fams * e
-    # constant term: boundary cycle at infinity paired with the symbol
-    data = line_lattice_data(cfg.coset(), LINE_INFINITY)
-    if data is not None:
-        M_ell, h_ell = data
-        const = (
-            conv.boundary_incidence
-            * (-1) ** (k + 1)
-            * M_ell**k
-            * bernoulli_poly(k + 1, h_ell / M_ell)
-            / (k + 1)
-        )
-        if const:
-            coeffs[0] = coeffs.get(0, Fraction(0)) + const
+    # constant term: the boundary cycle at infinity paired with the symbol
+    const = cfg.w_square_count(0) * conv.boundary_incidence * block
+    if const:
+        coeffs[0] = coeffs.get(0, Fraction(0)) + const
     nonholo: Optional[Dict[int, Fraction]] = {} if k == 1 else None
     return QExpansion(cfg.exp_den, cfg.n_max, coeffs, nonholo)
 

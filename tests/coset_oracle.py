@@ -1,8 +1,9 @@
 """Brute-force enumeration of lattice coset vectors, for the tests only.
 
 An independent route to the lift's interior index set: it walks the coordinate
-progressions of a split-adapted coset (every basis vector on one of the axes
-Q*u, Q*w0, Q*u') and filters by the exact quadratic form.
+progressions of the coset Z u + (Z + h) w0 + Z u' of the even lattice of
+integral trace-zero matrices (h in {0, 1/2}) and filters by the exact
+quadratic form.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
 from spectacle.quad_space import (
-    LatticeCoset,
     Progression,
     RationalLike,
     VecV,
@@ -30,9 +30,7 @@ class UnboundedEnumerationError(ValueError):
     """Raised when a lattice enumeration request does not bound its region."""
 
 
-def _progression_contains(p: Optional[Progression], t: Fraction) -> bool:
-    if p is None:
-        return False
+def _progression_contains(p: Progression, t: Fraction) -> bool:
     o, s = p
     r = (t - o) / s
     return r.denominator == 1
@@ -55,35 +53,19 @@ class CosetConstraint:
 
 
 def _split_adapted_progressions(
-    coset: LatticeCoset,
+    h: RationalLike,
 ) -> Tuple[Progression, Progression, Progression]:
-    """Coordinate progressions (for a, b, c) of a split-adapted coset.
-
-    Requires every basis vector to lie on one of the axes Q*u, Q*w0, Q*u'.
-    """
-    steps = {"a": None, "b": None, "c": None}
-    for v in coset.basis:
-        nonzero = [(axis, getattr(v, axis)) for axis in "abc" if getattr(v, axis)]
-        if len(nonzero) != 1:
-            raise NotImplementedError(
-                "enumerate_coset supports split-adapted bases only"
-            )
-        axis, val = nonzero[0]
-        if steps[axis] is not None:
-            raise NotImplementedError("basis vectors repeat an axis")
-        steps[axis] = abs(val)
-    if any(s is None for s in steps.values()):
-        raise NotImplementedError("basis does not span all three axes")
-    return tuple(
-        _progression_normalize(getattr(coset.shift, axis), steps[axis])
-        for axis in "abc"
-    )  # type: ignore[return-value]
+    """Coordinate progressions Z, Z + h, Z of a, b, c on the coset."""
+    return (
+        _progression_normalize(Fraction(0), Fraction(1)),
+        _progression_normalize(Fraction(h), Fraction(1)),
+        _progression_normalize(Fraction(0), Fraction(1)),
+    )
 
 
-def enumerate_coset(
-    coset: LatticeCoset, constraint: CosetConstraint
-) -> Iterator[VecV]:
-    """Enumerate coset vectors meeting the constraint, each exactly once.
+def enumerate_coset(h: RationalLike, constraint: CosetConstraint) -> Iterator[VecV]:
+    """Enumerate vectors of the coset with w0-shift h meeting the constraint,
+    each exactly once.
 
     Refuses with :class:`UnboundedEnumerationError` when the constraint does
     not make the region finite.
@@ -97,7 +79,7 @@ def enumerate_coset(
             "constraint does not bound the enumeration region: need a box or "
             "an exact q-value with a split-part condition"
         )
-    prog_a, prog_b, prog_c = _split_adapted_progressions(coset)
+    prog_a, prog_b, prog_c = _split_adapted_progressions(h)
     if constraint.box is not None:
         ba, bb, bc = (Fraction(t) for t in constraint.box)
         for a in _progression_range(prog_a, -ba, ba):
@@ -111,12 +93,7 @@ def enumerate_coset(
         return
     n = Fraction(constraint.q_value)
     if constraint.u_zero:
-        # x = b*w0 with b^2 = n; the split coordinates must admit zero.
-        if not (
-            _progression_contains(prog_a, Fraction(0))
-            and _progression_contains(prog_c, Fraction(0))
-        ):
-            return
+        # x = b*w0 with b^2 = n; the split coordinates a, c run over Z.
         if not is_rational_square(n):
             return
         s = rational_sqrt(n)

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectacle.cli import main
 
@@ -96,6 +100,13 @@ def test_unknown_command_exits_2(capsys):
         ["eisenstein", "--weight", "3"],
         ["lvalue", "--weight", "4", "--T", "3,x"],
         ["lvalue", "--weight", "4", "--T", "0.5,3"],
+        ["caps", "--k", "1", "--x", "1/0,1,0"],
+        ["intersect", "--x", "1,0,1", "--y", "0,1/0,0"],
+        ["theta11", "--k", "3", "--wu", "1/0"],
+        ["caps", "--k", "1", "--r", "1/0"],
+        ["lvalue", "--weight", "4", "--T", "inf,3"],
+        ["lvalue", "--weight", "4", "--T", "nan,3"],
+        ["intersect", "--x", "1e400,0,1", "--y", "0,1,0"],
     ],
     ids=" ".join,
 )
@@ -140,3 +151,43 @@ def test_spectacle_log_env(monkeypatch, capsys):
     monkeypatch.setenv("SPECTACLE_LOG", "info")
     code, _ = run_cli(capsys, "eisenstein", "--weight", "4", "--nmax", "2")
     assert code == 0
+
+
+_RATIONAL_TEXT = st.one_of(
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000).map(str),
+    st.decimals(min_value=-1000, max_value=1000, places=4).map(str),
+    st.sampled_from(["1/0", "inf", "nan", ""]),
+    st.text(alphabet="0123456789/-.e,", max_size=8),
+)
+_VECTOR_TEXT = st.one_of(
+    _RATIONAL_TEXT, st.lists(_RATIONAL_TEXT, min_size=3, max_size=3).map(",".join)
+)
+_ARGV = st.one_of(
+    st.builds(lambda x: ["caps", "--k", "1", f"--x={x}"], _VECTOR_TEXT),
+    st.builds(
+        lambda r, m: ["caps", "--k", "2", "--i=0", f"--r={r}", f"--M={m}"],
+        _RATIONAL_TEXT,
+        _RATIONAL_TEXT,
+    ),
+    st.builds(
+        lambda wu, wup: ["theta11", "--k", "3", "--nmax", "6", f"--wu={wu}", f"--wup={wup}"],
+        _RATIONAL_TEXT,
+        _RATIONAL_TEXT,
+    ),
+    st.builds(lambda x, y: ["intersect", f"--x={x}", f"--y={y}"], _VECTOR_TEXT, _VECTOR_TEXT),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_ARGV)
+def test_fuzzed_rational_argv_never_tracebacks(argv):
+    # an exception escaping main() is the traceback a shell user would see
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())

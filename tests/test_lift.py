@@ -113,11 +113,10 @@ def test_interior_against_generic_enumeration(k, h):
 
     cfg = LiftConfig(k=k, h=h, n_max=20)
     table = _interior_geometric(cfg)
-    coset = cfg.coset()
     for num in range(1, 21):
         e = Fraction(num, cfg.exp_den)
         want = Fraction(0)
-        for x in enumerate_coset(coset, CosetConstraint(q_value=e, u_positive=True)):
+        for x in enumerate_coset(cfg.h, CosetConstraint(q_value=e, u_positive=True)):
             want += epsilon_sign(x, W0_VEC) * (-x.c) ** k
         assert table.get(num, Fraction(0)) == want, (k, h, e)
 
@@ -126,8 +125,7 @@ def test_interior_k1_n1_counts():
     # two coset solutions at the first exponent, each weighted by its sign
     from coset_oracle import CosetConstraint, enumerate_coset
 
-    coset = LiftConfig(k=1, h=Fraction(0), n_max=4).coset()
-    vecs = list(enumerate_coset(coset, CosetConstraint(q_value=Fraction(1), u_positive=True)))
+    vecs = list(enumerate_coset(Fraction(0), CosetConstraint(q_value=Fraction(1), u_positive=True)))
     assert len(vecs) == 2
     total = sum(epsilon_sign(x, W0_VEC) * -x.c for x in vecs)
     assert total == -2

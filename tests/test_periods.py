@@ -188,3 +188,12 @@ def test_form_spec_validation():
         HolomorphicFormSpec.eisenstein(5)
     with pytest.raises(ValueError):
         HolomorphicFormSpec.eisenstein(2)
+
+
+def test_geodesic_intersection_rejects_coordinates_outside_float_range():
+    # the exact sign exists; the float oracle must refuse rather than crash
+    # (overflow) or answer for a different vector (a nonzero a read as 0.0)
+    for x in (VecV(10**400, 0, 1), VecV(Fraction(1, 10**400), 0, 1)):
+        assert epsilon_sign(x, W0_VEC) == 1
+        with pytest.raises(GeometryError, match="float range"):
+            geodesic_intersection_numeric(x, W0_VEC)

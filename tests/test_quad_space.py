@@ -2,9 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from coset_oracle import (
     CosetConstraint,
     UnboundedEnumerationError,
@@ -15,7 +12,6 @@ from spectacle.quad_space import (
     LINE_ZERO,
     GeometryError,
     IsotropicLine,
-    LatticeCoset,
     U_VEC,
     UPRIME_VEC,
     VecV,
@@ -25,7 +21,6 @@ from spectacle.quad_space import (
     epsilon_sign,
     inner,
     isotropic_lines_of,
-    line_lattice_data,
     qform,
     sigma_matrix,
     triple,
@@ -152,101 +147,20 @@ def test_sigma_matrix_properties():
         assert conjugate_vec((a, b, c, d), U_VEC) == line.generator
 
 
-def test_line_lattice_data_standard():
-    L0 = LatticeCoset.standard()
-    Lh = LatticeCoset.standard(half_shift=True)
-    assert line_lattice_data(L0, LINE_INFINITY) == (1, 0)
-    assert line_lattice_data(L0, LINE_ZERO) == (1, 0)
-    assert line_lattice_data(Lh, LINE_INFINITY) is None
-    assert line_lattice_data(Lh, LINE_ZERO) is None
-    # scaled line: generator of cusp 1 is u - w0 - u' scaled
-    line1 = IsotropicLine.from_cusp(1, 1)
-    M, h = line_lattice_data(L0, line1)
-    assert M == 1 and h == 0
-
-
-def test_line_lattice_data_brute_force():
-    # scan multiples of the generator directly
-    rng = random.Random(5)
-    for half in (False, True):
-        coset = LatticeCoset.standard(half_shift=half)
-        for _ in range(20):
-            line = IsotropicLine.from_cusp(rng.randint(-6, 6), rng.randint(1, 6))
-            data = line_lattice_data(coset, line)
-            hits = [
-                Fraction(num, 12)
-                for num in range(-12 * 4, 12 * 4 + 1)
-                if coset.contains(Fraction(num, 12) * line.generator)
-            ]
-            if data is None:
-                assert hits == []
-                continue
-            M, h = data
-            assert 0 <= h < M
-            for t in hits:
-                assert (t - h) % M == 0
-            # conversely the progression lands in the coset
-            for j in range(-3, 4):
-                assert coset.contains((h + j * M) * line.generator)
-
-
-small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-pos_fracs = st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6)
-
-
-@settings(max_examples=150, deadline=None)
-@given(o1=small_fracs, s1=pos_fracs, o2=small_fracs, s2=pos_fracs)
-def test_progression_intersection_membership(o1, s1, o2, s2):
-    from coset_oracle import _progression_contains
-    from spectacle.quad_space import (
-        _progression_intersect,
-        _progression_normalize,
-        _progression_range,
-    )
-
-    p1 = _progression_normalize(o1, s1)
-    p2 = _progression_normalize(o2, s2)
-    meet = _progression_intersect(p1, p2)
-    lo, hi = Fraction(-30), Fraction(30)
-    # points of p1 lie in the meet exactly when they lie in p2, and the meet
-    # is contained in both
-    for t in _progression_range(p1, lo, hi):
-        both = _progression_contains(p2, t)
-        assert _progression_contains(meet, t) == both, t
-    if meet is not None:
-        for t in _progression_range(meet, lo, hi):
-            assert _progression_contains(p1, t) and _progression_contains(p2, t)
-
-
-def test_line_lattice_data_fractional_width():
-    # a lattice containing half of a primitive isotropic vector:
-    # basis ((u + u')/2 + w0/2, 2u, w0) is even and meets the line in (1/2)Z
-    v = VecV(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2))
-    coset = LatticeCoset((v, 2 * U_VEC, W0_VEC), VecV(0, 0, 0))
-    line = IsotropicLine.from_cusp(1, -1)
-    assert line_lattice_data(coset, line) == (Fraction(1, 2), 0)
-    for num in range(-8, 9):
-        t = Fraction(num, 4)
-        assert coset.contains(t * line.generator) == (t % Fraction(1, 2) == 0)
-
-
 def test_enumerate_coset_examples():
-    L0 = LatticeCoset.standard()
     vs = sorted(
-        enumerate_coset(L0, CosetConstraint(q_value=Fraction(1), u_positive=True)),
+        enumerate_coset(0, CosetConstraint(q_value=Fraction(1), u_positive=True)),
         key=lambda v: (v.a, v.b, v.c),
     )
     # divisor pairs of a*c = 1: exactly u - u' and its negative
     assert vs == [VecV(-1, 0, -1), VecV(1, 0, 1)]
-    Lh = LatticeCoset.standard(half_shift=True)
-    vs2 = set(enumerate_coset(Lh, CosetConstraint(q_value=Fraction(1, 4), u_zero=True)))
+    vs2 = set(enumerate_coset(Fraction(1, 2), CosetConstraint(q_value=Fraction(1, 4), u_zero=True)))
     assert vs2 == {VecV(0, Fraction(1, 2), 0), VecV(0, Fraction(-1, 2), 0)}
-    assert list(enumerate_coset(L0, CosetConstraint(q_value=Fraction(-3), u_positive=True))) == []
+    assert list(enumerate_coset(0, CosetConstraint(q_value=Fraction(-3), u_positive=True))) == []
 
 
 def test_enumerate_coset_box_matches_filter():
-    L0 = LatticeCoset.standard()
-    got = set(enumerate_coset(L0, CosetConstraint(q_value=Fraction(4), box=(3, 3, 3))))
+    got = set(enumerate_coset(0, CosetConstraint(q_value=Fraction(4), box=(3, 3, 3))))
     brute = {
         VecV(a, b, c)
         for a in range(-3, 4)
@@ -258,11 +172,5 @@ def test_enumerate_coset_box_matches_filter():
 
 
 def test_enumerate_coset_refuses_unbounded():
-    L0 = LatticeCoset.standard()
     with pytest.raises(UnboundedEnumerationError, match="bound"):
-        list(enumerate_coset(L0, CosetConstraint(q_value=Fraction(4))))
-
-
-def test_lattice_coset_validates_evenness():
-    with pytest.raises(ValueError, match="even"):
-        LatticeCoset((Fraction(1, 2) * W0_VEC, U_VEC, UPRIME_VEC), VecV(0, 0, 0))
+        list(enumerate_coset(0, CosetConstraint(q_value=Fraction(4))))
