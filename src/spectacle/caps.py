@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Callable, Optional, Tuple, Union
 
 from .exact_arith import bernoulli_poly
@@ -118,19 +118,13 @@ def cap_solve(inp: CapInput) -> SymVector:
             "(not orthogonal to u^k)"
         )
     # (exp(-M R) - Id) w at index m pulls w_{m-j} with weight
-    # (-M)^j / j! * (2k - m + j)! / (2k - m)!.
+    # (-M)^j / j! * (2k - m + j)! / (2k - m)! = (-M)^j C(2k - m + j, j).
     w = [Fraction(0)] * (n + 1)
     for m in range(1, n + 1):
-        falling = Fraction(factorial(n - m + 1), factorial(n - m))  # j = 1 factor
-        lead = -M * falling
         acc = v.coeffs[m]
         for j in range(2, m + 1):
-            cmj = (
-                Fraction((-M) ** j, factorial(j))
-                * Fraction(factorial(n - m + j), factorial(n - m))
-            )
-            acc -= cmj * w[m - j]
-        w[m - 1] = acc / lead
+            acc -= (-M) ** j * comb(n - m + j, j) * w[m - j]
+        w[m - 1] = acc / (-M * (n - m + 1))
     # Normalize: subtract the right multiple of u^k so the period vanishes.
     p = boundary_pairing_polynomial(SymVector(k, tuple(w)))
     period = _poly_integral(p, r, r + M)

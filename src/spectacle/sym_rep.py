@@ -26,11 +26,9 @@ from typing import Sequence, Tuple, Union
 from .quad_space import VecV
 
 RationalLike = Union[int, Fraction]
-MatLike = Union["GammaMat", Sequence[RationalLike]]
 
 __all__ = [
     "SymVector",
-    "GammaMat",
     "S_MAT",
     "n_mat",
     "act",
@@ -93,24 +91,7 @@ class SymVector:
             raise ValueError(f"mismatched degrees: k={self.k} vs k={other.k}")
 
 
-@dataclass(frozen=True)
-class GammaMat:
-    """Integral 2x2 matrix (a, b, c, d) with determinant 1."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("determinant must be 1")
-
-    def entries(self) -> Tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-
-S_MAT = GammaMat(0, -1, 1, 0)
+S_MAT = (0, -1, 1, 0)
 
 
 def n_mat(r: RationalLike) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -118,18 +99,14 @@ def n_mat(r: RationalLike) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     return (Fraction(1), Fraction(r), Fraction(0), Fraction(1))
 
 
-def _entries(g: MatLike) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-    if isinstance(g, GammaMat):
-        a, b, c, d = g.entries()
-    else:
-        a, b, c, d = g
-    a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+def _entries(g: Sequence[RationalLike]) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+    a, b, c, d = (Fraction(t) for t in g)
     if a * d - b * c != 1:
         raise ValueError("determinant must be 1")
     return a, b, c, d
 
 
-def act(g: MatLike, v: SymVector) -> SymVector:
+def act(g: Sequence[RationalLike], v: SymVector) -> SymVector:
     """Substitution action of a determinant-1 matrix."""
     a, b, c, d = _entries(g)
     n = 2 * v.k

@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spectacle
 from spectacle.cli import main
 
 
@@ -107,6 +112,8 @@ def test_unknown_command_exits_2(capsys):
         ["lvalue", "--weight", "4", "--T", "inf,3"],
         ["lvalue", "--weight", "4", "--T", "nan,3"],
         ["intersect", "--x", "1e400,0,1", "--y", "0,1,0"],
+        ["lvalue", "--weight", "4", "--T", "1e300,3"],
+        ["lvalue", "--weight", "4", "--T", "1e200,3"],
     ],
     ids=" ".join,
 )
@@ -117,6 +124,23 @@ def test_bad_input_is_one_line_error(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("spectacle: error: ")
     assert "Traceback" not in captured.err
+
+
+def test_lvalue_large_finite_height_is_accepted(capsys):
+    code, out = run_cli(capsys, "lvalue", "--weight", "4", "--T", "1000,3")
+    assert code == 0
+    assert json.loads(out)["heights"] == [1000.0, 3.0]
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # the periods need no numerical quadrature; only completed_L uses scipy
+    src = str(Path(spectacle.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, spectacle.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_byte_identical_output(capsys):

@@ -6,6 +6,7 @@ import pytest
 from spectacle.exact_arith import bernoulli_number
 from spectacle.periods import (
     HolomorphicFormSpec,
+    _axis_integral,
     c_constant,
     completed_L,
     geodesic_intersection_numeric,
@@ -104,6 +105,38 @@ def test_c_constant_values():
     assert c_constant(1, 0) == 2
     assert c_constant(3, 0) == -8
     assert abs(c_constant(3, 2) - Fraction(12, 5)) < 1e-12
+
+
+def _quadrature_axis_integral(f: HolomorphicFormSpec, s: int, T: float) -> float:
+    """The former adaptive-quadrature route: integrate.quad over the q-series
+    truncated where |a_n| e^(-2 pi n) stays below 1e-16 twice running."""
+    import math
+
+    from scipy import integrate
+
+    coeffs = [float(f.a(0))]
+    quiet = 0
+    while quiet < 2:
+        n = len(coeffs)
+        coeffs.append(float(f.a(n)))
+        quiet = quiet + 1 if abs(coeffs[n]) * math.exp(-2 * math.pi * n) < 1e-16 else 0
+
+    def integrand(y: float) -> float:
+        q = math.exp(-2 * math.pi * y)
+        return sum(c * q**n for n, c in enumerate(coeffs)) * y ** (s - 1)
+
+    value, _ = integrate.quad(integrand, 1.0, T, epsabs=1e-12, epsrel=1e-12, limit=300)
+    return value
+
+
+@pytest.mark.parametrize("weight", [4, 6, 8, 10, 12, 14, 16])
+def test_axis_integral_matches_quadrature(weight):
+    form = HolomorphicFormSpec.eisenstein(weight)
+    for s in range(2, 2 * form.k + 1):
+        for T in (1.5, 3.0, 10.0):
+            want = _quadrature_axis_integral(form, s, T)
+            got = _axis_integral(form, s, T)
+            assert abs(got - want) <= 1e-12 * abs(want), (weight, s, T, got, want)
 
 
 def test_spectacle_period_values():

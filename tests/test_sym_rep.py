@@ -6,7 +6,6 @@ import pytest
 
 from spectacle.quad_space import U_VEC, VecV, W0_VEC, conjugate_vec, inner
 from spectacle.sym_rep import (
-    GammaMat,
     S_MAT,
     SymVector,
     act,
@@ -47,15 +46,16 @@ def _rand_sym(rng, k):
     )
 
 
-def test_gamma_mat_validates_determinant():
-    with pytest.raises(ValueError):
-        GammaMat(1, 1, 1, 1)
-    GammaMat(1, 5, 0, 1)
+def test_act_validates_determinant():
+    v = SymVector(1, (1, 2, 3))
+    with pytest.raises(ValueError, match="determinant"):
+        act((1, 1, 1, 1), v)
+    act((1, 5, 0, 1), v)
 
 
 def test_act_identity_and_unipotent():
     v = SymVector(2, (1, 2, 3, 4, 5))
-    assert act(GammaMat(1, 0, 0, 1), v) == v
+    assert act((1, 0, 0, 1), v) == v
     # n(z) on the lowest weight vector expands (z^2 u - z w0 + u')^k
     z = Fraction(5, 3)
     assert act_n(z, uprime_power(1)) == embed_vector(VecV(-1, -z, z * z))
