@@ -64,8 +64,7 @@ class CapJumpError(ValueError):
 class CapInput:
     """Cap problem at one cusp, in cusp-normal (infinity) coordinates.
 
-    k: coefficient degree; cusp: the isotropic line (metadata only, the data
-    below is already normalized); width: the cusp width M > 0; position: the
+    k: coefficient degree; width: the cusp width M > 0; position: the
     boundary point r; jump: the jump value v, orthogonal to u^k.
     """
 
@@ -73,7 +72,6 @@ class CapInput:
     width: Fraction
     position: Fraction
     jump: SymVector
-    cusp: Optional[IsotropicLine] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "width", Fraction(self.width))
@@ -216,7 +214,7 @@ def _cusp_cap(
         raise GeometryError("transported geodesic is not vertical")
     r = -xt.c / (2 * xt.b)
     vt = act(inv, v)
-    wt = cap_solve(CapInput(k=k, width=width, position=r, jump=vt, cusp=line))
+    wt = cap_solve(CapInput(k=k, width=width, position=r, jump=vt))
     return r, act(sig, wt)
 
 

@@ -278,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lvalue", help="period of an Eisenstein series over the capped cycle")
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--j", type=int, default=0)
-    p.add_argument("--T", default="3,10", help="comma list of truncation heights")
+    p.add_argument(
+        "--T", default="3,10", help="comma list of heights: finite T > 1 whose T^(2k) fits a float"
+    )
     _add_common(p)
     p.set_defaults(func=cmd_lvalue)
 
@@ -289,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_intersect)
 
     p = sub.add_parser("verify-all", help="run the full acceptance matrix")
-    _add_common(p)
     p.set_defaults(func=cmd_verify_all)
 
     return parser

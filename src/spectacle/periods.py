@@ -5,34 +5,33 @@ integrals with pushed-in caps, and the numerical geodesic-intersection
 oracle.  This is the only module that touches floats; every comparison made
 against its output carries an explicit tolerance.
 
-Period assembly.  For a weight 2k+2 level-one form f with expansion
-coefficients a_n (and Fricke flip g = f, b_n = a_n), the pairing of the form
-against the capped cycle on the imaginary axis with coefficient v_{2j}
-(|j| <= k-1) is evaluated through the cycle pushed in to heights T1, T2 > 1:
+Period assembly.  For a weight 2k+2 level-one form f (Fricke flip g = f),
+the pairing with the capped cycle on the imaginary axis with coefficient
+v_{2j} (|j| <= k-1) is one integral of f(z) P(z) dz over the cycle pushed
+in to heights T1, T2 > 1, a chain of four segments:
 
-    value = c_{k,j} [ I1 + (-1)^(k+1) I2 ] - Cap1 + Cap2,
-    I1 = int_1^T1 f(iy) y^(k+1-j) dy/y,   I2 = int_1^T2 g(iy) y^(k+1+j) dy/y,
-    Cap1 = int_0^1 f(x + iT1) p_w(x + iT1) dx,
-    Cap2 = int_0^1 g(x + iT2) p_w'(x + iT2) dx,
+    i -> iT1          P = c_{k,j} (-i)^(k+1-j) z^(k-j)
+    i -> iT2          P = (-1)^(k+1) c_{k,j} (-i)^(k+1+j) z^(k+j)
+    iT1 -> 1 + iT1    P = -p_w
+    iT2 -> 1 + iT2    P = p_w'
 
-where p_w(z) = (n(z) u'^k, w) is the boundary pairing polynomial of the cap
-at infinity and p_w' uses the zero-cusp cap in cusp-normal coordinates; and
+Here p_w(z) = (n(z) u'^k, w) is the boundary pairing polynomial of the cap
+at infinity, p_w' that of the zero-cusp cap in cusp-normal coordinates, and
 c_{k,j} = i (-i)^(k-j) 2^k (k!)^2 / ((k-j)! (k+j)!).  The value is exactly
 independent of (T1, T2) and equals c_{k,j} Lambda(f, k+1-j); dropping the
-cap integrals destroys the T-independence (polynomial growth in T survives).
-All four integrals are summed Fourier mode by mode in closed form, without
-quadrature: elementary in y^(integer) e^(-2 pi n y) on the axis, exact in x
-on the caps.
+caps destroys the T-independence (polynomial growth in T survives).  The
+one integral is summed Fourier mode by mode in closed form, without
+quadrature; the a_0 mode is summed exactly over the whole cycle and rounded
+once, so no float carries the T^(2k)-sized terms that the caps cancel.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from scipy.special import gammaincc, gamma as gamma_fn
 
@@ -48,9 +47,6 @@ __all__ = [
     "geodesic_intersection_numeric",
     "c_constant",
 ]
-
-_TAIL_TOL = 1e-16
-
 
 @dataclass(frozen=True)
 class HolomorphicFormSpec:
@@ -116,15 +112,16 @@ def completed_L(f: HolomorphicFormSpec, s: float) -> float:
     return total
 
 
+def _c_exact(k: int, j: int) -> Tuple[int, Fraction]:
+    """c_{k,j} = i^e r as (e, r), from i (-i)^(k-j) = i^(1 + 3(k-j))."""
+    r = Fraction(2**k * factorial(k) ** 2, factorial(k - j) * factorial(k + j))
+    return (1 + 3 * (k - j)) % 4, r
+
+
 def c_constant(k: int, j: int) -> complex:
     """c_{k,j} = i (-i)^(k-j) 2^k (k!)^2 / ((k-j)! (k+j)!)."""
-    return (
-        1j
-        * (-1j) ** (k - j)
-        * 2**k
-        * factorial(k) ** 2
-        / (factorial(k - j) * factorial(k + j))
-    )
+    unit, r = _c_exact(k, j)
+    return 1j**unit * float(r)
 
 
 def _cap_polynomials(k: int, j: int) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
@@ -139,77 +136,74 @@ def _cap_polynomials(k: int, j: int) -> Tuple[Tuple[Fraction, ...], Tuple[Fracti
     v = weight_vector(k, j)
     w_inf = cap_solve(CapInput(k=k, width=Fraction(1), position=Fraction(0), jump=v))
     v_zero = act(S_MAT, v)  # S and S^(-1) act identically in even degree
-    w_zero = cap_solve(
-        CapInput(k=k, width=Fraction(1), position=Fraction(0), jump=v_zero)
-    )
+    w_zero = cap_solve(CapInput(k=k, width=Fraction(1), position=Fraction(0), jump=v_zero))
     return boundary_pairing_polynomial(w_inf), boundary_pairing_polynomial(w_zero)
 
 
-def _mode_integrals(degree: int, n: int) -> List[complex]:
-    """I_d = int_0^1 x^d e^(2 pi i n x) dx for d = 0..degree."""
-    if n == 0:
-        return [1.0 / (d + 1) for d in range(degree + 1)]
-    iw = 2j * math.pi * n
-    out: List[complex] = [0.0 + 0.0j]  # e^(2 pi i n) = 1 for integer n
-    for d in range(1, degree + 1):
-        out.append(1.0 / iw - d / iw * out[d - 1])
-    return out
+_TAIL_TOL = 1e-16
+_MAX_MODES = 500
+Segment = Tuple[Tuple[int, Fraction], Tuple[int, Fraction], int, Tuple[Fraction, ...]]
 
 
-def _cap_integral(
-    f: HolomorphicFormSpec, poly: Tuple[Fraction, ...], T: float
-) -> complex:
-    """int_0^1 f(x + iT) p(x + iT) dx with exact-in-x mode integrals."""
-    deg = len(poly) - 1
-    # expand p(x + iT) in powers of x
-    px: List[complex] = [0.0 + 0.0j] * (deg + 1)
-    for m, c in enumerate(poly):
-        if not c:
-            continue
-        # (x + iT)^m = sum_d C(m, d) x^d (iT)^(m-d)
-        for d in range(m + 1):
-            px[d] += float(c) * math.comb(m, d) * (1j * T) ** (m - d)
-    total = 0.0 + 0.0j
-    n = 0
-    while True:
-        amp = float(f.a(n)) * cmath.exp(2j * math.pi * n * (1j * T))
-        if n > 0 and abs(amp) * (1.0 + T) ** deg < 1e-18:
-            break
-        modes = _mode_integrals(deg, n)
-        total += amp * sum(px[d] * modes[d] for d in range(deg + 1))
-        n += 1
-        if n > 500:
-            raise RuntimeError("cap integral tail did not converge")
-    return total
+def _cycle_integral(f: HolomorphicFormSpec, chain: Sequence[Segment]) -> complex:
+    """Sum of int_{z0}^{z1} f(z) i^e P(z) dz over straight segments (z0, z1, e, P).
 
-
-def _axis_integral(f: HolomorphicFormSpec, s: int, T: float) -> float:
-    """int_1^T f(iy) y^(s-1) dy, mode by mode in closed form.
-
-    The n = 0 mode is a_0 (T^s - 1)/s; for n >= 1, with c = 2 pi n and
-    m = s - 1, it is E(1) - E(T), E(y) = e^(-cy) sum_{i=0}^m m!/(m-i)!
-    y^(m-i) / c^(i+1).
+    Endpoints are exact points x + iy given as (x, y), x an integer and
+    y > 0 rational; P lists rational coefficients, constant term first.  The
+    integral is the boundary sum of +-i^e F(z), F' = P, mode by mode.  As f
+    has period 1, the F(x + w) of all endpoints at height y = N/D join, by
+    an integer Taylor shift, in one exact V_y(w) = sum_r t_r (w - iy)^r.
+    The mode a_n e^(2 pi i n z) gives a_0 t_0 for n = 0, summed exactly over
+    all heights and rounded once, and for n >= 1 a_n e^(-2 pi n y) Q_n(iy),
+    Q_n' + 2 pi i n Q_n = V_y' solved by back-substitution in closed form:
+    Q_n(iy) = -sum_{r>=1} r! t_r mu^r, mu = i/(2 pi n).  Summation stops at
+    the first n >= 3 whose mode is below _TAIL_TOL times the largest so far.
     """
-    m = s - 1
-
-    def antiderivative(c: float, y: float) -> float:
-        acc, term = 0.0, y**m / c
-        for i in range(m + 1):
-            acc += term
-            term *= (m - i) / (y * c)
-        return math.exp(-c * y) * acc
-
-    total = float(f.a(0)) * (T**s - 1) / s
-    n = 1
-    while True:
-        c = 2 * math.pi * n
-        term = float(f.a(n)) * (antiderivative(c, 1.0) - antiderivative(c, T))
-        total += term
-        if abs(term) < _TAIL_TOL and n > 3:
+    den = math.lcm(*(c.denominator * (m + 1) for *_, p in chain for m, c in enumerate(p)))
+    deg = max(len(p) for *_, p in chain)
+    by_height: Dict[Fraction, Tuple[List[int], List[int]]] = {}
+    for z0, z1, e, p in chain:
+        anti = [0] + [c.numerator * den // (c.denominator * (m + 1)) for m, c in enumerate(p)]
+        for (x, y), unit in ((z1, e), (z0, e + 2)):
+            t = anti[:]
+            for i in range(len(t) - 1 if x else 0):
+                for m in range(len(t) - 2, i - 1, -1):
+                    t[m] += x * t[m + 1]
+            parts = by_height.setdefault(y, ([0] * (deg + 1), [0] * (deg + 1)))
+            for m, c in enumerate(t):  # times i^unit = 1, i, -1, -i
+                parts[unit % 2][m] += c if unit % 4 < 2 else -c
+    exact, heights = [Fraction(0), Fraction(0)], []
+    for y, (re, im) in by_height.items():
+        if not (any(re) or any(im)):
+            continue
+        # homogenised in y = N/D: g_m D^(deg-m), Taylor-shifted by iN
+        N, D = y.numerator, y.denominator
+        re = [c * D ** (deg - m) for m, c in enumerate(re)]
+        im = [c * D ** (deg - m) for m, c in enumerate(im)]
+        for i in range(deg):
+            for m in range(deg - 1, i - 1, -1):
+                re[m], im[m] = re[m] - N * im[m + 1], im[m] + N * re[m + 1]
+        q = [den * D ** (deg - r) for r in range(deg + 1)]  # t_r = (re[r] + i im[r]) / q[r]
+        exact = [exact[0] + Fraction(re[0], q[0]), exact[1] + Fraction(im[0], q[0])]
+        heights.append((N / D, [complex(re[r] / q[r], im[r] / q[r]) for r in range(1, deg + 1)]))
+    total = complex(f.a(0) * exact[0], f.a(0) * exact[1])
+    scale = abs(total)
+    for n in range(1, _MAX_MODES + 1):
+        mu = 1j / (2 * math.pi * n)
+        mode = 0j
+        for y, taylor in heights:
+            decay = math.exp(-2 * math.pi * n * y)
+            if decay:  # 0.0 once e^(-2 pi n y) underflows: the height drops out
+                acc = 0j  # -Q_n(iy) = sum_r r! t_r mu^r by Horner
+                for r in range(len(taylor), 0, -1):
+                    acc = (acc + taylor[r - 1]) * r * mu
+                mode -= decay * acc
+        mode *= float(f.a(n))
+        total += mode
+        scale = max(scale, abs(mode))
+        if n >= 3 and abs(mode) <= _TAIL_TOL * scale:
             return total
-        n += 1
-        if n > 4000:
-            raise RuntimeError("axis integral tail did not converge")
+    raise RuntimeError("Fourier-mode tail did not converge")
 
 
 def spectacle_period(
@@ -222,30 +216,33 @@ def spectacle_period(
 ) -> float:
     """Truncated-cycle period pairing; equals c_{k,j} Lambda(f, k+1-j).
 
-    ``include_caps=False`` drops the two cap integrals (negative control:
-    the value then depends on T1, T2 polynomially).
+    Valid for any finite heights T1, T2 > 1 whose T^(2k) fits a float; a
+    larger height raises ``ValueError``.  ``include_caps=False`` drops the
+    two cap integrals (negative control: the value then depends on T1, T2
+    polynomially).
     """
     if f.weight != 2 * k + 2:
         raise ValueError("form weight must equal 2k+2")
-    if T1 <= 1 or T2 <= 1:
-        raise ValueError("truncation heights must exceed 1")
+    if not (1 < T1 < math.inf and 1 < T2 < math.inf):
+        raise ValueError("truncation heights must be finite and exceed 1")
     for T in (T1, T2):
         try:
             T ** (2 * k)
         except OverflowError:
             raise ValueError(f"height {T} too large: T^{2 * k} overflows a float") from None
     p_inf, p_zero = _cap_polynomials(k, j)
-    i1 = _axis_integral(f, k - j + 1, T1)
-    i2 = _axis_integral(f, k + j + 1, T2)
-    eps = (-1) ** (k + 1)
-    total = c_constant(k, j) * (i1 + eps * i2)
+    unit, r = _c_exact(k, j)
+    t1, t2 = Fraction(T1), Fraction(T2)
+    # c_{k,j} (-i)^s int_i^iT f(z) z^(s-1) dz, the second times (-1)^(k+1) = i^(2k+2)
+    chain: List[Segment] = [
+        ((0, Fraction(1)), (0, t), unit + e + 3 * s, (Fraction(0),) * (s - 1) + (r,))
+        for s, t, e in ((k - j + 1, t1, 0), (k + j + 1, t2, 2 * k + 2))
+    ]
     if include_caps:
-        total -= _cap_integral(f, p_inf, T1)
-        total += _cap_integral(f, p_zero, T2)
+        chain += [((0, t1), (1, t1), 2, p_inf), ((0, t2), (1, t2), 0, p_zero)]
+    total = _cycle_integral(f, chain)
     if abs(total.imag) > 1e-7 * (1.0 + abs(total.real)):
-        raise ArithmeticError(
-            f"period pairing unexpectedly non-real: {total} (k={k}, j={j})"
-        )
+        raise ArithmeticError(f"period pairing unexpectedly non-real: {total} (k={k}, j={j})")
     return total.real
 
 

@@ -132,6 +132,26 @@ def test_lvalue_large_finite_height_is_accepted(capsys):
     assert json.loads(out)["heights"] == [1000.0, 3.0]
 
 
+def test_lvalue_weight8_at_height_1e10(capsys):
+    # the exact a_0 mode leaves nothing of size T^(2k) to cancel in floats
+    code, out = run_cli(capsys, "lvalue", "--weight", "8", "--T", "1e10,3")
+    assert code == 0
+    d = json.loads(out)
+    assert abs(float(d["value"]) + 2 / 15) < 1e-8
+    assert float(d["t_spread"]) < 1e-8
+
+
+@pytest.mark.parametrize("flags", [["--out", "report.txt"], ["--format", "table"]])
+def test_verify_all_rejects_output_flags(flags, tmp_path, monkeypatch, capsys):
+    # verify-all prints its criteria to stdout; it takes no output options
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # the periods need no numerical quadrature; only completed_L uses scipy
     src = str(Path(spectacle.__file__).resolve().parent.parent)

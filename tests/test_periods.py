@@ -6,7 +6,7 @@ import pytest
 from spectacle.exact_arith import bernoulli_number
 from spectacle.periods import (
     HolomorphicFormSpec,
-    _axis_integral,
+    _cycle_integral,
     c_constant,
     completed_L,
     geodesic_intersection_numeric,
@@ -135,8 +135,44 @@ def test_axis_integral_matches_quadrature(weight):
     for s in range(2, 2 * form.k + 1):
         for T in (1.5, 3.0, 10.0):
             want = _quadrature_axis_integral(form, s, T)
-            got = _axis_integral(form, s, T)
+            # int_1^T f(iy) y^(s-1) dy = (-i)^s int_i^iT f(z) z^(s-1) dz, (-i)^s = i^(3s)
+            axis = ((0, Fraction(1)), (0, Fraction(T)), 3 * s, (0,) * (s - 1) + (1,))
+            got = _cycle_integral(form, [axis])
             assert abs(got - want) <= 1e-12 * abs(want), (weight, s, T, got, want)
+
+
+# the truncation heights of the benchmark's lvalue ops, and three far heights
+_GRID_HEIGHTS = ((1.5, 3), (2, 2), (2, 3), (2, 4), (2.5, 3.5), (3, 3), (3, 4), (3, 5))
+_FAR_HEIGHTS = ((100, 3), (1000, 3), (1e10, 3))
+
+
+@pytest.mark.parametrize("weight", [4, 6, 8, 10, 12, 14, 16])
+def test_spectacle_period_matches_closed_form_on_height_grid(weight):
+    form = HolomorphicFormSpec.eisenstein(weight)
+    k = form.k
+    pairs = {(a, b) for t1, t2 in _GRID_HEIGHTS + _FAR_HEIGHTS for a, b in ((t1, t2), (t2, t1))}
+    misses = []
+    for j in range(-(k - 1), k):
+        want = c_constant(k, j).real * closed_form_lambda(weight, k + 1 - j)
+        for t1, t2 in pairs:
+            got = spectacle_period(form, k, j, float(t1), float(t2))
+            if abs(got - want) > 1e-9 + 1e-6 * abs(want):
+                misses.append((j, t1, t2, got, want))
+    assert not misses
+
+
+def test_capped_period_is_the_same_float_at_every_height():
+    # the caps cancel the axis ends exactly, so the truncation heights leave
+    # no trace, not even in the last bit
+    for weight in (4, 8, 12, 16):
+        form = HolomorphicFormSpec.eisenstein(weight)
+        k = form.k
+        for j in range(-(k - 1), k):
+            values = {
+                spectacle_period(form, k, j, t1, t2)
+                for t1, t2 in ((1.5, 3.0), (3.0, 1.5), (2.3, 7.1), (1e10, 3.0))
+            }
+            assert len(values) == 1, (weight, j, values)
 
 
 def test_spectacle_period_values():
