@@ -27,6 +27,7 @@ once, so no float carries the T^(2k)-sized terms that the caps cancel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,12 +125,14 @@ def c_constant(k: int, j: int) -> complex:
     return 1j**unit * float(r)
 
 
+@functools.lru_cache(maxsize=None)
 def _cap_polynomials(k: int, j: int) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
     """Boundary pairing polynomials of the caps at both cusps.
 
     At infinity the cap solves the jump for v_{2j} directly; at zero it is
     solved in cusp-normal coordinates for the transported jump value
-    act(S^(-1), v_{2j}).
+    act(S^(-1), v_{2j}).  Pure in (k, j), so each pair is solved once per
+    process.
     """
     if abs(j) > k - 1:
         raise ValueError("cap equation unsolvable at one cusp: need |j| <= k-1")

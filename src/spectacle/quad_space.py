@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -42,6 +42,7 @@ __all__ = [
     "triple",
     "cross",
     "epsilon_sign",
+    "epsilon_sign_int",
     "IsotropicLine",
     "LINE_INFINITY",
     "LINE_ZERO",
@@ -93,7 +94,6 @@ class VecV:
 U_VEC = VecV(0, 0, 1)
 UPRIME_VEC = VecV(-1, 0, 0)
 W0_VEC = VecV(0, 1, 0)
-_DOWN_TEST = U_VEC + UPRIME_VEC  # u + u' = sqrt2 * e_3
 
 
 def inner(x: VecV, y: VecV) -> Fraction:
@@ -133,15 +133,36 @@ def epsilon_sign(x: VecV, y: VecV) -> int:
 
     +1 iff cross(x, y) points down, i.e. (cross(x, y), u + u') > 0; see the
     module docstring for the derivation.  Requires x, y spacelike spanning a
-    positive-definite plane.
+    positive-definite plane.  Each vector is scaled by the lcm of its
+    denominators, which changes neither the sign nor the plane test, and
+    handed to ``epsilon_sign_int``.
     """
-    qx, qy = qform(x), qform(y)
-    if qx <= 0 or qy <= 0 or 4 * qx * qy <= inner(x, y) ** 2:
+    return epsilon_sign_int(_integral_coords(x), _integral_coords(y))
+
+
+def _integral_coords(x: VecV) -> Tuple[int, int, int]:
+    s = math.lcm(x.a.denominator, x.b.denominator, x.c.denominator)
+    return tuple(t.numerator * (s // t.denominator) for t in (x.a, x.b, x.c))
+
+
+def epsilon_sign_int(x: Tuple[int, int, int], y: Tuple[int, int, int]) -> int:
+    """``epsilon_sign`` on integral coordinates (a, b, c) of x and y.
+
+    The plane test and the sign are homogeneous in each vector, so any
+    positive multiples of x and y give the same answer.
+    """
+    xa, xb, xc = x
+    ya, yb, yc = y
+    qx = xb * xb + xa * xc
+    qy = yb * yb + ya * yc
+    ixy = 2 * xb * yb + xa * yc + ya * xc
+    if qx <= 0 or qy <= 0 or 4 * qx * qy <= ixy * ixy:
         raise GeometryError("not a positive 2-plane")
     # (cross(x, y), u + u') = triple(x, y, u + u') by the defining property of
-    # cross.  It is never 0: the complement of a positive 2-plane is a negative
-    # line, so cross(x, y) is timelike and never orthogonal to e_3.
-    return 1 if triple(x, y, _DOWN_TEST) > 0 else -1
+    # cross; with u + u' = (-1, 0, 1) the determinant expands to the line
+    # below.  It is never 0: the complement of a positive 2-plane is a
+    # negative line, so cross(x, y) is timelike and never orthogonal to e_3.
+    return 1 if yb * (xa + xc) - xb * (ya + yc) > 0 else -1
 
 
 def _normalize_cusp(alpha: int, beta: int) -> Tuple[int, int]:
@@ -269,27 +290,3 @@ def isotropic_lines_of(x: VecV) -> Tuple[IsotropicLine, IsotropicLine]:
 
 def _line_from_fraction(t: Fraction) -> IsotropicLine:
     return IsotropicLine.from_cusp(t.numerator, t.denominator)
-
-
-# ---------------------------------------------------------------------------
-# Arithmetic progressions offset + step*Z, stored as (offset, step), step > 0.
-Progression = Tuple[Fraction, Fraction]
-
-
-def _progression_normalize(offset: Fraction, step: Fraction) -> Progression:
-    step = abs(step)
-    return (offset % step, step)
-
-
-def _progression_min_abs_nonzero(p: Progression) -> Fraction:
-    o, s = p
-    return s if o == 0 else min(o, s - o)
-
-
-def _progression_range(p: Progression, lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
-    o, s = p
-    k = math.ceil((lo - o) / s)
-    t = o + k * s
-    while t <= hi:
-        yield t
-        t += s

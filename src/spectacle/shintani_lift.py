@@ -49,7 +49,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from .exact_arith import bernoulli_number
 from .qseries import QExpansion, cohen_eisenstein
-from .quad_space import VecV, W0_VEC, epsilon_sign
+from .quad_space import epsilon_sign_int
 from . import theta11
 
 __all__ = [
@@ -146,31 +146,37 @@ _CONVENTION: Optional[SignConvention] = None
 # ---------------------------------------------------------------------------
 # building blocks
 
+_W0_INT = (0, 1, 0)
 
-def _interior_terms(cfg: LiftConfig) -> Iterator[Tuple[int, int, Fraction, Fraction]]:
-    """Index set of interior vectors: (m1, m2, m, exponent).
 
-    m1 u + m2 u' + m w0 runs over coset vectors with positive split part
-    (m1 m2 < 0) and q = -m1 m2 + m^2 <= the truncation bound.
+def _interior_geometric(cfg: LiftConfig) -> Dict[int, int]:
+    """Cross-product route: epsilon(x, w0) (x_U, u')^k per interior vector.
+
+    x = m1 u + m2 u' + m w0 runs over coset vectors with positive split part
+    (m1 m2 < 0) and q(x) = -m1 m2 + m^2 <= the truncation bound.  The walk is
+    in integers: t = 2m, the sign is taken on the doubled coordinates
+    (-2 m2, t, 2 m1), and the exponent numerator is -m1 m2 d + t^2 d/4 with
+    d = exp_den (t is even when d = 1).
     """
-    top = cfg.exponent_bound
-    for m1 in range(1, int(top) + 1):
-        for m2 in range(-int(top / m1), 0):
-            base = Fraction(-m1 * m2)
-            for m in cfg.w_values(top - base):
-                yield (m1, m2, m, base + m * m)
-                yield (-m1, -m2, m, base + m * m)
-
-
-def _interior_geometric(cfg: LiftConfig) -> Dict[int, Fraction]:
-    """Cross-product route: epsilon(x, w0) (x_U, u')^k per interior vector."""
-    out: Dict[int, Fraction] = {}
-    for m1, m2, m, e in _interior_terms(cfg):
-        x = VecV(-m2, m, m1)  # m1 u + m2 u' + m w0
-        eps = epsilon_sign(x, W0_VEC)
-        val = Fraction(eps * (-m1) ** cfg.k)
-        num = int(e * cfg.exp_den)
-        out[num] = out.get(num, Fraction(0)) + val
+    d, k, n_max = cfg.exp_den, cfg.k, cfg.n_max
+    t_first = int(2 * cfg.h)
+    out: Dict[int, int] = {}
+    for m1 in range(1, n_max // d + 1):
+        w_pos, w_neg = (-m1) ** k, m1**k  # (x_U, u')^k at (m1, m2) and (-m1, -m2)
+        for m2 in range(-(n_max // (d * m1)), 0):
+            a, c = -2 * m2, 2 * m1
+            base = -m1 * m2 * d
+            t = t_first
+            num = base + t * t * d // 4
+            while num <= n_max:
+                for tt in (t, -t) if t else (t,):
+                    out[num] = (
+                        out.get(num, 0)
+                        + epsilon_sign_int((a, tt, c), _W0_INT) * w_pos
+                        + epsilon_sign_int((-a, tt, -c), _W0_INT) * w_neg
+                    )
+                t += 2
+                num = base + t * t * d // 4
     return out
 
 
@@ -329,7 +335,7 @@ def lift_geometric_side(
     contribute the boundary incidence sign times (-1)^(k+1) B_{k+1}/(k+1).
     """
     conv = convention or arbitrate_signs()
-    coeffs: Dict[int, Fraction] = dict(_interior_geometric(cfg))
+    coeffs = {n: Fraction(v) for n, v in _interior_geometric(cfg).items()}
     k = cfg.k
     block = _bernoulli_block_scalar(k)
     for m in cfg.w_values(cfg.exponent_bound):

@@ -32,11 +32,6 @@ from typing import Dict, Optional, Tuple, Union
 
 from .exact_arith import bernoulli_number, bernoulli_poly
 from .qseries import QExpansion, eisenstein_level1
-from .quad_space import (
-    _progression_min_abs_nonzero,
-    _progression_normalize,
-    _progression_range,
-)
 
 RationalLike = Union[int, Fraction]
 
@@ -106,25 +101,32 @@ def _literal_series(
         )
     if const:
         coeffs[0] = const
-    top = Fraction(n_max, den)
-    prog1 = _progression_normalize(lat.h1, lat.M1)
-    prog2 = _progression_normalize(lat.h2, lat.M2)
-    bound1 = top / _progression_min_abs_nonzero(prog2)
-    for m1 in _progression_range(prog1, -bound1, bound1):
-        if m1 == 0:
+    # m1 = i/D1 and m2 = j/D2 with i, j on the integer progressions
+    # o + s Z; -m1 m2 <= n_max/den  <=>  |i j| den <= n_max D1 D2.
+    D1 = lcm(lat.M1.denominator, lat.h1.denominator)
+    D2 = lcm(lat.M2.denominator, lat.h2.denominator)
+    o1, s1 = int(lat.h1 * D1), int(lat.M1 * D1)
+    o2, s2 = int(lat.h2 * D2), int(lat.M2 * D2)
+    scale = D1 * D2
+    cap = n_max * scale // den
+    j_min = min(o2, s2 - o2) if o2 else s2  # smallest nonzero |j|
+    i_max = cap // j_min
+    sum_u: Dict[int, int] = {}  # sum of sgn (-j)^k per exponent numerator
+    sum_up: Dict[int, int] = {}  # sum of sgn (-i)^k
+    for i in range(-i_max + (o1 + i_max) % s1, i_max + 1, s1):
+        if i == 0:
             continue
-        bound2 = top / abs(m1)
-        for m2 in _progression_range(prog2, -bound2, bound2):
-            if m1 * m2 >= 0:
-                continue
-            n = -m1 * m2
-            num = n * den
-            assert num.denominator == 1
-            sgn = 1 if m1 > 0 else -1
-            val = sgn * (w_u * (-m2) ** k + w_up * (-m1) ** k)
-            if val:
-                key = num.numerator
-                coeffs[key] = coeffs.get(key, Fraction(0)) + val
+        sgn = 1 if i > 0 else -1
+        j_max = cap // abs(i)
+        lo, hi = (-j_max, -1) if i > 0 else (1, j_max)
+        pow_i = sgn * (-i) ** k
+        for j in range(lo + (o2 - lo) % s2, hi + 1, s2):
+            key, rem = divmod(-i * j * den, scale)
+            assert rem == 0
+            sum_u[key] = sum_u.get(key, 0) + sgn * (-j) ** k
+            sum_up[key] = sum_up.get(key, 0) + pow_i
+    for key in sum_u:
+        coeffs[key] = w_u * Fraction(sum_u[key], D2**k) + w_up * Fraction(sum_up[key], D1**k)
     nonholo: Optional[Dict[int, Fraction]] = None
     if k == 1:
         nh = Fraction(0)

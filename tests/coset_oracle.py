@@ -1,9 +1,12 @@
-"""Brute-force enumeration of lattice coset vectors, for the tests only.
+"""Brute-force enumeration of lattice cosets in rationals, for the tests only.
 
-An independent route to the lift's interior index set: it walks the coordinate
-progressions of the coset Z u + (Z + h) w0 + Z u' of the even lattice of
-integral trace-zero matrices (h in {0, 1/2}) and filters by the exact
-quadratic form.
+Two independent routes that the package computes in scaled integers:
+
+* the lift's interior index set: walk the coordinate progressions of the
+  coset Z u + (Z + h) w0 + Z u' of the even lattice of integral trace-zero
+  matrices (h in {0, 1/2}) and filter by the exact quadratic form;
+* the split theta series of ``theta11`` before its global sign, summed over
+  the two ``Fraction`` progressions vector by vector.
 """
 
 from __future__ import annotations
@@ -11,19 +14,40 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
+from spectacle.exact_arith import bernoulli_poly
+from spectacle.qseries import QExpansion
 from spectacle.quad_space import (
-    Progression,
     RationalLike,
     VecV,
-    _progression_min_abs_nonzero,
-    _progression_normalize,
-    _progression_range,
     is_rational_square,
     qform,
     rational_sqrt,
 )
+from spectacle.theta11 import SplitLatticeU
+
+# Arithmetic progressions offset + step*Z, stored as (offset, step), step > 0.
+Progression = Tuple[Fraction, Fraction]
+
+
+def _progression_normalize(offset: Fraction, step: Fraction) -> Progression:
+    step = abs(step)
+    return (offset % step, step)
+
+
+def _progression_min_abs_nonzero(p: Progression) -> Fraction:
+    o, s = p
+    return s if o == 0 else min(o, s - o)
+
+
+def _progression_range(p: Progression, lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
+    o, s = p
+    k = math.ceil((lo - o) / s)
+    t = o + k * s
+    while t <= hi:
+        yield t
+        t += s
 
 
 class UnboundedEnumerationError(ValueError):
@@ -122,3 +146,49 @@ def _isqrt_bound(n: Fraction) -> Fraction:
         return Fraction(0)
     hi = Fraction(math.isqrt(n.numerator) + 1, max(math.isqrt(n.denominator), 1))
     return hi
+
+
+def literal_series_fraction(
+    lat: SplitLatticeU, k: int, w_u: Fraction, w_up: Fraction, n_max: int
+) -> QExpansion:
+    """``theta11._literal_series`` summed in ``Fraction`` over m1 and m2."""
+    den = lat.exp_den()
+    coeffs: Dict[int, Fraction] = {}
+    const = Fraction(0)
+    if lat.h2 == 0:
+        const += -(lat.M1**k) * bernoulli_poly(k + 1, lat.h1 / lat.M1) / (k + 1) * (
+            w_up * (-1) ** k
+        )
+    if lat.h1 == 0:
+        const += -(lat.M2**k) * bernoulli_poly(k + 1, lat.h2 / lat.M2) / (k + 1) * (
+            w_u * (-1) ** k
+        )
+    if const:
+        coeffs[0] = const
+    top = Fraction(n_max, den)
+    prog1 = _progression_normalize(lat.h1, lat.M1)
+    prog2 = _progression_normalize(lat.h2, lat.M2)
+    bound1 = top / _progression_min_abs_nonzero(prog2)
+    for m1 in _progression_range(prog1, -bound1, bound1):
+        if m1 == 0:
+            continue
+        bound2 = top / abs(m1)
+        for m2 in _progression_range(prog2, -bound2, bound2):
+            if m1 * m2 >= 0:
+                continue
+            num = -m1 * m2 * den
+            assert num.denominator == 1
+            sgn = 1 if m1 > 0 else -1
+            val = sgn * (w_u * (-m2) ** k + w_up * (-m1) ** k)
+            if val:
+                key = num.numerator
+                coeffs[key] = coeffs.get(key, Fraction(0)) + val
+    nonholo: Optional[Dict[int, Fraction]] = None
+    if k == 1:
+        nh = Fraction(0)
+        if lat.h1 == 0:
+            nh += -w_up / (4 * lat.M2)
+        if lat.h2 == 0:
+            nh += -w_u / (4 * lat.M1)
+        nonholo = {0: nh} if nh else {}
+    return QExpansion(den, n_max, coeffs, nonholo)

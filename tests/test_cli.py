@@ -219,6 +219,12 @@ _ARGV = st.one_of(
         _RATIONAL_TEXT,
     ),
     st.builds(lambda x, y: ["intersect", f"--x={x}", f"--y={y}"], _VECTOR_TEXT, _VECTOR_TEXT),
+    st.builds(
+        lambda w, j, t: ["lvalue", "--weight", str(w), f"--j={j}", f"--T={t}"],
+        st.integers(min_value=-2, max_value=40),
+        st.integers(min_value=-20, max_value=20),
+        st.lists(_RATIONAL_TEXT, min_size=1, max_size=3).map(",".join),
+    ),
 )
 
 

@@ -7,7 +7,7 @@ from spectacle.cli import main as cli_main
 
 from spectacle.exact_arith import bernoulli_number
 from spectacle.qseries import QExpansion, cohen_eisenstein
-from spectacle.quad_space import VecV, W0_VEC, epsilon_sign
+from spectacle.quad_space import VecV, W0_VEC, epsilon_sign, epsilon_sign_int
 from spectacle.shintani_lift import (
     LiftConfig,
     arbitrate_signs,
@@ -92,15 +92,20 @@ def test_main_theorem_equality(k, h):
 
 
 def test_interior_epsilon_routes_agree_vectorwise():
-    # sgn(m1) shortcut vs cross-product sign, vector by vector
-    from spectacle.shintani_lift import _interior_terms
-
-    cfg = LiftConfig(k=1, h=Fraction(1, 2), n_max=40)
+    # sgn(m1) shortcut vs cross-product sign, vector by vector, over the
+    # interior vectors m1 u + m2 u' + m w0 (m1 m2 < 0, m in Z + 1/2) of a
+    # small window; the integer kernel on doubled coordinates agrees too
     seen = 0
-    for m1, m2, m, _e in _interior_terms(cfg):
-        x = VecV(-m2, m, m1)
-        assert epsilon_sign(x, W0_VEC) == (1 if m1 > 0 else -1)
-        seen += 1
+    for m1 in range(-8, 9):
+        for m2 in range(-8, 9):
+            if m1 * m2 >= 0:
+                continue
+            for t in range(-7, 8, 2):
+                x = VecV(-m2, Fraction(t, 2), m1)
+                want = 1 if m1 > 0 else -1
+                assert epsilon_sign(x, W0_VEC) == want
+                assert epsilon_sign_int((-2 * m2, t, 2 * m1), (0, 1, 0)) == want
+                seen += 1
     assert seen > 50
 
 
@@ -190,33 +195,60 @@ def _delta_coefficients(n_max):
     return {m + 1: poly[m] for m in range(n_max)}  # tau(1), tau(2), ...
 
 
-def test_weight_thirteen_halves_cusp_component():
-    # At k = 5 the plus space is two-dimensional, so the combined lift is no
-    # longer a multiple of H(6, .): the leftover must be a cusp form, and its
-    # normalized coefficients must Shimura-correspond to the discriminant
-    # cusp form of weight 12 (with the 691 congruence denominator).
-    res = plus_space_check(5, 80)
+def _cusp_eigenform_coefficients(k, n_max):
+    # the normalized cusp form of weight 2k + 2 in a one-dimensional space:
+    # Delta for k = 5, Delta * E_w with w = 2k - 10 for k = 7, 9, by exact
+    # convolution of q-series coefficients (index 1..n_max)
+    delta = _delta_coefficients(n_max)
+    if k == 5:
+        return delta
+    r, scale = {7: (3, 240), 9: (7, 480)}[k]  # E_{r+1} = 1 + scale sum sigma_r(n) q^n
+    eis = [1] + [
+        scale * sum(d**r for d in range(1, n + 1) if n % d == 0) for n in range(1, n_max)
+    ]
+    return {
+        n: sum(delta[m] * eis[n - m] for m in range(1, n + 1)) for n in range(1, n_max + 1)
+    }
+
+
+@pytest.mark.parametrize(
+    "k,lam,c1",
+    [
+        (5, Fraction(130, 691), Fraction(6, 691)),
+        (7, Fraction(-34, 3617), Fraction(-30, 3617)),
+        (9, Fraction(50, 174611), Fraction(2646, 174611)),
+    ],
+    ids=["5", "7", "9"],
+)
+def test_weight_thirteen_halves_cusp_component(k, lam, c1):
+    # At k = 5, 7, 9 the plus space of weight k + 3/2 is two-dimensional, so
+    # the combined lift is no longer a multiple of H(k + 1, .): the leftover
+    # must be a cusp form, and its normalized coefficients must
+    # Shimura-correspond to the cusp form of weight 2k + 2 (Delta, Delta E_4,
+    # Delta E_8, with the Eisenstein congruence primes 691, 3617, 174611 in
+    # the denominators).
+    n_top = 100
+    res = plus_space_check(k, n_top)
     assert not res.passed
-    assert res.lam == Fraction(130, 691)
-    target = cohen_eisenstein(6, 80)
+    assert res.lam == lam
+    target = cohen_eisenstein(k + 1, n_top)
     diff = {
         N: res.combined.coefficient(N) - res.lam * target.coefficient(N)
-        for N in range(81)
+        for N in range(n_top + 1)
     }
     assert diff[0] == 0
     for N, v in diff.items():
         if N % 4 in (2, 3):
             assert v == 0
-    c1 = diff[1]
-    assert c1 == Fraction(6, 691)
+    assert diff[1] == c1
     c = {N: v / c1 for N, v in diff.items()}
-    tau = _delta_coefficients(4)
-    assert tau == {1: 1, 2: -24, 3: 252, 4: -1472}
-    # Shimura relations at square indices: sum_{d | n} d^5 c(n^2/d^2) = tau(n)
-    assert c[1] == 1
-    assert c[4] + 2**5 * c[1] == tau[2]
-    assert c[9] + 3**5 * c[1] == tau[3]
-    assert c[16] + 2**5 * c[4] + 4**5 * c[1] == tau[4]
+    a_f = _cusp_eigenform_coefficients(k, 10)
+    if k == 5:
+        assert [a_f[n] for n in (1, 2, 3, 4)] == [1, -24, 252, -1472]
+    # Shimura relations at square indices: sum_{d | n} d^k c(n^2/d^2) = a_f(n)
+    for n in range(1, 11):
+        lhs = sum(d**k * c[(n // d) ** 2] for d in range(1, n + 1) if n % d == 0)
+        assert lhs == a_f[n], (k, n)
 
 
 def test_lift_constant_absolute_value():

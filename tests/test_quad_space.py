@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from spectacle.quad_space import (
     conjugate_vec,
     cross,
     epsilon_sign,
+    epsilon_sign_int,
     inner,
     isotropic_lines_of,
     qform,
@@ -100,6 +102,48 @@ def test_epsilon_examples():
     assert epsilon_sign(2 * VecV(1, 0, 1), 3 * W0_VEC) == 1
     with pytest.raises(GeometryError, match="positive 2-plane"):
         epsilon_sign(U_VEC + UPRIME_VEC, W0_VEC)
+
+
+def _rand_rational_vec(rng, span=6):
+    return VecV(*(Fraction(rng.randint(-span, span), rng.randint(1, 5)) for _ in range(3)))
+
+
+def _scaled_integral(rng, v):
+    # a random positive multiple of v with integer coordinates
+    s = math.lcm(v.a.denominator, v.b.denominator, v.c.denominator) * rng.randint(1, 4)
+    return tuple(int(t * s) for t in (v.a, v.b, v.c))
+
+
+def test_integer_sign_kernel_against_fraction_reference():
+    # the kernel on scaled integral coordinates against the Fraction
+    # definitions: the plane test from qform and inner, the sign from
+    # triple(x, y, u + u'); epsilon_sign on the rational vectors agrees
+    rng = random.Random(20261018)
+    down = U_VEC + UPRIME_VEC
+    positive = rejected = 0
+    for _ in range(3000):
+        x, y = _rand_rational_vec(rng), _rand_rational_vec(rng)
+        xi, yi = _scaled_integral(rng, x), _scaled_integral(rng, y)
+        qx, qy = qform(x), qform(y)
+        if qx <= 0 or qy <= 0 or 4 * qx * qy <= inner(x, y) ** 2:
+            with pytest.raises(GeometryError, match="positive 2-plane"):
+                epsilon_sign_int(xi, yi)
+            with pytest.raises(GeometryError, match="positive 2-plane"):
+                epsilon_sign(x, y)
+            rejected += 1
+            continue
+        t = triple(x, y, down)
+        assert t != 0
+        want = 1 if t > 0 else -1
+        assert epsilon_sign_int(xi, yi) == want, (x, y)
+        assert epsilon_sign(x, y) == want, (x, y)
+        positive += 1
+    assert positive > 300 and rejected > 300
+    # boundary cases of the plane test: a null vector, and a degenerate plane
+    with pytest.raises(GeometryError):
+        epsilon_sign_int((0, 0, 1), (0, 1, 0))
+    with pytest.raises(GeometryError):
+        epsilon_sign_int((1, 0, 1), (2, 0, 2))
 
 
 def test_isotropic_lines_of_w0():

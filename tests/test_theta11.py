@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
+from coset_oracle import literal_series_fraction
 
 from spectacle.exact_arith import bernoulli_number, bernoulli_poly
 from spectacle.qseries import eisenstein_level1
 from spectacle.theta11 import (
     SplitLatticeU,
+    _literal_series,
     global_sign,
     siegel_weil_check,
     theta11_series,
@@ -130,3 +133,33 @@ def test_validation():
         SplitLatticeU(1, Fraction(3, 2), 1, 0)
     with pytest.raises(ValueError):
         theta11_series(SplitLatticeU.unimodular(), 0, 0, 1, 5)
+
+
+def _rand_rational(rng, zero_share=0.0):
+    if rng.random() < zero_share:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def test_literal_series_against_fraction_walk():
+    # the integer walk against the vector-by-vector Fraction walk on random
+    # cosets with rational steps and offsets
+    rng = random.Random(7011)
+    nonzero = 0
+    for _ in range(420):
+        steps = [Fraction(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(2)]
+        offsets = [
+            Fraction(0) if rng.random() < 0.3 else M * Fraction(rng.randint(0, q - 1), q)
+            for M, q in ((M, rng.randint(1, 6)) for M in steps)
+        ]
+        lat = SplitLatticeU(steps[0], offsets[0], steps[1], offsets[1])
+        k = rng.randint(1, 6)
+        w_u, w_up = _rand_rational(rng, 0.2), _rand_rational(rng, 0.2)
+        n_max = rng.randint(0, 60)
+        got = _literal_series(lat, k, w_u, w_up, n_max)
+        want = literal_series_fraction(lat, k, w_u, w_up, n_max)
+        assert (got.exp_den, got.n_max) == (want.exp_den, want.n_max), lat
+        assert got.coeffs == want.coeffs, (lat, k, w_u, w_up, n_max)
+        assert got.nonholo == want.nonholo, lat
+        nonzero += any(n > 0 for n in got.coeffs)
+    assert nonzero > 200
