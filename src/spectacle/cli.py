@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from .caps import cap_closed_form, gamma0_width, spectacle_assemble
 from .periods import HolomorphicFormSpec, geodesic_intersection_numeric, spectacle_period
@@ -216,13 +216,21 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are one line, like every other bad
+    input; the subcommand parsers are built from the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"spectacle: error: {message}\n")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", metavar="PATH", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectacle",
         description="Exact capped-cycle data on the modular curve and its modular-form identities",
     )

@@ -3,7 +3,9 @@
 Completed L-values of level-one Eisenstein series, truncated-cycle period
 integrals with pushed-in caps, and the numerical geodesic-intersection
 oracle.  This is the only module that touches floats; every comparison made
-against its output carries an explicit tolerance.
+against its output carries an explicit tolerance.  It needs only the
+standard library: the incomplete gamma function behind ``completed_L`` is
+written here (``_gamma_q``), so importing the package loads no scipy.
 
 Period assembly.  For a weight 2k+2 level-one form f (Fricke flip g = f),
 the pairing with the capped cycle on the imaginary axis with coefficient
@@ -33,8 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Dict, List, Sequence, Tuple
-
-from scipy.special import gammaincc, gamma as gamma_fn
 
 from .caps import CapInput, boundary_pairing_polynomial, cap_solve
 from .qseries import eisenstein_level1
@@ -83,14 +83,61 @@ class HolomorphicFormSpec:
         return self.weight // 2 - 1
 
 
+_GAMMA_EPS = 2**-53
+_LENTZ_TINY = 1e-300
+_GAMMA_MAX_ITER = 1000
+
+
+def _gamma_q(s: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s), s, x > 0.
+
+    Integer s: the finite sum e^(-x) sum_{i<s} x^i / i!.  Otherwise
+    e^(-x) x^s / Gamma(s) times Legendre's continued fraction (modified
+    Lentz) for x > s + 1, or 1 - P(s, x) from the power series for P.  The
+    prefactor is a product of three factors each rounded once, not
+    exp(-x + s log x), whose exponent's rounding error, of order x 2^-53,
+    would become a relative error of Q.
+    """
+    if float(s).is_integer():
+        acc = 1.0  # sum_{i<s} x^i / i! by Horner
+        for i in range(int(s) - 1, 0, -1):
+            acc = 1.0 + acc * x / i
+        return math.exp(-x) * acc
+    scale = math.exp(-x) * x**s / math.gamma(s)
+    if x <= s + 1:
+        term = acc = 1.0 / s
+        a = s
+        while abs(term) > _GAMMA_EPS * acc:
+            a += 1
+            term *= x / a
+            acc += term
+        return 1.0 - scale * acc
+    b = x + 1 - s
+    c, d = 1 / _LENTZ_TINY, 1 / b
+    h = d
+    for i in range(1, _GAMMA_MAX_ITER):
+        an = -i * (i - s)
+        b += 2
+        d = an * d + b
+        d = 1 / (d if abs(d) > _LENTZ_TINY else _LENTZ_TINY)
+        c = b + an / c
+        if abs(c) < _LENTZ_TINY:
+            c = _LENTZ_TINY
+        delta = d * c
+        h *= delta
+        if abs(delta - 1) <= _GAMMA_EPS:
+            return scale * h
+    raise RuntimeError(f"incomplete-gamma continued fraction did not converge at s = {s}, x = {x}")
+
+
 def completed_L(f: HolomorphicFormSpec, s: float) -> float:
     """Completed L-value Lambda(f, s) inside the critical strip 0 < s < weight.
 
     Termwise incomplete-gamma summation of the two-integral split:
     Lambda = sum a_n G(s, 2 pi n) + eps sum b_n G(w-s, 2 pi n)
              - a_0/s - eps b_0/(w-s),
-    G(s, x) = Gamma(s, x) x^(-s) ... evaluated as Gamma(s) Q(s, x) (2 pi n)^(-s),
-    eps = (-1)^(k+1).
+    G(s, x) = Gamma(s, x) x^(-s) = Gamma(s) Q(s, x) x^(-s), eps = (-1)^(k+1).
+    Independent of the cycle integral in ``spectacle_period``.
     """
     w = f.weight
     if not 0 < s < w:
@@ -99,11 +146,11 @@ def completed_L(f: HolomorphicFormSpec, s: float) -> float:
     a0 = float(f.a(0))
     total = -a0 / s - eps * a0 / (w - s)
     for expo, sign in ((s, 1.0), (w - s, float(eps))):
-        g_expo = float(gamma_fn(expo))
+        g_expo = math.gamma(expo)
         n = 1
         while True:
             x = 2 * math.pi * n
-            term = float(f.a(n)) * g_expo * float(gammaincc(expo, x)) * x ** (-expo)
+            term = float(f.a(n)) * g_expo * _gamma_q(expo, x) * x ** (-expo)
             total += sign * term
             if abs(term) < 1e-18 and n > 3:
                 break

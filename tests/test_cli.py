@@ -114,11 +114,19 @@ def test_unknown_command_exits_2(capsys):
         ["intersect", "--x", "1e400,0,1", "--y", "0,1,0"],
         ["lvalue", "--weight", "4", "--T", "1e300,3"],
         ["lvalue", "--weight", "4", "--T", "1e200,3"],
+        ["lvalue", "--weight", "4", "--j=1/2"],
+        ["lift", "--k", "x"],
+        ["cohen", "--r", "1.5"],
     ],
     ids=" ".join,
 )
 def test_bad_input_is_one_line_error(argv, capsys):
-    assert main(argv) == 2
+    # bad values end in a return of 2, argparse's usage errors in SystemExit(2)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -152,15 +160,31 @@ def test_verify_all_rejects_output_flags(flags, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "report.txt").exists()
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["lvalue", "--help"]], ids=" ".join)
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: spectacle" in capsys.readouterr().out
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # the periods need no numerical quadrature; only completed_L uses scipy
+    # the package has no runtime dependency: neither the CLI nor completed_L
+    # (its incomplete gamma is written with the standard library) loads scipy
     src = str(Path(spectacle.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, spectacle.cli; print('scipy.integrate' in sys.modules)"
+    probe = (
+        "import sys, spectacle.cli\n"
+        "def scipy_loaded(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(scipy_loaded())\n"
+        "from spectacle.periods import HolomorphicFormSpec, completed_L\n"
+        "completed_L(HolomorphicFormSpec.eisenstein(6), 2.4)\n"
+        "print(scipy_loaded())\n"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_byte_identical_output(capsys):
@@ -203,6 +227,18 @@ _RATIONAL_TEXT = st.one_of(
     st.sampled_from(["1/0", "inf", "nan", ""]),
     st.text(alphabet="0123456789/-.e,", max_size=8),
 )
+
+
+def _parses_as_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# text that the int options must refuse with argparse's one-line error
+_NON_INT_TEXT = _RATIONAL_TEXT.filter(lambda t: not _parses_as_int(t))
 _VECTOR_TEXT = st.one_of(
     _RATIONAL_TEXT, st.lists(_RATIONAL_TEXT, min_size=3, max_size=3).map(",".join)
 )
@@ -220,11 +256,13 @@ _ARGV = st.one_of(
     ),
     st.builds(lambda x, y: ["intersect", f"--x={x}", f"--y={y}"], _VECTOR_TEXT, _VECTOR_TEXT),
     st.builds(
-        lambda w, j, t: ["lvalue", "--weight", str(w), f"--j={j}", f"--T={t}"],
-        st.integers(min_value=-2, max_value=40),
-        st.integers(min_value=-20, max_value=20),
+        lambda w, j, t: ["lvalue", f"--weight={w}", f"--j={j}", f"--T={t}"],
+        st.one_of(st.integers(min_value=-2, max_value=40).map(str), _NON_INT_TEXT),
+        st.one_of(st.integers(min_value=-20, max_value=20).map(str), _NON_INT_TEXT),
         st.lists(_RATIONAL_TEXT, min_size=1, max_size=3).map(",".join),
     ),
+    st.builds(lambda k: ["lift", f"--k={k}", "--nmax", "4"], _NON_INT_TEXT),
+    st.builds(lambda r: ["cohen", f"--r={r}", "--nmax", "4"], _NON_INT_TEXT),
 )
 
 

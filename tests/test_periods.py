@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from spectacle import periods
 from spectacle.exact_arith import bernoulli_number
 from spectacle.periods import (
     HolomorphicFormSpec,
     _cycle_integral,
+    _gamma_q,
     c_constant,
     completed_L,
     geodesic_intersection_numeric,
@@ -87,10 +90,47 @@ def test_completed_L_matches_closed_forms(weight):
 
 
 def test_completed_L_functional_equation():
-    form = HolomorphicFormSpec.eisenstein(6)
-    eps = (-1) ** (form.k + 1)
-    for s in (0.6, 1.7, 2.4, 3.9):
-        assert abs(completed_L(form, s) - eps * completed_L(form, 6 - s)) < 1e-10
+    for weight in range(4, 31, 2):
+        form = HolomorphicFormSpec.eisenstein(weight)
+        eps = (-1) ** (form.k + 1)
+        for s in (0.6, 1.7, 2.4, 3.9):
+            got = completed_L(form, s) - eps * completed_L(form, weight - s)
+            assert abs(got) < 1e-10, (weight, s)
+
+
+def test_gamma_q_matches_scipy():
+    from scipy.special import gammaincc
+
+    sides = set()
+    for weight in range(4, 31, 2):
+        grid = {0.6, 1.7, 2.4, 3.9} | {m / 2 for m in range(1, 2 * weight)}
+        for s in grid | {weight - s for s in grid}:
+            for n in range(1, 61):
+                x = 2 * math.pi * n
+                want = float(gammaincc(s, x))
+                if want > 1e-300:
+                    assert abs(_gamma_q(s, x) - want) <= 1e-13 * want, (weight, s, n)
+                    sides.add(x > s + 1)
+    assert sides == {False, True}  # both the series and the continued fraction
+
+
+@pytest.mark.parametrize("weight", range(4, 31, 2))
+def test_completed_L_matches_exact_lambda(weight, monkeypatch):
+    # Lambda cancels heavily inside the strip (relative error 1e-8 at weight
+    # 30), so the bound is set by the same sums with scipy's Q(s, x)
+    from scipy.special import gammaincc
+
+    form = HolomorphicFormSpec.eisenstein(weight)
+
+    def worst() -> float:
+        return max(
+            abs(completed_L(form, s) / float(exact_lambda(weight, s)) - 1)
+            for s in range(2, weight, 2)
+        )
+
+    err = worst()
+    monkeypatch.setattr(periods, "_gamma_q", gammaincc)
+    assert err <= max(1e-12, 4 * worst())
 
 
 def test_completed_L_domain():
