@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 Rational = Fraction
@@ -37,9 +38,11 @@ __all__ = [
     "fundamental_discriminant_split",
 ]
 
-# Memoized B_0, B_1, ... ; guarded so concurrent fills stay race-free.
+# Memoized B_0, B_1, ... and the smallest-prime-factor sieve; one lock guards
+# both so concurrent fills stay race-free.
 _bernoulli_cache: List[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
+_spf: List[int] = [0, 1]  # _spf[a] = smallest prime factor of a >= 2
+_cache_lock = threading.Lock()
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -51,7 +54,7 @@ def bernoulli_number(n: int) -> Fraction:
         raise ValueError("Bernoulli index must be >= 0")
     if n < len(_bernoulli_cache):
         return _bernoulli_cache[n]
-    with _bernoulli_lock:
+    with _cache_lock:
         while len(_bernoulli_cache) <= n:
             m = len(_bernoulli_cache)
             s = sum(
@@ -177,19 +180,62 @@ def is_fundamental_discriminant(D: int) -> bool:
     return _fundamental_defect(D) is None
 
 
+def _smallest_prime_factors(n: int) -> List[int]:
+    """The shared table spf[a] = smallest prime factor of a, for 2 <= a <= n.
+
+    Built on first use and re-sieved to at least twice its size when a larger
+    n is asked for, so it never holds more than twice the largest n asked for.
+    """
+    global _spf
+    if n < len(_spf):
+        return _spf
+    with _cache_lock:
+        if n >= len(_spf):
+            size = max(n + 1, 2 * len(_spf))
+            spf = list(range(size))
+            # every multiple of p from p^2 on, largest p first: the smallest
+            # divisor d >= 2 of a composite a (a prime, with d^2 <= a) is
+            # written last
+            for p in range(isqrt(size - 1), 1, -1):
+                spf[p * p :: p] = [p] * len(range(p * p, size, p))
+            _spf = spf
+        return _spf
+
+
+def _character_table(D: int, half: int) -> List[int]:
+    """chi_D(a) for 0 <= a <= half (entry 0 is 0), for |D| > 1 and half >= 1.
+
+    Complete multiplicativity over the shared sieve: chi_D(p) is one
+    ``kronecker_symbol`` per prime p, and chi_D(a) = chi_D(p) chi_D(a/p) for
+    composite a with smallest prime factor p.
+    """
+    spf = _smallest_prime_factors(half)
+    chi = [0, 1] + [0] * (half - 1)
+    for a in range(2, half + 1):
+        p = spf[a]
+        chi[a] = kronecker_symbol(D, p) if p == a else chi[p] * chi[a // p]
+    return chi
+
+
 def generalized_bernoulli(n: int, D: int) -> Fraction:
     """Generalized Bernoulli number B_{n,chi_D} for the quadratic character
     chi_D attached to a fundamental discriminant D (or the trivial character
     for D = 1).
 
     By definition B_{n,chi} = m^(n-1) sum_{a=1}^{m} chi_D(a) B_n(a/m) with
-    m = |D|.  Expanding B_n(a/m) = sum_j C(n, j) B_j (a/m)^(n-j) gives
+    m = |D|.  The terms a and m - a agree up to the sign sgn(D) (-1)^n,
+    because chi_D(m - a) = sgn(D) chi_D(a) and B_n(1 - x) = (-1)^n B_n(x);
+    chi_D(m) = 0, and so is chi_D(m/2) for even m.  Expanding
+    B_n(a/m) = sum_j C(n, j) B_j (a/m)^(n-j) then gives the half-range sum
 
-        B_{n,chi} = sum_{j=0}^{n} C(n, j) B_j m^(j-1) S_{n-j},
-        S_i = sum_{a=1}^{m} chi_D(a) a^i,
+        B_{n,chi} = (1 + sgn(D) (-1)^n) sum_{j=0}^{n} C(n, j) B_j m^(j-1) S'_{n-j},
+        S'_i = sum_{1 <= a < m/2} chi_D(a) a^i,
 
-    which is what is computed: the integer power sums S_0..S_n in one pass
-    over a, then n + 1 rational terms.
+    so the wrong parity is 0 without any summing.  Otherwise chi_D over
+    a < m/2 comes from the module's shared smallest-prime-factor sieve (one
+    Kronecker symbol per prime below m/2), and S'_0..S'_n from n products
+    over the a with chi_D(a) != 0: O(|D| n / 2) integer work, then n + 1
+    rational terms.
     """
     if n < 1:
         raise ValueError("generalized Bernoulli index must be >= 1")
@@ -200,18 +246,24 @@ def generalized_bernoulli(n: int, D: int) -> Fraction:
     defect = _fundamental_defect(D)
     if defect is not None:
         raise ValueError(defect)
+    reflect = 1 + (1 if D > 0 else -1) * (-1) ** n  # 0 or 2
+    if not reflect:
+        return Fraction(0)
     m = abs(D)
-    S = [0] * (n + 1)
-    for a in range(1, m + 1):
-        term = kronecker_symbol(D, a)  # chi_D(a) a^i for i = 0, 1, ...
-        if term:
-            for i in range(n + 1):
-                S[i] += term
-                term *= a
+    chi = _character_table(D, (m - 1) // 2)
+    # S'_i = (sum of a^i over chi_D(a) = 1) - (sum of a^i over chi_D(a) = -1)
+    plus = [a for a, c in enumerate(chi) if c > 0]
+    minus = [a for a, c in enumerate(chi) if c < 0]
+    S = [len(plus) - len(minus)]
+    up, down = plus, minus  # a^i over each set, for i = 1, 2, ...
+    for i in range(1, n + 1):
+        S.append(sum(up) - sum(down))
+        if i < n:
+            up, down = list(map(mul, up, plus)), list(map(mul, down, minus))
     total = sum(
         comb(n, j) * bernoulli_number(j) * m**j * S[n - j] for j in range(n + 1)
     )
-    return total / m
+    return reflect * total / m
 
 
 def fundamental_discriminant_split(delta: int) -> Tuple[int, int]:

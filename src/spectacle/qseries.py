@@ -314,8 +314,12 @@ def cohen_eisenstein(r: int, n_max: int) -> QExpansion:
                   sigma_{2r-1}(f/d),
 
     and H(r, N) = 0 unless (-1)^r N = 0, 1 (mod 4).  Every N with the same
-    fundamental D shares B_{r,chi_D}: it is computed once per distinct D, by
-    O(|D| r) integer work, and kept only for the length of this call.
+    fundamental D shares B_{r,chi_D}: it is computed once per distinct D and
+    kept only for the length of this call.  Each one is a half-range sum over
+    the |D|/2 residues a < |D|/2, with chi_D(a) filled from the shared
+    smallest-prime-factor sieve of ``exact_arith`` (one Kronecker symbol per
+    prime below |D|/2): O(|D| r / 2) integer work.  Summed over the D with
+    |D| <= n_max the table still grows like n_max^2.
     """
     if r < 1:
         raise ValueError("r must be >= 1")

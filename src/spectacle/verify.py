@@ -135,7 +135,7 @@ def criterion_plus_space() -> CriterionResult:
     def body() -> str:
         lambdas = {}
         for k, want_abs in ((1, 10), (3, 2)):
-            res = plus_space_check(k, 960)
+            res = plus_space_check(k, 1920)
             assert res.passed, f"k={k}: first break {res.first_break}"
             assert res.lam is not None and abs(res.lam) == want_abs, (
                 f"k={k}: lambda={res.lam}, |lambda| should be {want_abs}"
@@ -146,7 +146,7 @@ def criterion_plus_space() -> CriterionResult:
             assert abs(const) == abs(bernoulli_number(k + 1) / (k + 1)), (
                 f"k={k}: |constant| {const}"
             )
-        return f"single rational multiple of H(k+1, .) to N=960; lambda = {lambdas}"
+        return f"single rational multiple of H(k+1, .) to N=1920; lambda = {lambdas}"
 
     return _run("half-integral weight proportionality", 5.0, body)
 

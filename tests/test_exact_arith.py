@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,12 @@ from hypothesis import strategies as st
 
 import cohen_oracle
 from spectacle.exact_arith import (
+    _character_table,
     bernoulli_number,
     bernoulli_poly,
     divisor_power_sum,
     divisors,
+    factorize,
     fundamental_discriminant_split,
     generalized_bernoulli,
     is_fundamental_discriminant,
@@ -112,6 +116,31 @@ def test_generalized_bernoulli_matches_definition(n):
                 assert generalized_bernoulli(n, D) == want, (n, D)
 
 
+def test_character_table_and_half_range_sum_match_oracle():
+    # every fundamental D with |D| <= 1000, and a seeded sample up to 5000
+    def fundamental(lo, hi):
+        return [D for a in range(lo, hi + 1) for D in (a, -a) if is_fundamental_discriminant(D)]
+
+    sample = fundamental(3, 1000) + random.Random(9).sample(fundamental(1001, 5000), 12)
+    for D in sample:
+        m, sgn = abs(D), (1 if D > 0 else -1)
+        chi = [0] + [cohen_oracle.kronecker_symbol(D, a) for a in range(1, m + 1)]
+        half = (m - 1) // 2
+        assert _character_table(D, half) == chi[: half + 1], D
+        # what the half-range sum assumes of the residues above m/2
+        assert all(chi[m - a] == sgn * chi[a] for a in range(half + 1)), D
+        if m % 2 == 0:
+            assert chi[m // 2] == 0, D
+        # both parities against the full-range sum over every residue
+        for n in (1, 2):
+            S = [sum(c * a**i for a, c in enumerate(chi)) for i in range(n + 1)]
+            want = sum(
+                comb(n, j) * bernoulli_number(j) * Fraction(m) ** (j - 1) * S[n - j]
+                for j in range(n + 1)
+            )
+            assert generalized_bernoulli(n, D) == want, (n, D)
+
+
 def test_non_fundamental_rejected_with_square_factor():
     with pytest.raises(ValueError, match="square"):
         generalized_bernoulli(2, 25)
@@ -159,3 +188,41 @@ def test_bernoulli_memo_concurrent_fill():
         t.join()
     assert len(set(results)) == 1
     assert results[0] == bernoulli_poly(220, 0)
+
+
+def test_prime_sieve_concurrent_growth(monkeypatch):
+    import sys
+    import threading
+
+    from spectacle import exact_arith
+
+    sizes = [1000 * (i + 1) ** 2 for i in range(12)]
+
+    def race():
+        monkeypatch.setattr(exact_arith, "_spf", [0, 1])
+        tables = {}
+        start = threading.Barrier(len(sizes))
+
+        def worker(n):
+            start.wait(timeout=30)
+            tables[n] = exact_arith._smallest_prime_factors(n)
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in sizes]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        # each caller was covered, and no grown table was replaced by a smaller one
+        assert all(len(tables[n]) > n for n in sizes)
+        assert len(exact_arith._spf) > max(sizes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            race()
+    finally:
+        sys.setswitchinterval(interval)
+    spf = exact_arith._spf
+    assert all(spf[a] == min(factorize(a)) for a in range(2, len(spf)))

@@ -1,11 +1,19 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectacle.exact_arith import bernoulli_number, divisor_power_sum
+import cohen_oracle
+from spectacle.exact_arith import (
+    bernoulli_number,
+    divisor_power_sum,
+    divisors,
+    fundamental_discriminant_split,
+    moebius,
+)
 from spectacle.qseries import (
     QExpansion,
     TruncationError,
@@ -110,6 +118,28 @@ def test_cohen_r1_kronecker_hurwitz_relation():
             min(d, n // d) for d in range(1, n + 1) if n % d == 0
         )
         assert lhs == rhs, n
+
+
+def oracle_cohen_coefficient(r, N):
+    """H(r, N) for N > 0 from the definitional Kronecker and Bernoulli routes."""
+    delta = (-1) ** r * N
+    D, f = fundamental_discriminant_split(delta)
+    total = sum(
+        moebius(d) * cohen_oracle.kronecker_symbol(D, d) * d ** (r - 1)
+        * divisor_power_sum(f // d, 2 * r - 1)
+        for d in divisors(f)
+    )
+    return -cohen_oracle.generalized_bernoulli(r, D) / r * total
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_cohen_matches_oracle_beyond_digests(r):
+    # seeded N <= 1000 on the support, plus the largest |D| = N there
+    series = cohen_eisenstein(r, 1000)
+    support = [N for N in range(1, 1001) if ((-1) ** r * N) % 4 in (0, 1)]
+    largest = max(N for N in support if fundamental_discriminant_split((-1) ** r * N)[1] == 1)
+    for N in random.Random(r).sample(support, 20) + [largest]:
+        assert series.coefficient(N) == oracle_cohen_coefficient(r, N), (r, N)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
