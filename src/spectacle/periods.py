@@ -73,7 +73,7 @@ class HolomorphicFormSpec:
             nonlocal cache
             if n >= len(cache):
                 series = eisenstein_level1(weight, max(2 * n, 32))
-                cache = [series.coefficient(m) for m in range(series.n_max + 1)]
+                cache = [series.coeffs.get(m, Fraction(0)) for m in range(series.n_max + 1)]
             return cache[n]
 
         return cls(weight, coeff)

@@ -1,9 +1,13 @@
 """Truncated q-expansions with exact rational coefficients.
 
-Exponents live on the grid (1/exp_den) * Z>=0 and are stored by numerator;
-``n_max`` bounds the stored numerators, so the reliable exponent range is
-[0, n_max/exp_den].  Comparing two expansions beyond either reliable range is
-an error, never False.
+Exponents live on the grid (1/exp_den) * Z>=0 and are stored by their
+integer numerator; ``n_max`` bounds the stored numerators, so the reliable
+exponent range is [0, n_max/exp_den].  Arithmetic and comparison work on the
+numerators alone (two grids meet on the lcm of their exp_den); a ``Fraction``
+exponent appears only at the public edge: the argument of ``coefficient`` and
+``nonholo_coefficient``, ``support`` and the exponent that ``first_mismatch``
+returns.  Comparing two expansions beyond either reliable range is an error,
+never False.
 
 An expansion may carry a separate non-holomorphic part: ``nonholo[m]`` is the
 rational multiplier of q^(m/exp_den) / (pi * v) where v is the imaginary part
@@ -37,8 +41,9 @@ class TruncationError(ValueError):
     """Comparison or access beyond the reliable truncation range."""
 
 
-def _clean(d: Dict[int, Fraction]) -> Dict[int, Fraction]:
-    return {n: Fraction(c) for n, c in d.items() if c}
+def _rescaled(table: Dict[int, Fraction], scale: int) -> Dict[int, Fraction]:
+    """``table`` with every numerator moved to a grid ``scale`` times finer."""
+    return table if scale == 1 else {n * scale: c for n, c in table.items()}
 
 
 class QExpansion:
@@ -57,19 +62,19 @@ class QExpansion:
             raise ValueError("n_max must be >= 0")
         self.exp_den = exp_den
         self.n_max = n_max
-        self.coeffs = _clean({int(n): Fraction(c) for n, c in coeffs.items()})
-        self.nonholo = (
-            None
-            if nonholo is None
-            else _clean({int(n): Fraction(c) for n, c in nonholo.items()})
-        )
-        for n in self.coeffs:
-            if n < 0 or n > n_max:
-                raise ValueError(f"exponent numerator {n} outside [0, {n_max}]")
-        if self.nonholo:
-            for n in self.nonholo:
-                if n < 0 or n > n_max:
-                    raise ValueError(f"nonholo numerator {n} outside [0, {n_max}]")
+        self.coeffs = self._table(coeffs, "exponent")
+        self.nonholo = None if nonholo is None else self._table(nonholo, "nonholo")
+
+    def _table(self, d: Dict[int, RationalLike], what: str) -> Dict[int, Fraction]:
+        """The nonzero entries of ``d`` as Fractions, numerators range-checked."""
+        out: Dict[int, Fraction] = {}
+        for n, c in d.items():
+            if c:
+                n = int(n)
+                if n < 0 or n > self.n_max:
+                    raise ValueError(f"{what} numerator {n} outside [0, {self.n_max}]")
+                out[n] = Fraction(c)
+        return out
 
     # -- bounds ------------------------------------------------------------
 
@@ -78,33 +83,21 @@ class QExpansion:
         """Largest exponent this expansion is reliable up to."""
         return Fraction(self.n_max, self.exp_den)
 
-    def _numerator_of(self, e: ExponentLike) -> Optional[int]:
+    def _lookup(self, table: Optional[Dict[int, Fraction]], e: ExponentLike) -> Fraction:
         e = Fraction(e)
+        if e < 0 or e > self.exponent_bound:
+            raise TruncationError(f"exponent {e} outside [0, {self.exponent_bound}]")
         num = e * self.exp_den
-        if num.denominator != 1:
-            return None
-        return num.numerator
+        if not table or num.denominator != 1:
+            return Fraction(0)
+        return table.get(num.numerator, Fraction(0))
 
     def coefficient(self, e: ExponentLike) -> Fraction:
         """Coefficient of q^e; exact zero off the grid, error past n_max."""
-        e = Fraction(e)
-        if e < 0 or e > self.exponent_bound:
-            raise TruncationError(f"exponent {e} outside [0, {self.exponent_bound}]")
-        num = self._numerator_of(e)
-        if num is None:
-            return Fraction(0)
-        return self.coeffs.get(num, Fraction(0))
+        return self._lookup(self.coeffs, e)
 
     def nonholo_coefficient(self, e: ExponentLike) -> Fraction:
-        e = Fraction(e)
-        if e < 0 or e > self.exponent_bound:
-            raise TruncationError(f"exponent {e} outside [0, {self.exponent_bound}]")
-        if not self.nonholo:
-            return Fraction(0)
-        num = self._numerator_of(e)
-        if num is None:
-            return Fraction(0)
-        return self.nonholo.get(num, Fraction(0))
+        return self._lookup(self.nonholo, e)
 
     def support(self) -> List[Fraction]:
         return [Fraction(n, self.exp_den) for n in sorted(self.coeffs)]
@@ -112,9 +105,9 @@ class QExpansion:
     # -- arithmetic ----------------------------------------------------------
 
     def _unified(self, other: "QExpansion") -> Tuple[int, int]:
+        """The common grid: its exp_den and the smaller bound's numerator on it."""
         den = math.lcm(self.exp_den, other.exp_den)
-        bound = min(self.exponent_bound, other.exponent_bound)
-        n_max = int(bound * den)
+        n_max = min(self.n_max * (den // self.exp_den), other.n_max * (den // other.exp_den))
         return den, n_max
 
     def __add__(self, other: "QExpansion") -> "QExpansion":
@@ -123,15 +116,11 @@ class QExpansion:
         nh: Dict[int, Fraction] = {}
         for src in (self, other):
             scale = den // src.exp_den
-            for n, c in src.coeffs.items():
-                m = n * scale
-                if m <= n_max:
-                    out[m] = out.get(m, Fraction(0)) + c
-            if src.nonholo:
-                for n, c in src.nonholo.items():
+            for acc, table in ((out, src.coeffs), (nh, src.nonholo or {})):
+                for n, c in table.items():
                     m = n * scale
                     if m <= n_max:
-                        nh[m] = nh.get(m, Fraction(0)) + c
+                        acc[m] = acc.get(m, Fraction(0)) + c
         has_nh = self.nonholo is not None or other.nonholo is not None
         return QExpansion(den, n_max, out, nh if has_nh else None)
 
@@ -190,10 +179,8 @@ class QExpansion:
         return QExpansion(
             den,
             self.n_max * scale,
-            {n * scale: c for n, c in self.coeffs.items()},
-            None
-            if self.nonholo is None
-            else {n * scale: c for n, c in self.nonholo.items()},
+            _rescaled(self.coeffs, scale),
+            None if self.nonholo is None else _rescaled(self.nonholo, scale),
         )
 
     # -- comparison ----------------------------------------------------------
@@ -206,24 +193,27 @@ class QExpansion:
         Returns (exponent, own value, other value, part) with part 'holo' or
         'nonholo'.  Raises TruncationError when up_to exceeds either bound.
         """
-        bound = min(self.exponent_bound, other.exponent_bound)
-        if up_to is None:
-            up_to = bound
-        up_to = Fraction(up_to)
-        if up_to > bound:
-            raise TruncationError(
-                f"comparison up to {up_to} exceeds common truncation {bound}"
+        den, top = self._unified(other)
+        if up_to is not None:
+            up_to = Fraction(up_to)
+            if up_to * den > top:
+                raise TruncationError(
+                    f"comparison up to {up_to} exceeds common truncation {Fraction(top, den)}"
+                )
+            top = int(up_to * den)
+        parts = [
+            (part, _rescaled(x, den // self.exp_den), _rescaled(y, den // other.exp_den))
+            for part, x, y in (
+                ("holo", self.coeffs, other.coeffs),
+                ("nonholo", self.nonholo or {}, other.nonholo or {}),
             )
-        den = math.lcm(self.exp_den, other.exp_den)
-        top = int(up_to * den)
-        for num in range(0, top + 1):
-            e = Fraction(num, den)
-            a, b = self.coefficient(e), other.coefficient(e)
-            if a != b:
-                return (e, a, b, "holo")
-            a, b = self.nonholo_coefficient(e), other.nonholo_coefficient(e)
-            if a != b:
-                return (e, a, b, "nonholo")
+        ]
+        zero = Fraction(0)
+        for num in sorted({n for _, x, y in parts for n in (*x, *y) if n <= top}):
+            for part, x, y in parts:
+                a, b = x.get(num, zero), y.get(num, zero)
+                if a != b:
+                    return (Fraction(num, den), a, b, part)
         return None
 
     def equals_to(self, other: "QExpansion", up_to: Optional[ExponentLike] = None) -> bool:

@@ -41,8 +41,8 @@ multiple of the half-integral weight Eisenstein coefficients H(k+1, N).
 
 from __future__ import annotations
 
+import itertools
 import logging
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
@@ -99,25 +99,6 @@ class LiftConfig:
     def exp_den(self) -> int:
         return 1 if self.h == 0 else 4
 
-    @property
-    def exponent_bound(self) -> Fraction:
-        return Fraction(self.n_max, self.exp_den)
-
-    def w_values(self, bound: Fraction) -> Iterator[Fraction]:
-        """Points m of the w0-progression Z + h with m*m <= bound."""
-        m = self.h
-        while m * m <= bound:
-            yield m
-            if m != 0:
-                yield -m
-            m += 1
-
-    def w_square_count(self, e: Fraction) -> int:
-        """Number of progression points with m^2 = e."""
-        if e < 0:
-            return 0
-        return sum(1 for m in self.w_values(e) if m * m == e)
-
 
 @dataclass(frozen=True)
 class SignConvention:
@@ -147,6 +128,20 @@ _CONVENTION: Optional[SignConvention] = None
 # building blocks
 
 _W0_INT = (0, 1, 0)
+
+
+def _w0_points(cfg: LiftConfig) -> Iterator[Tuple[int, int]]:
+    """The w0-progression Z + h up to the truncation, in integers.
+
+    Yields (t, num) for t = 2|m| >= 0 with m in Z + h, where num = t^2 d/4
+    (d = exp_den) is the exponent numerator of m^2 <= n_max/d.  Each t > 0
+    stands for the two points +-m; t = 0 occurs only on the h = 0 coset.
+    """
+    for t in itertools.count(int(2 * cfg.h), 2):
+        num = t * t * cfg.exp_den // 4
+        if num > cfg.n_max:
+            return
+        yield t, num
 
 
 def _interior_geometric(cfg: LiftConfig) -> Dict[int, int]:
@@ -197,7 +192,7 @@ def _split_series(cfg: LiftConfig, interior_sign: int = 1) -> QExpansion:
         cfg.k,
         Fraction(0),
         Fraction(1),
-        math.ceil(cfg.exponent_bound),
+        -(-cfg.n_max // cfg.exp_den),
     )
     coeffs = {n: c if n == 0 else interior_sign * c for n, c in lit.coeffs.items()}
     return QExpansion(1, lit.n_max, coeffs, lit.nonholo)
@@ -205,10 +200,7 @@ def _split_series(cfg: LiftConfig, interior_sign: int = 1) -> QExpansion:
 
 def _theta_w(cfg: LiftConfig) -> QExpansion:
     """theta_W = sum over the w0-progression Z + h of q^{m^2}."""
-    coeffs: Dict[int, Fraction] = {}
-    for m in cfg.w_values(cfg.exponent_bound):
-        num = int(m * m * cfg.exp_den)
-        coeffs[num] = coeffs.get(num, Fraction(0)) + 1
+    coeffs = {num: 2 if t else 1 for t, num in _w0_points(cfg)}
     return QExpansion(cfg.exp_den, cfg.n_max, coeffs)
 
 
@@ -268,28 +260,23 @@ def arbitrate_signs() -> SignConvention:
     if incidence not in (1, -1):
         raise LiftError("boundary incidence sign is not a sign")
 
-    t_int = (split * theta_w - const_block).coeffs
-    g_int = _interior_geometric(probe)
-    relative = 1
-    for num in sorted(set(t_int) | set(g_int)):
-        tv = sigma * t_int.get(num, Fraction(0))
-        gv = g_int.get(num, Fraction(0))
-        if tv == gv == 0:
-            continue
-        if tv == gv:
-            relative = 1
-        elif tv == -gv:
-            relative = -1
-        else:
-            raise LiftError("interior blocks differ by more than a sign")
-        break
+    # the interior blocks, holomorphic parts only: the probe's 1/(pi v) part
+    # cancels against the zero-cusp cap term, not against the interior
+    interior = split * theta_w - const_block
+    t_int = sigma * QExpansion(interior.exp_den, interior.n_max, interior.coeffs)
+    g_int = QExpansion(probe.exp_den, probe.n_max, _interior_geometric(probe))
+    first = min(t_int.coeffs.keys() | g_int.coeffs.keys(), default=0)
+    tv, gv = t_int.coefficient(first), g_int.coefficient(first)
+    if tv == gv:
+        relative = 1
+    elif tv == -gv:
+        relative = -1
+    else:
+        raise LiftError("interior blocks differ by more than a sign")
     conv = SignConvention(sigma, relative, incidence)
     # verify the probe outright before caching
-    for num in sorted(set(t_int) | set(g_int)):
-        if conv.effective_interior * t_int.get(num, Fraction(0)) != g_int.get(
-            num, Fraction(0)
-        ):
-            raise LiftError("interior blocks do not match after arbitration")
+    if (relative * t_int).first_mismatch(g_int) is not None:
+        raise LiftError("interior blocks do not match after arbitration")
     _CONVENTION = conv
     log.info(
         "arbitrated signs: sigma_glob=%+d interior_relative=%+d incidence=%+d",
@@ -329,29 +316,26 @@ def lift_geometric_side(
 ) -> QExpansion:
     """Intersection route: cross-product interior + boundary cap counts.
 
-    The constant term comes from the coset's vectors on the line Q u at
-    infinity: they are c u with c in Z, present exactly when 0 lies on the
-    w0-progression Z + h (``w_square_count(0)`` is then 1, else 0), and they
-    contribute the boundary incidence sign times (-1)^(k+1) B_{k+1}/(k+1).
+    The boundary counts one cap family per point m of the w0-progression
+    Z + h with m^2 within the truncation.  The point m = 0 (only on the h = 0
+    coset) is the coset's vectors c u, c in Z, on the line Q u at infinity:
+    paired with the symbol they give the constant term, the boundary
+    incidence sign times (-1)^(k+1) B_{k+1}/(k+1).
     """
     conv = convention or arbitrate_signs()
     coeffs = {n: Fraction(v) for n, v in _interior_geometric(cfg).items()}
     k = cfg.k
     block = _bernoulli_block_scalar(k)
-    for m in cfg.w_values(cfg.exponent_bound):
-        if m <= 0:
+    for t, num in _w0_points(cfg):
+        if t == 0:
+            # the boundary cycle at infinity paired with the symbol
+            coeffs[0] = conv.boundary_incidence * block
             continue
-        e = m * m
-        num = int(e * cfg.exp_den)
-        fams = cfg.w_square_count(e)  # families terminating/originating
-        coeffs[num] = coeffs.get(num, Fraction(0)) + fams * block
+        # the two families of +-m terminating/originating at the cusps
+        coeffs[num] = coeffs.get(num, Fraction(0)) + 2 * block
         if k == 1:
             # each oriented family contributes -2 m^2 at the zero cusp
-            coeffs[num] -= 2 * fams * e
-    # constant term: the boundary cycle at infinity paired with the symbol
-    const = cfg.w_square_count(0) * conv.boundary_incidence * block
-    if const:
-        coeffs[0] = coeffs.get(0, Fraction(0)) + const
+            coeffs[num] -= 4 * Fraction(num, cfg.exp_den)
     nonholo: Optional[Dict[int, Fraction]] = {} if k == 1 else None
     return QExpansion(cfg.exp_den, cfg.n_max, coeffs, nonholo)
 
@@ -476,20 +460,18 @@ def plus_space_check(k: int, n_max: int) -> PlusSpaceResult:
     target = cohen_eisenstein(k + 1, n_max)
     lam: Optional[Fraction] = None
     first_break: Optional[Tuple[int, Fraction, Fraction]] = None
-    for N in range(n_max + 1):
-        f = combined.coefficient(N)
-        hh = target.coefficient(N)
-        if lam is None:
-            if f == 0 and hh == 0:
-                continue
-            if hh == 0:
-                first_break = (N, f, hh)
-                break
+    stored = combined.coeffs.keys() | target.coeffs.keys()
+    if stored:
+        # both tables sit on exp_den 1, so numerators are the N themselves
+        N = min(stored)
+        f, hh = combined.coefficient(N), target.coefficient(N)
+        if hh == 0:
+            first_break = (N, f, hh)
+        else:
             lam = f / hh
-            continue
-        if f != lam * hh:
-            first_break = (N, f, lam * hh)
-            break
+            mism = combined.first_mismatch(lam * target)
+            if mism is not None:
+                first_break = (mism[0].numerator, mism[1], mism[2])
     passed = first_break is None and lam is not None
     return PlusSpaceResult(
         k=k,

@@ -10,6 +10,7 @@ from spectacle.qseries import QExpansion, cohen_eisenstein
 from spectacle.quad_space import VecV, W0_VEC, epsilon_sign, epsilon_sign_int
 from spectacle.shintani_lift import (
     LiftConfig,
+    LiftError,
     arbitrate_signs,
     lift_geometric_side,
     lift_theta_nonholo_parts,
@@ -212,15 +213,15 @@ def _cusp_eigenform_coefficients(k, n_max):
 
 
 @pytest.mark.parametrize(
-    "k,lam,c1",
+    "k,lam,c1,first_break",
     [
-        (5, Fraction(130, 691), Fraction(6, 691)),
-        (7, Fraction(-34, 3617), Fraction(-30, 3617)),
-        (9, Fraction(50, 174611), Fraction(2646, 174611)),
+        (5, Fraction(130, 691), Fraction(6, 691), (1, Fraction(1, 126), Fraction(-65, 87066))),
+        (7, Fraction(-34, 3617), Fraction(-30, 3617), (1, Fraction(-1, 120), Fraction(-17, 434040))),
+        (9, Fraction(50, 174611), Fraction(2646, 174611), (1, Fraction(1, 66), Fraction(-25, 11524326))),
     ],
     ids=["5", "7", "9"],
 )
-def test_weight_thirteen_halves_cusp_component(k, lam, c1):
+def test_weight_thirteen_halves_cusp_component(k, lam, c1, first_break):
     # At k = 5, 7, 9 the plus space of weight k + 3/2 is two-dimensional, so
     # the combined lift is no longer a multiple of H(k + 1, .): the leftover
     # must be a cusp form, and its normalized coefficients must
@@ -231,6 +232,8 @@ def test_weight_thirteen_halves_cusp_component(k, lam, c1):
     res = plus_space_check(k, n_top)
     assert not res.passed
     assert res.lam == lam
+    # the break: N, the combined coefficient, lambda times H(k + 1, N)
+    assert res.first_break == first_break
     target = cohen_eisenstein(k + 1, n_top)
     diff = {
         N: res.combined.coefficient(N) - res.lam * target.coefficient(N)
@@ -249,6 +252,31 @@ def test_weight_thirteen_halves_cusp_component(k, lam, c1):
     for n in range(1, 11):
         lhs = sum(d**k * c[(n // d) ** 2] for d in range(1, n + 1) if n % d == 0)
         assert lhs == a_f[n], (k, n)
+
+
+def _arbitrate_with_interior(monkeypatch, edit):
+    # re-run the arbitration with the probe's geometric interior edited
+    from spectacle import shintani_lift
+
+    original = shintani_lift._interior_geometric
+    monkeypatch.setattr(shintani_lift, "_CONVENTION", None)
+    monkeypatch.setattr(shintani_lift, "_interior_geometric", lambda cfg: edit(original(cfg)))
+    return arbitrate_signs()
+
+
+def test_arbitration_refuses_interior_beyond_a_sign(monkeypatch):
+    with pytest.raises(LiftError, match="differ by more than a sign"):
+        _arbitrate_with_interior(monkeypatch, lambda t: {n: 2 * v for n, v in t.items()})
+
+
+def test_arbitration_refuses_interior_mismatch_after_pinning(monkeypatch):
+    def flip_last(t):
+        last = max(n for n, v in t.items() if v)
+        assert last > min(n for n, v in t.items() if v)  # the pinned exponent stays
+        return {n: -v if n == last else v for n, v in t.items()}
+
+    with pytest.raises(LiftError, match="do not match after arbitration"):
+        _arbitrate_with_interior(monkeypatch, flip_last)
 
 
 def test_lift_constant_absolute_value():

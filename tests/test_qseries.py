@@ -247,6 +247,88 @@ def test_nonholo_kept_separate():
     assert b.equals_to(c)
 
 
+def grid_walk_first_mismatch(a, b, up_to=None):
+    """Reference for ``QExpansion.first_mismatch``: visit every point of the
+    common grid up to ``up_to`` through the public Fraction lookups."""
+    bound = min(a.exponent_bound, b.exponent_bound)
+    up_to = bound if up_to is None else Fraction(up_to)
+    if up_to > bound:
+        raise TruncationError(f"comparison up to {up_to} exceeds common truncation {bound}")
+    den = math.lcm(a.exp_den, b.exp_den)
+    for num in range(int(up_to * den) + 1):
+        e = Fraction(num, den)
+        for part, get in (
+            ("holo", QExpansion.coefficient),
+            ("nonholo", QExpansion.nonholo_coefficient),
+        ):
+            x, y = get(a, e), get(b, e)
+            if x != y:
+                return (e, x, y, part)
+    return None
+
+
+_GRID_DENS = st.sampled_from([1, 2, 3, 4, 6])
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_SPARSE = st.dictionaries(st.integers(0, 30), _SMALL, max_size=6)
+
+
+@st.composite
+def _expansion_pairs(draw):
+    # one sparse series on the grid (1/g) Z shared by both sides, stored by
+    # each within its own bound; then at most one coefficient of b perturbed
+    den_a, den_b = draw(_GRID_DENS), draw(_GRID_DENS)
+    g = math.gcd(den_a, den_b)
+    holo, nonholo = draw(_SPARSE), draw(st.none() | _SPARSE)
+
+    def stored(table, den, n_max):
+        s = den // g
+        return {j * s: c for j, c in table.items() if j * s <= n_max}
+
+    n_a, n_b = draw(st.integers(0, 24)), draw(st.integers(0, 24))
+    ha, hb = stored(holo, den_a, n_a), stored(holo, den_b, n_b)
+    if nonholo is None:  # absent or identically zero, chosen per side
+        na, nb = (None if draw(st.booleans()) else {} for _ in range(2))
+    else:
+        na, nb = stored(nonholo, den_a, n_a), stored(nonholo, den_b, n_b)
+    perturb = draw(
+        st.none()
+        | st.tuples(
+            st.booleans(), st.integers(0, n_b), _SMALL.filter(lambda c: c != 0)
+        )
+    )
+    if perturb is not None:
+        in_nonholo, num, delta = perturb
+        if in_nonholo and nb is None:
+            nb = {}
+        table = nb if in_nonholo else hb
+        table[num] = table.get(num, 0) + delta
+    a, b = QExpansion(den_a, n_a, ha, na), QExpansion(den_b, n_b, hb, nb)
+    den = math.lcm(den_a, den_b)
+    top = min(n_a * (den // den_a), n_b * (den // den_b))
+    up_to = draw(
+        st.none()
+        | st.integers(0, top + 4).map(lambda n: Fraction(n, den))
+        | st.fractions(min_value=0, max_value=8, max_denominator=7)
+    )
+    return a, b, up_to
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_expansion_pairs())
+def test_first_mismatch_matches_grid_walk(case):
+    a, b, up_to = case
+    try:
+        want = grid_walk_first_mismatch(a, b, up_to)
+    except TruncationError:
+        with pytest.raises(TruncationError):
+            a.first_mismatch(b, up_to)
+        return
+    assert a.first_mismatch(b, up_to) == want
+    assert b.first_mismatch(a, up_to) == (
+        None if want is None else (want[0], want[2], want[1], want[3])
+    )
+
+
 def test_dilate():
     b = QExpansion(4, 20, {1: Fraction(1, 2), 8: 5}, {0: 1})
     d = b.dilate(4)
