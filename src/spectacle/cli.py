@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: theta11, lift, caps, cohen, eisenstein, lvalue, intersect,
-verify-all.  Exact series serialize rationals as "p/q" strings; period
-results print 12 significant digits with an absolute error bound.  Output is
-deterministic (all maps are sorted before serialization): identical
-invocations produce identical bytes.
+verify-all.  Each is declared once, in the table ``_COMMANDS`` (name -> help,
+arguments, handler), and a call builds only the parser of the subcommand it
+names; help, an empty argv or an unknown name build them all.  Exact series
+serialize rationals as "p/q" strings; period results print 12 significant
+digits with an absolute error bound.  Output is deterministic (all maps are
+sorted before serialization): identical invocations produce identical bytes.
 
 Environment: SPECTACLE_LOG in {error, info, debug} controls log verbosity.
 """
@@ -18,10 +20,12 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import List, NoReturn, Optional
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .caps import cap_closed_form, gamma0_width, spectacle_assemble
-from .periods import HolomorphicFormSpec, geodesic_intersection_numeric, spectacle_period
+from .periods import (
+    MAX_PERIOD_WEIGHT, HolomorphicFormSpec, geodesic_intersection_numeric, spectacle_period
+)
 from .qseries import QExpansion, cohen_eisenstein, eisenstein_level1
 from .quad_space import VecV, epsilon_sign
 from .shintani_lift import LiftConfig, main_theorem_check
@@ -224,89 +228,83 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"spectacle: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--out", metavar="PATH", default=None)
+_COMMON = [
+    ("--format", dict(choices=("json", "table"), default="json")),
+    ("--out", dict(metavar="PATH", default=None)),
+]
+_K = ("--k", dict(type=int, required=True))
+_NMAX = ("--nmax", dict(type=int, default=50))
+_VEC = dict(required=True, help="vector a,b,c")
+
+# every subcommand once, in help order: name -> (help, arguments, handler)
+_COMMANDS: Dict[str, Tuple[str, List[Tuple[str, dict]], Callable[..., int]]] = {
+    "theta11": ("split-lattice generating series", [
+        _K, _NMAX,
+        ("--m1", dict(default="1")), ("--h1", dict(default="0")),
+        ("--m2", dict(default="1")), ("--h2", dict(default="0")),
+        ("--wu", dict(default="0", help="coefficient of u^k")),
+        ("--wup", dict(default="1", help="coefficient of u'^k")),
+        *_COMMON,
+    ], cmd_theta11),
+    "lift": ("both sides of the generating-series identity", [
+        _K, ("--h", dict(choices=("0", "half"), default="0")), _NMAX,
+        ("--check", dict(action="store_true", help="exit 1 when the sides differ")),
+        ("--cohen", dict(action="store_true", help="also record the rational multiple "
+                         "against the half-integral weight series")),
+        *_COMMON,
+    ], cmd_lift),
+    "caps": ("cap vectors (assembled cycle or closed form)", [
+        _K, ("--x", dict(default=None, help="vector a,b,c to assemble")),
+        ("--level", dict(type=int, default=1, help="level N for cusp widths")),
+        ("--i", dict(type=int, default=0, help="weight index (closed form)")),
+        ("--r", dict(default="0", help="boundary position (closed form)")),
+        ("--M", dict(default="1", help="cusp width (closed form)")),
+        *_COMMON,
+    ], cmd_caps),
+    "cohen": ("half-integral weight Eisenstein coefficients", [
+        ("--r", dict(type=int, required=True)), _NMAX, *_COMMON,
+    ], cmd_cohen),
+    "eisenstein": ("classical level-one Eisenstein series", [
+        ("--weight", dict(type=int, required=True)), _NMAX, *_COMMON,
+    ], cmd_eisenstein),
+    "lvalue": ("period of an Eisenstein series over the capped cycle", [
+        ("--weight", dict(type=int, required=True,
+                          help=f"even weight from 4 to {MAX_PERIOD_WEIGHT}")),
+        ("--j", dict(type=int, default=0)),
+        ("--T", dict(default="3,10", help="comma list of heights: "
+                     "finite T > 1 whose T^(2k) fits a float")),
+        *_COMMON,
+    ], cmd_lvalue),
+    "intersect": ("oriented intersection sign of two geodesics", [
+        ("--x", _VEC), ("--y", _VEC), *_COMMON,
+    ], cmd_intersect),
+    "verify-all": ("run the full acceptance matrix", [], cmd_verify_all),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  When ``argv[0]`` names a subcommand, only that
+    subcommand is registered; otherwise (help, no argv, an unknown name) all
+    are, so top-level help and the invalid-choice error list every one."""
     parser = _Parser(
         prog="spectacle",
         description="Exact capped-cycle data on the modular curve and its modular-form identities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("theta11", help="split-lattice generating series")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=50)
-    p.add_argument("--m1", default="1")
-    p.add_argument("--h1", default="0")
-    p.add_argument("--m2", default="1")
-    p.add_argument("--h2", default="0")
-    p.add_argument("--wu", default="0", help="coefficient of u^k")
-    p.add_argument("--wup", default="1", help="coefficient of u'^k")
-    _add_common(p)
-    p.set_defaults(func=cmd_theta11)
-
-    p = sub.add_parser("lift", help="both sides of the generating-series identity")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--h", choices=("0", "half"), default="0")
-    p.add_argument("--nmax", type=int, default=50)
-    p.add_argument("--check", action="store_true", help="exit 1 when the sides differ")
-    p.add_argument(
-        "--cohen",
-        action="store_true",
-        help="also record the rational multiple against the half-integral weight series",
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("caps", help="cap vectors (assembled cycle or closed form)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x", default=None, help="vector a,b,c to assemble")
-    p.add_argument("--level", type=int, default=1, help="level N for cusp widths")
-    p.add_argument("--i", type=int, default=0, help="weight index (closed form)")
-    p.add_argument("--r", default="0", help="boundary position (closed form)")
-    p.add_argument("--M", default="1", help="cusp width (closed form)")
-    _add_common(p)
-    p.set_defaults(func=cmd_caps)
-
-    p = sub.add_parser("cohen", help="half-integral weight Eisenstein coefficients")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=50)
-    _add_common(p)
-    p.set_defaults(func=cmd_cohen)
-
-    p = sub.add_parser("eisenstein", help="classical level-one Eisenstein series")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=50)
-    _add_common(p)
-    p.set_defaults(func=cmd_eisenstein)
-
-    p = sub.add_parser("lvalue", help="period of an Eisenstein series over the capped cycle")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--j", type=int, default=0)
-    p.add_argument(
-        "--T", default="3,10", help="comma list of heights: finite T > 1 whose T^(2k) fits a float"
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_lvalue)
-
-    p = sub.add_parser("intersect", help="oriented intersection sign of two geodesics")
-    p.add_argument("--x", required=True, help="vector a,b,c")
-    p.add_argument("--y", required=True, help="vector a,b,c")
-    _add_common(p)
-    p.set_defaults(func=cmd_intersect)
-
-    p = sub.add_parser("verify-all", help="run the full acceptance matrix")
-    p.set_defaults(func=cmd_verify_all)
-
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        help_text, arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     _configure_logging()
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     log.debug("dispatching %s", args.command)
     try:
         return args.func(args)

@@ -25,6 +25,9 @@ caps destroys the T-independence (polynomial growth in T survives).  The
 one integral is summed Fourier mode by mode in closed form, without
 quadrature; the a_0 mode is summed exactly over the whole cycle and rounded
 once, so no float carries the T^(2k)-sized terms that the caps cancel.
+Past weight ``MAX_PERIOD_WEIGHT`` = 46 the float modes no longer meet the
+closed form (at 48 three j miss it, at 56 by a relative 11), so a larger
+weight raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -47,7 +50,12 @@ __all__ = [
     "spectacle_period",
     "geodesic_intersection_numeric",
     "c_constant",
+    "MAX_PERIOD_WEIGHT",
 ]
+
+# largest weight at which every j meets the closed form (tests/test_periods.py)
+MAX_PERIOD_WEIGHT = 46
+
 
 @dataclass(frozen=True)
 class HolomorphicFormSpec:
@@ -266,13 +274,17 @@ def spectacle_period(
 ) -> float:
     """Truncated-cycle period pairing; equals c_{k,j} Lambda(f, k+1-j).
 
-    Valid for any finite heights T1, T2 > 1 whose T^(2k) fits a float; a
-    larger height raises ``ValueError``.  ``include_caps=False`` drops the
-    two cap integrals (negative control: the value then depends on T1, T2
-    polynomially).
+    Valid for weights up to ``MAX_PERIOD_WEIGHT`` and any finite heights
+    T1, T2 > 1 whose T^(2k) fits a float; anything else raises
+    ``ValueError``.  ``include_caps=False`` drops the two cap integrals
+    (negative control: the value then depends on T1, T2 polynomially).
     """
     if f.weight != 2 * k + 2:
         raise ValueError("form weight must equal 2k+2")
+    if f.weight > MAX_PERIOD_WEIGHT:
+        raise ValueError(
+            f"weight {f.weight} exceeds {MAX_PERIOD_WEIGHT}, the largest with accurate periods"
+        )
     if not (1 < T1 < math.inf and 1 < T2 < math.inf):
         raise ValueError("truncation heights must be finite and exceed 1")
     for T in (T1, T2):

@@ -66,14 +66,17 @@ class QExpansion:
         self.nonholo = None if nonholo is None else self._table(nonholo, "nonholo")
 
     def _table(self, d: Dict[int, RationalLike], what: str) -> Dict[int, Fraction]:
-        """The nonzero entries of ``d`` as Fractions, numerators range-checked."""
+        """The nonzero entries of ``d`` as Fractions; every numerator must be an
+        integer, and those of nonzero entries lie in [0, n_max]."""
         out: Dict[int, Fraction] = {}
         for n, c in d.items():
+            m = int(n)
+            if m != n:
+                raise ValueError(f"{what} numerator {n!r} is not an integer")
             if c:
-                n = int(n)
-                if n < 0 or n > self.n_max:
-                    raise ValueError(f"{what} numerator {n} outside [0, {self.n_max}]")
-                out[n] = Fraction(c)
+                if m < 0 or m > self.n_max:
+                    raise ValueError(f"{what} numerator {m} outside [0, {self.n_max}]")
+                out[m] = Fraction(c)
         return out
 
     # -- bounds ------------------------------------------------------------
@@ -191,11 +194,14 @@ class QExpansion:
         """First exponent <= up_to where the expansions differ, or None.
 
         Returns (exponent, own value, other value, part) with part 'holo' or
-        'nonholo'.  Raises TruncationError when up_to exceeds either bound.
+        'nonholo'.  Raises TruncationError when up_to is negative or exceeds
+        either bound.
         """
         den, top = self._unified(other)
         if up_to is not None:
             up_to = Fraction(up_to)
+            if up_to < 0:
+                raise TruncationError(f"comparison up to {up_to} is below q^0")
             if up_to * den > top:
                 raise TruncationError(
                     f"comparison up to {up_to} exceeds common truncation {Fraction(top, den)}"

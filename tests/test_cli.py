@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectacle
-from spectacle.cli import main
+from spectacle.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +118,8 @@ def test_unknown_command_exits_2(capsys):
         ["lvalue", "--weight", "4", "--j=1/2"],
         ["lift", "--k", "x"],
         ["cohen", "--r", "1.5"],
+        ["lvalue", "--weight", "60", "--j=1", "--T", "3,10"],
+        ["lvalue", "--weight", "48", "--T", "3,10"],
     ],
     ids=" ".join,
 )
@@ -166,6 +169,65 @@ def test_help_exits_0(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert "usage: spectacle" in capsys.readouterr().out
+
+
+_COMMAND_NAMES = [
+    "theta11", "lift", "caps", "cohen", "eisenstein", "lvalue", "intersect", "verify-all"
+]
+
+
+@pytest.fixture
+def registered(monkeypatch):
+    """Names of the subcommand parsers each call registers."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return names
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eisenstein", "--weight", "4", "--nmax", "2"], ["lvalue", "--weight", "4"]],
+    ids=" ".join,
+)
+def test_known_subcommand_registers_only_its_parser(argv, registered, capsys):
+    assert main(argv) == 0
+    assert registered == [argv[0]]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], [], ["bogus"], ["--format", "json"]])
+def test_help_and_bad_argv_register_every_subcommand(argv, registered, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert registered == _COMMAND_NAMES
+
+
+@pytest.mark.parametrize("name", _COMMAND_NAMES)
+def test_subcommand_help_matches_the_all_commands_parser(name, registered, capsys):
+    with pytest.raises(SystemExit):
+        main([name, "--help"])
+    alone = capsys.readouterr().out
+    assert registered == [name]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([name, "--help"])
+    assert capsys.readouterr().out == alone
+    assert registered[1:] == _COMMAND_NAMES
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["lvalue", "--weight", "4", "--j", "0", "--T", "3,10"]
+    code, out = run_cli(capsys, *argv)
+    src = str(Path(spectacle.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "spectacle", *argv], env=env, capture_output=True, check=False
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), b"")
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -201,6 +201,25 @@ def test_spectacle_period_matches_closed_form_on_height_grid(weight):
     assert not misses
 
 
+def test_max_period_weight_is_the_last_weight_every_j_meets(monkeypatch):
+    # re-derive the limit with the guard lifted: every j passes at each weight
+    # up to it and the next weight has a miss; the period is height-independent,
+    # so one height pair stands for every height
+    limit = periods.MAX_PERIOD_WEIGHT
+    monkeypatch.setattr(periods, "MAX_PERIOD_WEIGHT", limit + 2)
+    failing = []
+    for weight in range(4, limit + 3, 2):
+        form = HolomorphicFormSpec.eisenstein(weight)
+        k = form.k
+        for j in range(-(k - 1), k):
+            want = c_constant(k, j).real * closed_form_lambda(weight, k + 1 - j)
+            got = spectacle_period(form, k, j, 3.0, 10.0)
+            if abs(got - want) > 1e-9 + 1e-6 * abs(want):
+                failing.append(weight)
+                break
+    assert failing == [limit + 2]
+
+
 def test_capped_period_is_the_same_float_at_every_height():
     # the caps cancel the axis ends exactly, so the truncation heights leave
     # no trace, not even in the last bit
@@ -255,6 +274,9 @@ def test_spectacle_period_validation():
         spectacle_period(e4, 1, 1, 3.0, 3.0)  # j = k rejected
     with pytest.raises(ValueError):
         spectacle_period(e4, 1, 0, 1.0, 3.0)
+    for weight in (periods.MAX_PERIOD_WEIGHT + 2, 60):  # above the accurate range
+        with pytest.raises(ValueError, match="exceeds"):
+            spectacle_period(HolomorphicFormSpec.eisenstein(weight), weight // 2 - 1, 1, 3.0, 10.0)
 
 
 def test_geodesic_intersection_example():

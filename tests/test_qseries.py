@@ -238,6 +238,31 @@ def test_equality_beyond_truncation_is_error():
         a.coefficient(9)
 
 
+def test_first_mismatch_refuses_negative_up_to():
+    # -1/2 * den truncates toward q^0; an exponent beyond up_to must not come back
+    a, b = QExpansion(1, 5, {0: 1}), QExpansion(1, 5, {})
+    with pytest.raises(TruncationError):
+        a.first_mismatch(b, up_to=Fraction(-1, 2))
+    with pytest.raises(TruncationError):
+        a.equals_to(b, up_to=-1)
+    assert a.first_mismatch(b, up_to=0) == (0, 1, 0, "holo")
+
+
+@pytest.mark.parametrize(
+    "coeffs, nonholo",
+    [({Fraction(1, 2): 1, 2.7: 3}, None), ({2.7: 3}, None), ({1: 1}, {Fraction(3, 2): 0})],
+)
+def test_constructor_refuses_non_integral_numerator(coeffs, nonholo):
+    with pytest.raises(ValueError, match="not an integer"):
+        QExpansion(1, 5, coeffs, nonholo)
+
+
+def test_constructor_accepts_integral_numerators():
+    series = QExpansion(1, 5, {Fraction(4, 2): 3, 5: Fraction(1, 3), 4: 0})
+    assert series.coeffs == {2: 3, 5: Fraction(1, 3)}
+    assert all(type(n) is int for n in series.coeffs)
+
+
 def test_nonholo_kept_separate():
     a = QExpansion(1, 5, {1: 2}, {0: Fraction(1, 4)})
     b = QExpansion(1, 5, {1: 2}, {})
@@ -252,7 +277,7 @@ def grid_walk_first_mismatch(a, b, up_to=None):
     common grid up to ``up_to`` through the public Fraction lookups."""
     bound = min(a.exponent_bound, b.exponent_bound)
     up_to = bound if up_to is None else Fraction(up_to)
-    if up_to > bound:
+    if up_to < 0 or up_to > bound:
         raise TruncationError(f"comparison up to {up_to} exceeds common truncation {bound}")
     den = math.lcm(a.exp_den, b.exp_den)
     for num in range(int(up_to * den) + 1):
@@ -308,7 +333,7 @@ def _expansion_pairs(draw):
     up_to = draw(
         st.none()
         | st.integers(0, top + 4).map(lambda n: Fraction(n, den))
-        | st.fractions(min_value=0, max_value=8, max_denominator=7)
+        | st.fractions(min_value=-1, max_value=8, max_denominator=7)
     )
     return a, b, up_to
 
