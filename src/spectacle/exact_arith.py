@@ -1,9 +1,10 @@
 """Exact rational arithmetic used everywhere else in the package.
 
 Bernoulli numbers and polynomials, generalized Bernoulli numbers attached to
-quadratic characters, Kronecker symbols, divisor-power sums, and a few small
-multiplicative helpers.  Every function returns exact values; no floating
-point appears in this module.
+quadratic characters, Kronecker symbols, divisor-power sums, a few small
+multiplicative helpers, and ``poly_product``, the package's one product of
+rational coefficient lists.  Every function returns exact values; no
+floating point appears in this module.
 
 Conventions
 -----------
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from operator import mul
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -36,6 +37,8 @@ __all__ = [
     "moebius",
     "is_fundamental_discriminant",
     "fundamental_discriminant_split",
+    "clear_denominators",
+    "poly_product",
 ]
 
 # Memoized B_0, B_1, ... and the smallest-prime-factor sieve; one lock guards
@@ -288,3 +291,48 @@ def fundamental_discriminant_split(delta: int) -> Tuple[int, int]:
     # s = 2, 3 (mod 4): the fundamental discriminant is 4s and t must be even
     # because delta = s t^2 = 0, 1 (mod 4) forces 2 | t.
     return 4 * s, t // 2
+
+
+def clear_denominators(x: Sequence[Union[int, Fraction]]) -> Tuple[int, List[int]]:
+    """(d, [d c for c in x]) with d >= 1 the least common denominator of x."""
+    d = lcm(*(c.denominator for c in x))
+    return d, [c.numerator * (d // c.denominator) for c in x]
+
+
+def _packed(nums: List[int], width: int) -> int:
+    """sum_i nums[i] 2^(8 width i), from the bytes of the positive part and
+    of the negative part, ``width`` bytes per slot."""
+    pos, neg = (
+        int.from_bytes(b"".join(max(s * c, 0).to_bytes(width, "little") for c in nums), "little")
+        for s in (1, -1)
+    )
+    return pos - neg
+
+
+def poly_product(
+    x: Sequence[Union[int, Fraction]], y: Sequence[Union[int, Fraction]], n: int
+) -> List[Union[int, Fraction]]:
+    """Coefficients 0..n of the product of the polynomials with coefficient
+    lists x and y (constant term first): ints for integral x and y, else
+    Fractions.
+
+    Kronecker substitution: each factor, cleared to one integer denominator
+    and cut to n + 1 terms, is one int in slots of w bytes, and one integer
+    multiply convolves them.  A product coefficient sums at most n + 1
+    terms, so w bytes hold it in bitlen(max|x|) + bitlen(max|y|) +
+    bitlen(n + 1) bits and a sign bit.  2^(8w - 1) added to each slot makes
+    it non-negative without carries; the slots are read back less that bias.
+    """
+    if n < 0:
+        raise ValueError("poly_product needs n >= 0")
+    (dx, xs), (dy, ys) = clear_denominators(x[: n + 1]), clear_denominators(y[: n + 1])
+    bits = sum(max(map(abs, v), default=0).bit_length() for v in (xs, ys))
+    width = (bits + (n + 1).bit_length() + 8) // 8  # one sign bit, rounded up
+    size = width * (n + 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * (n + 1), "little")
+    raw = ((_packed(xs, width) * _packed(ys, width) + bias) % (1 << 8 * size)).to_bytes(
+        size, "little"
+    )
+    half, den = 1 << (8 * width - 1), dx * dy
+    out = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
+    return out if den == 1 else [Fraction(c, den) for c in out]

@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from .caps import CapInput, boundary_pairing_polynomial, cap_solve
 from .qseries import eisenstein_level1
 from .quad_space import GeometryError, VecV, inner, qform
-from .sym_rep import S_MAT, act, weight_vector
+from .sym_rep import weight_vector
 
 __all__ = [
     "HolomorphicFormSpec",
@@ -181,21 +181,15 @@ def c_constant(k: int, j: int) -> complex:
 
 
 @functools.lru_cache(maxsize=None)
-def _cap_polynomials(k: int, j: int) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
-    """Boundary pairing polynomials of the caps at both cusps.
-
-    At infinity the cap solves the jump for v_{2j} directly; at zero it is
-    solved in cusp-normal coordinates for the transported jump value
-    act(S^(-1), v_{2j}).  Pure in (k, j), so each pair is solved once per
-    process.
+def _cap_polynomial(k: int, j: int) -> Tuple[Fraction, ...]:
+    """Boundary pairing polynomial of the cap at infinity for the jump v_{2j},
+    solved once per process.  The cap at zero solves, in cusp-normal
+    coordinates, for S v_{2j} = (-1)^(k-j) v_{-2j}; caps are linear in the
+    jump, so its polynomial is (-1)^(k-j) times ``_cap_polynomial(k, -j)``.
     """
-    if abs(j) > k - 1:
-        raise ValueError("cap equation unsolvable at one cusp: need |j| <= k-1")
     v = weight_vector(k, j)
-    w_inf = cap_solve(CapInput(k=k, width=Fraction(1), position=Fraction(0), jump=v))
-    v_zero = act(S_MAT, v)  # S and S^(-1) act identically in even degree
-    w_zero = cap_solve(CapInput(k=k, width=Fraction(1), position=Fraction(0), jump=v_zero))
-    return boundary_pairing_polynomial(w_inf), boundary_pairing_polynomial(w_zero)
+    w = cap_solve(CapInput(k=k, width=Fraction(1), position=Fraction(0), jump=v))
+    return boundary_pairing_polynomial(w)
 
 
 _TAIL_TOL = 1e-16
@@ -292,7 +286,8 @@ def spectacle_period(
             T ** (2 * k)
         except OverflowError:
             raise ValueError(f"height {T} too large: T^{2 * k} overflows a float") from None
-    p_inf, p_zero = _cap_polynomials(k, j)
+    if abs(j) > k - 1:
+        raise ValueError("cap equation unsolvable at one cusp: need |j| <= k-1")
     unit, r = _c_exact(k, j)
     t1, t2 = Fraction(T1), Fraction(T2)
     # c_{k,j} (-i)^s int_i^iT f(z) z^(s-1) dz, the second times (-1)^(k+1) = i^(2k+2)
@@ -301,7 +296,8 @@ def spectacle_period(
         for s, t, e in ((k - j + 1, t1, 0), (k + j + 1, t2, 2 * k + 2))
     ]
     if include_caps:
-        chain += [((0, t1), (1, t1), 2, p_inf), ((0, t2), (1, t2), 0, p_zero)]
+        p_zero = tuple((-1) ** (k - j) * c for c in _cap_polynomial(k, -j))
+        chain += [((0, t1), (1, t1), 2, _cap_polynomial(k, j)), ((0, t2), (1, t2), 0, p_zero)]
     total = _cycle_integral(f, chain)
     if abs(total.imag) > 1e-7 * (1.0 + abs(total.real)):
         raise ArithmeticError(f"period pairing unexpectedly non-real: {total} (k={k}, j={j})")
@@ -327,17 +323,9 @@ def _geodesic_params(x: VecV) -> Tuple[float, float, float]:
     return a, b, c
 
 
-def _tangent_direction(x: VecV, z: complex) -> Tuple[float, float]:
-    """Unoriented tangent direction of the geodesic of x at z."""
-    a, b, _ = _geodesic_params(x)
-    if a == 0.0:
-        return (0.0, 1.0)
-    center = b / a
-    return (-z.imag, z.real - center)
-
-
 def _ambient_vector(v: VecV, z: complex) -> Tuple[float, float]:
-    """Tangent vector at z corresponding to v in z-perp (inverse frame map).
+    """Tangent vector at z corresponding to v in z-perp (inverse frame map),
+    normal to the geodesic of v at z.
 
     dY = sqrt2 Y^2 a,  dX = sqrt2 Y (X a - b); scale factors do not matter
     for orientation checks.
@@ -345,13 +333,6 @@ def _ambient_vector(v: VecV, z: complex) -> Tuple[float, float]:
     a, b, _ = _geodesic_params(v)
     X, Y = z.real, z.imag
     return (Y * (X * a - b), Y * Y * a)
-
-
-def _orient(t: Tuple[float, float], ref: Tuple[float, float]) -> Tuple[float, float]:
-    det = t[0] * ref[1] - t[1] * ref[0]
-    if det == 0.0:
-        raise GeometryError("degenerate tangent configuration")
-    return t if det > 0 else (-t[0], -t[1])
 
 
 def geodesic_intersection_numeric(x: VecV, y: VecV) -> Tuple[complex, int]:
@@ -370,30 +351,24 @@ def geodesic_intersection_numeric(x: VecV, y: VecV) -> Tuple[complex, int]:
     if ax == 0.0 and ay == 0.0:
         raise GeometryError("parallel vertical geodesics do not cross")
     if ax == 0.0 or ay == 0.0:
-        # one vertical line, one circle
-        if ax == 0.0:
-            X = -cx / (2 * bx)
-            ac, bc, cc = ay, by, cy
-        else:
-            X = -cy / (2 * by)
-            ac, bc, cc = ax, bx, cx
-        Y2 = (2 * bc * X + cc) / ac - X * X
-        if Y2 <= 0:
-            raise GeometryError("geodesics do not cross in the upper half-plane")
-        z = complex(X, math.sqrt(Y2))
+        # one vertical line Re z = -c/(2b), one circle
+        (bv, cv), (ac, bc, cc) = ((bx, cx), (ay, by, cy)) if ax == 0.0 else ((by, cy), (ax, bx, cx))
+        X = -cv / (2 * bv)
     else:
         # two circles: radical line gives Re z
         denom = 2 * (bx * ay - by * ax)
         if denom == 0.0:
             raise GeometryError("concentric geodesics do not cross transversally")
         X = (ax * cy - ay * cx) / denom
-        Y2 = (2 * bx * X + cx) / ax - X * X
-        if Y2 <= 0:
-            raise GeometryError("geodesics do not cross in the upper half-plane")
-        z = complex(X, math.sqrt(Y2))
-    tx = _orient(_tangent_direction(x, z), _ambient_vector(x, z))
-    ty = _orient(_tangent_direction(y, z), _ambient_vector(y, z))
-    det = tx[0] * ty[1] - tx[1] * ty[0]
+        ac, bc, cc = ax, bx, cx
+    Y2 = (2 * bc * X + cc) / ac - X * X
+    if Y2 <= 0:
+        raise GeometryError("geodesics do not cross in the upper half-plane")
+    z = complex(X, math.sqrt(Y2))
+    # each oriented tangent is its ambient normal turned by -90 degrees, and
+    # turning both leaves their determinant unchanged
+    nx, ny = _ambient_vector(x, z), _ambient_vector(y, z)
+    det = nx[0] * ny[1] - nx[1] * ny[0]
     if det == 0.0:
         raise GeometryError("tangent directions degenerate at the crossing")
     return z, (1 if det > 0 else -1)

@@ -7,7 +7,9 @@ numerators alone (two grids meet on the lcm of their exp_den); a ``Fraction``
 exponent appears only at the public edge: the argument of ``coefficient`` and
 ``nonholo_coefficient``, ``support`` and the exponent that ``first_mismatch``
 returns.  Comparing two expansions beyond either reliable range is an error,
-never False.
+never False.  A product lays both factors out as dense coefficient lists on
+the common grid and hands them to ``exact_arith.poly_product``, the one exact
+product kernel (Kronecker substitution: one big-integer multiply).
 
 An expansion may carry a separate non-holomorphic part: ``nonholo[m]`` is the
 rational multiplier of q^(m/exp_den) / (pi * v) where v is the imaginary part
@@ -29,6 +31,7 @@ from .exact_arith import (
     generalized_bernoulli,
     kronecker_symbol,
     moebius,
+    poly_product,
 )
 
 RationalLike = Union[int, Fraction]
@@ -44,6 +47,16 @@ class TruncationError(ValueError):
 def _rescaled(table: Dict[int, Fraction], scale: int) -> Dict[int, Fraction]:
     """``table`` with every numerator moved to a grid ``scale`` times finer."""
     return table if scale == 1 else {n * scale: c for n, c in table.items()}
+
+
+def _dense(table: Dict[int, Fraction], scale: int, top: int) -> List[RationalLike]:
+    """The coefficient list, through numerator ``top``, of ``table`` moved to
+    a grid ``scale`` times finer."""
+    out: List[RationalLike] = [0] * (min(max(table, default=0) * scale, top) + 1)
+    for n, c in table.items():
+        if n * scale <= top:
+            out[n * scale] = c
+    return out
 
 
 class QExpansion:
@@ -142,7 +155,8 @@ class QExpansion:
         return self + (-1) * other
 
     def __mul__(self, other: "QExpansion") -> "QExpansion":
-        """Exact product, truncated at the smaller reliable bound.
+        """Exact product, truncated at the smaller reliable bound, by
+        ``poly_product`` on the common grid.
 
         A 1/(pi v) part times a holomorphic part stays a 1/(pi v) part; two
         1/(pi v) parts would give a 1/(pi v)^2 term, which is refused.
@@ -155,13 +169,8 @@ class QExpansion:
         sa, sb = den // self.exp_den, den // other.exp_den
 
         def convolve(x: Dict[int, Fraction], y: Dict[int, Fraction]) -> Dict[int, Fraction]:
-            out: Dict[int, Fraction] = {}
-            for n, c in x.items():
-                for m, d in y.items():
-                    e = n * sa + m * sb
-                    if e <= n_max:
-                        out[e] = out.get(e, Fraction(0)) + c * d
-            return out
+            prod = poly_product(_dense(x, sa, n_max), _dense(y, sb, n_max), n_max)
+            return {e: c for e, c in enumerate(prod) if c}
 
         nh: Optional[Dict[int, Fraction]] = None
         if self.nonholo is not None or other.nonholo is not None:

@@ -60,7 +60,6 @@ __all__ = [
     "arbitrate_signs",
     "lift_theta_side",
     "lift_geometric_side",
-    "lift_theta_nonholo_parts",
     "main_theorem_check",
     "PlusSpaceResult",
     "plus_space_check",
@@ -213,22 +212,6 @@ def _cap_term(cfg: LiftConfig, theta_w: QExpansion) -> QExpansion:
         {n: -2 * Fraction(n, cfg.exp_den) * c for n, c in theta_w.coeffs.items()},
         {n: c / 4 for n, c in theta_w.coeffs.items()},
     )
-
-
-def lift_theta_nonholo_parts(
-    cfg: LiftConfig,
-) -> Tuple[Dict[int, Fraction], Dict[int, Fraction]]:
-    """The two 1/(pi v) multiplier tables for k = 1.
-
-    First: the split-plane factor's -1/4 times theta_W; second: from the cap
-    term at the zero cusp, +theta_W/4.  They must cancel exactly;
-    ``lift_theta_side`` asserts it.
-    """
-    if cfg.k != 1:
-        return {}, {}
-    theta_w = _theta_w(cfg)
-    part1 = (_split_series(cfg) * theta_w).nonholo or {}
-    return part1, _cap_term(cfg, theta_w).nonholo or {}
 
 
 # ---------------------------------------------------------------------------

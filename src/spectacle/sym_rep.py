@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 from typing import Sequence, Tuple, Union
 
+from .exact_arith import clear_denominators, poly_product
 from .quad_space import VecV
 
 RationalLike = Union[int, Fraction]
@@ -107,24 +109,21 @@ def _entries(g: Sequence[RationalLike]) -> Tuple[Fraction, Fraction, Fraction, F
 
 
 def act(g: Sequence[RationalLike], v: SymVector) -> SymVector:
-    """Substitution action of a determinant-1 matrix."""
-    a, b, c, d = _entries(g)
+    """Substitution action of a determinant-1 matrix: the sum over i of
+    v_i (a e1 + c e2)^i (b e1 + d e2)^(2k-i), each product of two binomial
+    expansions taken by ``poly_product``.  The matrix and v are cleared to
+    integers first, so the sum runs in integers and is divided once."""
+    gden, (a, b, c, d) = clear_denominators(_entries(g))
+    vden, nums = clear_denominators(v.coeffs)
     n = 2 * v.k
-    out = [Fraction(0)] * (n + 1)
-    for i, coeff in enumerate(v.coeffs):
-        if not coeff:
-            continue
-        # (a e1 + c e2)^i  *  (b e1 + d e2)^(n-i)
-        first = [comb(i, t) * a**t * c ** (i - t) for t in range(i + 1)]
-        m = n - i
-        second = [comb(m, t) * b**t * d ** (m - t) for t in range(m + 1)]
-        for t1, f1 in enumerate(first):
-            if not f1:
-                continue
-            for t2, f2 in enumerate(second):
-                if f2:
-                    out[t1 + t2] += coeff * f1 * f2
-    return SymVector(v.k, tuple(out))
+    out = [0] * (n + 1)
+    for i, coeff in enumerate(nums):
+        if coeff:
+            first = [coeff * comb(i, t) * a**t * c ** (i - t) for t in range(i + 1)]
+            second = [comb(n - i, t) * b**t * d ** (n - i - t) for t in range(n - i + 1)]
+            out = list(map(add, out, poly_product(first, second, n)))
+    den = vden * gden**n
+    return SymVector(v.k, tuple(Fraction(t, den) for t in out))
 
 
 def act_n(r: RationalLike, v: SymVector) -> SymVector:
@@ -162,7 +161,8 @@ def embed_vector(x: VecV) -> SymVector:
 
 
 def embed_power(x: VecV, k: int) -> SymVector:
-    """Image of the harmonic part of x^k: the k-th power of embed_vector(x).
+    """Image of the harmonic part of x^k: the k-th power of embed_vector(x),
+    k products by ``poly_product`` in integers over one denominator.
 
     For isotropic y one has pairing(embed_power(x, k), embed_power(y, k)) =
     inner(x, y)^k; against the weight basis it reproduces the classical
@@ -170,18 +170,12 @@ def embed_power(x: VecV, k: int) -> SymVector:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    base = embed_vector(x).coeffs
-    out = [Fraction(1)]
+    den, base = clear_denominators(embed_vector(x).coeffs)
+    out = [1]
     for _ in range(k):
-        new = [Fraction(0)] * (len(out) + 2)
-        for i, c1 in enumerate(out):
-            if not c1:
-                continue
-            for j, c2 in enumerate(base):
-                if c2:
-                    new[i + j] += c1 * c2
-        out = new
-    return SymVector(k, tuple(out))
+        out = poly_product(out, base, len(out) + 1)
+    den **= k
+    return SymVector(k, tuple(Fraction(t, den) for t in out))
 
 
 def u_power(k: int) -> SymVector:

@@ -19,6 +19,7 @@ from spectacle.exact_arith import (
     is_fundamental_discriminant,
     kronecker_symbol,
     moebius,
+    poly_product,
 )
 
 rationals = st.fractions(
@@ -226,3 +227,59 @@ def test_prime_sieve_concurrent_growth(monkeypatch):
         sys.setswitchinterval(interval)
     spf = exact_arith._spf
     assert all(spf[a] == min(factorize(a)) for a in range(2, len(spf)))
+
+
+def schoolbook_product(x, y, n):
+    """Reference for ``poly_product``: coefficients 0..n of x * y by the
+    double loop, one rational multiply-add per pair of terms."""
+    out = [Fraction(0)] * (n + 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if i + j <= n:
+                out[i + j] += Fraction(a) * b
+    return out
+
+
+def test_poly_product_pads_and_truncates():
+    # n beyond len(x) + len(y) - 2 pads with zeros; n = 0 keeps the constant term
+    assert poly_product([1, 2], [3, -4], 6) == [3, 2, -8, 0, 0, 0, 0]
+    assert poly_product([5, 7], [-3, 9], 0) == [-15]
+    assert poly_product([Fraction(1, 2)], [Fraction(-2, 3), 1], 0) == [Fraction(-1, 3)]
+    assert poly_product([], [1, 2], 2) == [0, 0, 0]
+    assert poly_product([0, 0], [0], 1) == [0, 0]
+    with pytest.raises(ValueError):
+        poly_product([1], [1], -1)
+
+
+def test_poly_product_returns_ints_for_integral_input():
+    assert all(type(c) is int for c in poly_product([1, -2], [Fraction(4, 2), 3], 3))
+    assert poly_product([Fraction(1, 3)], [3], 0) == [1]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("bits, terms", [(1, 1), (7, 3), (8, 255), (200, 9), (256, 40)])
+def test_poly_product_at_the_slot_bound(bits, terms, sign):
+    # every term at the largest magnitude and one sign: the middle coefficient
+    # sums `terms` products of size ~2^(2 bits), the most a slot must hold
+    top = 2**bits - 1
+    x, y = [top] * terms, [sign * top] * terms
+    n = 2 * terms - 2
+    assert poly_product(x, y, n) == schoolbook_product(x, y, n)
+
+
+_COEFF = st.one_of(
+    st.just(0),
+    st.integers(-(2**8), 2**8),
+    st.integers(-(2**260), 2**260),
+    st.fractions(max_denominator=30).map(lambda c: c * 2**210),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.lists(_COEFF, max_size=12),
+    y=st.lists(_COEFF, max_size=12),
+    n=st.integers(0, 26),
+)
+def test_poly_product_matches_schoolbook(x, y, n):
+    assert poly_product(x, y, n) == schoolbook_product(x, y, n)

@@ -13,7 +13,6 @@ from spectacle.shintani_lift import (
     LiftError,
     arbitrate_signs,
     lift_geometric_side,
-    lift_theta_nonholo_parts,
     lift_theta_side,
     main_theorem_check,
     plus_space_check,
@@ -138,17 +137,19 @@ def test_interior_k1_n1_counts():
 
 
 def test_nonholo_cancellation_tables():
-    cfg = LiftConfig(k=1, h=Fraction(0), n_max=25)
-    p1, p2 = lift_theta_nonholo_parts(cfg)
-    assert p1 and p2
-    for num in set(p1) | set(p2):
-        assert p1.get(num, Fraction(0)) + p2.get(num, Fraction(0)) == 0
-    # the half coset has no cusp-zero line vectors ... the tables are still
-    # mutually cancelling (both carried on the same theta support)
-    cfgh = LiftConfig(k=1, h=Fraction(1, 2), n_max=25)
-    q1, q2 = lift_theta_nonholo_parts(cfgh)
-    for num in set(q1) | set(q2):
-        assert q1.get(num, Fraction(0)) + q2.get(num, Fraction(0)) == 0
+    # k = 1: the split-plane factor times theta_W carries -theta_W/4 in its
+    # 1/(pi v) part and the zero-cusp cap term +theta_W/4; on both cosets the
+    # two tables are non-empty and cancel per exponent
+    from spectacle.shintani_lift import _cap_term, _split_series, _theta_w
+
+    for h in (Fraction(0), Fraction(1, 2)):
+        cfg = LiftConfig(k=1, h=h, n_max=25)
+        theta_w = _theta_w(cfg)
+        p1 = (_split_series(cfg) * theta_w).nonholo
+        p2 = _cap_term(cfg, theta_w).nonholo
+        assert p1 and p2
+        for num in set(p1) | set(p2):
+            assert p1.get(num, Fraction(0)) + p2.get(num, Fraction(0)) == 0
 
 
 def test_geometric_constant_from_line_data():

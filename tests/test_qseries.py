@@ -354,6 +354,63 @@ def test_first_mismatch_matches_grid_walk(case):
     )
 
 
+def convolution_product(a, b):
+    """Reference for ``QExpansion.__mul__``: the dict convolution on the
+    common grid, one rational multiply-add per pair of stored terms."""
+    if a.nonholo and b.nonholo:
+        raise ValueError("product of two non-holomorphic parts is not representable")
+    den = math.lcm(a.exp_den, b.exp_den)
+    sa, sb = den // a.exp_den, den // b.exp_den
+    n_max = min(a.n_max * sa, b.n_max * sb)
+
+    def convolve(x, y):
+        out = {}
+        for n, c in x.items():
+            for m, d in y.items():
+                e = n * sa + m * sb
+                if e <= n_max:
+                    out[e] = out.get(e, Fraction(0)) + c * d
+        return out
+
+    nh = None
+    if a.nonholo is not None or b.nonholo is not None:
+        nh = {**convolve(a.nonholo or {}, b.coeffs), **convolve(a.coeffs, b.nonholo or {})}
+    return QExpansion(den, n_max, convolve(a.coeffs, b.coeffs), nh)
+
+
+# small and large signed integers, rationals, and zeros (dropped on storing)
+_PRODUCT_COEFF = st.one_of(
+    st.just(0),
+    _SMALL,
+    st.integers(-(2**240), 2**240).map(lambda c: c + (2**201 if c >= 0 else -(2**201))),
+    st.fractions(max_denominator=12).map(lambda c: c * 2**205),
+)
+
+
+@st.composite
+def _product_factors(draw):
+    # a holomorphic factor and one that may carry a 1/(pi v) part, each on
+    # its own grid and bound; all-zero tables included
+    def factor(nonholo):
+        den, n_max = draw(_GRID_DENS), draw(st.integers(0, 30))
+        table = st.dictionaries(st.integers(0, n_max), _PRODUCT_COEFF, max_size=10)
+        return QExpansion(den, n_max, draw(table), draw(nonholo(table)))
+
+    holo = factor(lambda t: st.none() | st.just({}))
+    other = factor(lambda t: st.none() | st.just({}) | t)
+    return holo, other
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_product_factors())
+def test_mul_matches_convolution(case):
+    a, b = case
+    for x, y in ((a, b), (b, a)):
+        got, want = x * y, convolution_product(x, y)
+        assert got == want
+        assert (got.nonholo is None) == (want.nonholo is None)
+
+
 def test_dilate():
     b = QExpansion(4, 20, {1: Fraction(1, 2), 8: 5}, {0: 1})
     d = b.dilate(4)
