@@ -40,7 +40,7 @@ from .quad_space import (
     qform,
     sigma_matrix,
 )
-from .sym_rep import SymVector, act, embed_power, weight_vector
+from .sym_rep import SymVector, act, embed_power, weight_normalizer
 
 RationalLike = Union[int, Fraction]
 
@@ -146,20 +146,19 @@ def cap_closed_form(
     M = Fraction(M)
     if M <= 0:
         raise ValueError("width must be positive")
-    out = SymVector.zero(k)
+    out = [Fraction(0)] * (2 * k + 1)
     for j in range(i - 1, k + 1):
         # (-M)^(j-i); the j = i-1 term carries the negative power 1/(-M).
         sign = -1 if (j - i) % 2 else 1
-        term = (
+        out[k + j] = (
             sign
             * M ** (j - i)
             * comb(k + j, j + 1 - i)
             * bernoulli_poly(j + 1 - i, -r / M)
             / (k + i)
+            * weight_normalizer(k, j)
         )
-        if term:
-            out = out + term * weight_vector(k, j)
-    return out
+    return SymVector(k, tuple(out))
 
 
 def gamma0_width(N: int) -> Callable[[IsotropicLine], Fraction]:

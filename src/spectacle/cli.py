@@ -39,7 +39,7 @@ def _configure_logging() -> None:
     level = os.environ.get("SPECTACLE_LOG", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
     if level not in levels:
-        raise SystemExit(f"SPECTACLE_LOG must be one of {sorted(levels)}, got {level!r}")
+        raise ValueError(f"SPECTACLE_LOG must be one of {sorted(levels)}, got {level!r}")
     logging.basicConfig(level=levels[level], format="%(name)s: %(message)s")
 
 
@@ -302,11 +302,11 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    _configure_logging()
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
-    log.debug("dispatching %s", args.command)
     try:
+        _configure_logging()
+        log.debug("dispatching %s", args.command)
         return args.func(args)
     except ValueError as exc:
         # bad input; internal failures (LiftError, ArithmeticError) keep their traceback

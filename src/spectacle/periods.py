@@ -39,10 +39,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .caps import CapInput, boundary_pairing_polynomial, cap_solve
+from .caps import boundary_pairing_polynomial, cap_closed_form
 from .qseries import eisenstein_level1
 from .quad_space import GeometryError, VecV, inner, qform
-from .sym_rep import weight_vector
 
 __all__ = [
     "HolomorphicFormSpec",
@@ -183,13 +182,12 @@ def c_constant(k: int, j: int) -> complex:
 @functools.lru_cache(maxsize=None)
 def _cap_polynomial(k: int, j: int) -> Tuple[Fraction, ...]:
     """Boundary pairing polynomial of the cap at infinity for the jump v_{2j},
-    solved once per process.  The cap at zero solves, in cusp-normal
-    coordinates, for S v_{2j} = (-1)^(k-j) v_{-2j}; caps are linear in the
-    jump, so its polynomial is (-1)^(k-j) times ``_cap_polynomial(k, -j)``.
+    read from the Bernoulli closed form (width 1, position 0) once per
+    process.  The cap at zero solves, in cusp-normal coordinates, for
+    S v_{2j} = (-1)^(k-j) v_{-2j}; caps are linear in the jump, so its
+    polynomial is (-1)^(k-j) times ``_cap_polynomial(k, -j)``.
     """
-    v = weight_vector(k, j)
-    w = cap_solve(CapInput(k=k, width=Fraction(1), position=Fraction(0), jump=v))
-    return boundary_pairing_polynomial(w)
+    return boundary_pairing_polynomial(cap_closed_form(k, j, 0, 1))
 
 
 _TAIL_TOL = 1e-16

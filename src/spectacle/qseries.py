@@ -27,8 +27,8 @@ from .exact_arith import (
     bernoulli_number,
     divisor_power_sum,
     divisors,
-    fundamental_discriminant_split,
     generalized_bernoulli,
+    is_fundamental_discriminant,
     kronecker_symbol,
     moebius,
     poly_product,
@@ -286,29 +286,6 @@ def eisenstein_level1(m: int, n_max: int) -> QExpansion:
     return QExpansion(1, n_max, coeffs)
 
 
-def _cohen_coefficient(r: int, N: int, bern: Dict[int, Fraction]) -> Fraction:
-    if N == 0:
-        # zeta(1 - 2r)
-        return -bernoulli_number(2 * r) / (2 * r)
-    delta = (-1) ** r * N
-    if delta % 4 not in (0, 1):
-        return Fraction(0)
-    D, f = fundamental_discriminant_split(delta)
-    total = Fraction(0)
-    for d in divisors(f):
-        mu = moebius(d)
-        if mu:
-            total += (
-                mu
-                * kronecker_symbol(D, d)
-                * d ** (r - 1)
-                * divisor_power_sum(f // d, 2 * r - 1)
-            )
-    if D not in bern:
-        bern[D] = generalized_bernoulli(r, D)
-    return -bern[D] / r * total
-
-
 def cohen_eisenstein(r: int, n_max: int) -> QExpansion:
     """Half-integral weight r + 1/2 Eisenstein coefficients H(r, N).
 
@@ -318,16 +295,26 @@ def cohen_eisenstein(r: int, n_max: int) -> QExpansion:
         H(r, N) = (-B_{r,chi_D}/r) sum_{d | f} mu(d) chi_D(d) d^(r-1)
                   sigma_{2r-1}(f/d),
 
-    and H(r, N) = 0 unless (-1)^r N = 0, 1 (mod 4).  Every N with the same
-    fundamental D shares B_{r,chi_D}: it is computed once per distinct D and
-    kept only for the length of this call.  Each one is a half-range sum over
-    the |D|/2 residues a < |D|/2, with chi_D(a) filled from the shared
-    smallest-prime-factor sieve of ``exact_arith`` (one Kronecker symbol per
-    prime below |D|/2): O(|D| r / 2) integer work.  Summed over the D with
-    |D| <= n_max the table still grows like n_max^2.
+    and H(r, N) = 0 unless (-1)^r N = 0, 1 (mod 4).  The table is walked by
+    (D, f), the formula's own index: D = (-1)^r a over the fundamental D with
+    |D| <= n_max, then N = |D| f^2 over f <= sqrt(n_max/|D|), so B_{r,chi_D}
+    is computed once per D, with no memo.  It is a half-range sum over the
+    residues below |D|/2, with chi_D from the shared smallest-prime-factor
+    sieve of ``exact_arith`` (one Kronecker symbol per prime below |D|/2):
+    O(|D| r / 2) integer work, so the table still grows like n_max^2.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    bern: Dict[int, Fraction] = {}  # B_{r,chi_D} by fundamental D
-    coeffs = {N: _cohen_coefficient(r, N, bern) for N in range(n_max + 1)}
-    return QExpansion(1, n_max, coeffs)
+    coeffs: List[RationalLike] = [-bernoulli_number(2 * r) / (2 * r)] + [0] * n_max  # zeta(1 - 2r)
+    for a in range(1, n_max + 1):
+        D = (-1) ** r * a
+        if not is_fundamental_discriminant(D):
+            continue
+        scale = -generalized_bernoulli(r, D) / r
+        for f in range(1, math.isqrt(n_max // a) + 1):
+            coeffs[a * f * f] = scale * sum(
+                mu * kronecker_symbol(D, d) * d ** (r - 1) * divisor_power_sum(f // d, 2 * r - 1)
+                for d in divisors(f)
+                if (mu := moebius(d))
+            )
+    return QExpansion(1, n_max, dict(enumerate(coeffs)))

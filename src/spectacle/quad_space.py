@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
+from .exact_arith import clear_denominators
+
 RationalLike = Union[int, Fraction]
 
 __all__ = [
@@ -137,15 +139,12 @@ def epsilon_sign(x: VecV, y: VecV) -> int:
     denominators, which changes neither the sign nor the plane test, and
     handed to ``epsilon_sign_int``.
     """
-    return epsilon_sign_int(_integral_coords(x), _integral_coords(y))
+    return epsilon_sign_int(
+        clear_denominators((x.a, x.b, x.c))[1], clear_denominators((y.a, y.b, y.c))[1]
+    )
 
 
-def _integral_coords(x: VecV) -> Tuple[int, int, int]:
-    s = math.lcm(x.a.denominator, x.b.denominator, x.c.denominator)
-    return tuple(t.numerator * (s // t.denominator) for t in (x.a, x.b, x.c))
-
-
-def epsilon_sign_int(x: Tuple[int, int, int], y: Tuple[int, int, int]) -> int:
+def epsilon_sign_int(x: Sequence[int], y: Sequence[int]) -> int:
     """``epsilon_sign`` on integral coordinates (a, b, c) of x and y.
 
     The plane test and the sign are homogeneous in each vector, so any

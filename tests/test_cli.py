@@ -52,6 +52,22 @@ def test_lift_check_passes(capsys):
     assert d["sign_convention"]["sigma_glob"] in (-1, 1)
 
 
+@pytest.mark.parametrize(
+    "k, flags, want",
+    [
+        (1, ["--cohen"], {"lambda": "10", "target": "Cohen r = 2"}),
+        (3, ["--cohen"], {"lambda": "-2", "target": "Cohen r = 4"}),
+        (2, ["--cohen"], None),  # even k: no Cohen target
+        (5, ["--cohen"], None),  # dim M_12 = 2: the series is not a multiple of H(6, .)
+        (1, [], None),  # the comparison runs only on request
+    ],
+)
+def test_lift_cohen_proportionality(capsys, k, flags, want):
+    code, out = run_cli(capsys, "lift", "--k", str(k), "--h", "0", "--nmax", "8", *flags)
+    assert code == 0
+    assert json.loads(out)["proportionality"] == want
+
+
 def test_lift_half_coset(capsys):
     code, out = run_cli(capsys, "lift", "--k", "1", "--h", "half", "--nmax", "12")
     assert code == 0
@@ -276,8 +292,13 @@ def test_out_file_unwritable_is_one_line_error(tmp_path, capsys):
 
 def test_spectacle_log_env(monkeypatch, capsys):
     monkeypatch.setenv("SPECTACLE_LOG", "bogus")
-    with pytest.raises(SystemExit):
-        main(["eisenstein", "--weight", "4"])
+    assert main(["eisenstein", "--weight", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "spectacle: error: SPECTACLE_LOG must be one of "
+        "['debug', 'error', 'info'], got 'bogus'"
+    ]
     monkeypatch.setenv("SPECTACLE_LOG", "info")
     code, _ = run_cli(capsys, "eisenstein", "--weight", "4", "--nmax", "2")
     assert code == 0

@@ -12,6 +12,8 @@ from spectacle.exact_arith import (
     divisor_power_sum,
     divisors,
     fundamental_discriminant_split,
+    generalized_bernoulli,
+    kronecker_symbol,
     moebius,
 )
 from spectacle.qseries import (
@@ -140,6 +142,39 @@ def test_cohen_matches_oracle_beyond_digests(r):
     largest = max(N for N in support if fundamental_discriminant_split((-1) ** r * N)[1] == 1)
     for N in random.Random(r).sample(support, 20) + [largest]:
         assert series.coefficient(N) == oracle_cohen_coefficient(r, N), (r, N)
+
+
+def per_n_cohen_table(r, n_max):
+    """The table walked by N: each N is split back into (D, f), and
+    B_{r,chi_D} is memoized by D (the route ``cohen_eisenstein`` replaced)."""
+    bern = {}
+
+    def coefficient(N):
+        if N == 0:
+            return -bernoulli_number(2 * r) / (2 * r)
+        delta = (-1) ** r * N
+        if delta % 4 not in (0, 1):
+            return Fraction(0)
+        D, f = fundamental_discriminant_split(delta)
+        total = Fraction(0)
+        for d in divisors(f):
+            mu = moebius(d)
+            if mu:
+                total += (
+                    mu * kronecker_symbol(D, d) * d ** (r - 1)
+                    * divisor_power_sum(f // d, 2 * r - 1)
+                )
+        if D not in bern:
+            bern[D] = generalized_bernoulli(r, D)
+        return -bern[D] / r * total
+
+    return QExpansion(1, n_max, {N: coefficient(N) for N in range(n_max + 1)})
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 5, 17, 400])
+@pytest.mark.parametrize("r", range(1, 7))
+def test_cohen_table_matches_per_n_route(r, n_max):
+    assert cohen_eisenstein(r, n_max) == per_n_cohen_table(r, n_max)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
