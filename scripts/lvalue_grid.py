@@ -2,29 +2,45 @@
 """Truncation-height study of the period integrals.
 
 Shows that the capped pairing is flat across a T-grid while the uncapped
-integrals grow polynomially (the caps do the cancelling).
+integrals grow polynomially (the caps do the cancelling).  Exits 1, naming
+each failure on stderr, when a capped pairing is not c_{k,0} Lambda(k+1) to
+1e-8 or the uncapped integrals fail to move by more than 1e-2.
 """
 
 import sys
 
 sys.path.insert(0, "src")
 
-from spectacle.periods import HolomorphicFormSpec, completed_L, spectacle_period
+from spectacle.periods import HolomorphicFormSpec, c_constant, completed_L, spectacle_period
 
 
-def main() -> None:
+def main() -> int:
+    failed = []
     grid = (3.0, 5.0, 10.0)
     for weight, k in ((4, 1), (8, 3)):
         form = HolomorphicFormSpec.eisenstein(weight)
         lam = completed_L(form, float(k + 1))
         print(f"\nweight {weight}: Lambda(k+1) = {lam:.12g}")
         print("  T1    T2    capped pairing      uncapped")
+        want = c_constant(k, 0) * lam
+        uncapped = []
         for t1 in grid:
             for t2 in grid:
                 full = spectacle_period(form, k, 0, t1, t2)
                 bare = spectacle_period(form, k, 0, t1, t2, include_caps=False)
                 print(f"  {t1:<5} {t2:<5} {full:+.12f}  {bare:+.3f}")
+                if abs(full - want) > 1e-8:
+                    failed.append(
+                        f"weight {weight} at ({t1}, {t2}): {full:.12g} != c Lambda = {want:.12g}"
+                    )
+                uncapped.append(bare)
+        if max(uncapped) - min(uncapped) <= 1e-2:
+            failed.append(f"weight {weight}: the uncapped integrals do not depend on T")
+
+    for line in failed:
+        print(f"FAIL: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -140,8 +140,10 @@ def cap_closed_form(
     Valid for -k+1 <= i <= k; the sum starts at j = i-1 and that first term
     is genuinely nonzero (its binomial is C(k+i-1, 0) = 1).
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if not (-k + 1 <= i <= k):
-        raise ValueError(f"weight index i={i} out of range [-k+1, k]")
+        raise ValueError(f"weight index i={i} out of range [{1 - k}, {k}]")
     r = Fraction(r)
     M = Fraction(M)
     if M <= 0:

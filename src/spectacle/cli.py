@@ -43,10 +43,12 @@ def _configure_logging() -> None:
     logging.basicConfig(level=levels[level], format="%(name)s: %(message)s")
 
 
-def _emit(args: argparse.Namespace, payload: dict, table: str) -> None:
+def _emit(args: argparse.Namespace, payload: dict, table: Optional[str] = None) -> None:
+    """Write ``payload`` as JSON, or ``table`` under ``--format table``; a
+    subcommand without a table takes no ``--format``."""
     text = (
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if args.format == "json"
+        if table is None or args.format == "json"
         else table
     )
     if args.out:
@@ -136,8 +138,7 @@ def cmd_caps(args: argparse.Namespace) -> int:
                 "cap_second": [str(c) for c in cyc.cap_second.coeffs],
             },
         }
-        table = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        _emit(args, payload, table)
+        _emit(args, payload)
         return 0
     w = cap_closed_form(args.k, args.i, _rational(args.r), _rational(args.M))
     payload = {
@@ -147,7 +148,7 @@ def cmd_caps(args: argparse.Namespace) -> int:
         "M": args.M,
         "cap": [str(c) for c in w.coeffs],
     }
-    _emit(args, payload, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args, payload)
     return 0
 
 
@@ -228,10 +229,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"spectacle: error: {message}\n")
 
 
-_COMMON = [
-    ("--format", dict(choices=("json", "table"), default="json")),
-    ("--out", dict(metavar="PATH", default=None)),
-]
+_OUT = ("--out", dict(metavar="PATH", default=None))
+_COMMON = [("--format", dict(choices=("json", "table"), default="json")), _OUT]
 _K = ("--k", dict(type=int, required=True))
 _NMAX = ("--nmax", dict(type=int, default=50))
 _VEC = dict(required=True, help="vector a,b,c")
@@ -259,7 +258,7 @@ _COMMANDS: Dict[str, Tuple[str, List[Tuple[str, dict]], Callable[..., int]]] = {
         ("--i", dict(type=int, default=0, help="weight index (closed form)")),
         ("--r", dict(default="0", help="boundary position (closed form)")),
         ("--M", dict(default="1", help="cusp width (closed form)")),
-        *_COMMON,
+        _OUT,
     ], cmd_caps),
     "cohen": ("half-integral weight Eisenstein coefficients", [
         ("--r", dict(type=int, required=True)), _NMAX, *_COMMON,

@@ -231,6 +231,23 @@ class QExpansion:
                     return (Fraction(num, den), a, b, part)
         return None
 
+    def multiple_of(
+        self, other: "QExpansion"
+    ) -> Tuple[Optional[Fraction], Optional[Tuple[Fraction, Fraction, Fraction, str]]]:
+        """(lam, mismatch): lam = self/other read at the smallest exponent, on
+        the common grid and within the common bound, where either stores a
+        coefficient, and ``first_mismatch`` of self against lam * other.
+
+        lam is None when other vanishes there or both are empty; the mismatch
+        is then taken against other itself.
+        """
+        den, top = self._unified(other)
+        a = _rescaled(self.coeffs, den // self.exp_den)
+        b = _rescaled(other.coeffs, den // other.exp_den)
+        first = min((n for n in (*a, *b) if n <= top), default=None)
+        lam = a.get(first, 0) / b[first] if first in b else None
+        return lam, self.first_mismatch(other if lam is None else lam * other)
+
     def equals_to(self, other: "QExpansion", up_to: Optional[ExponentLike] = None) -> bool:
         return self.first_mismatch(other, up_to) is None
 

@@ -41,6 +41,7 @@ multiple of the half-integral weight Eisenstein coefficients H(k+1, N).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -118,9 +119,6 @@ class SignConvention:
             "effective_interior": self.effective_interior,
             "boundary_incidence": self.boundary_incidence,
         }
-
-
-_CONVENTION: Optional[SignConvention] = None
 
 
 # ---------------------------------------------------------------------------
@@ -218,54 +216,42 @@ def _cap_term(cfg: LiftConfig, theta_w: QExpansion) -> QExpansion:
 # sign arbitration
 
 
+@functools.cache
 def arbitrate_signs() -> SignConvention:
     """Pin the three binary conventions; cached for the process lifetime.
 
     (1) sigma_glob from the split-plane calibration; (2) the boundary
     incidence sign from equality of the two sides at q^0; (3) the interior
-    relative sign from the cross-product interior at the first nonzero
-    exponent.  A probe configuration is then verified outright.
+    relative sign, read as the multiple of the theta interior that gives the
+    cross-product interior and then verified on the whole probe.
     """
-    global _CONVENTION
-    if _CONVENTION is not None:
-        return _CONVENTION
     sigma = theta11.global_sign()
     probe = LiftConfig(k=1, h=Fraction(0), n_max=6)
     split = _split_series(probe)
     theta_w = _theta_w(probe)
     const_block = split.coefficient(0) * theta_w
 
-    theta_const = const_block.coefficient(0)
-    geo_const_unsigned = _bernoulli_block_scalar(probe.k)  # incidence not applied
-    if geo_const_unsigned == 0 or theta_const % geo_const_unsigned != 0:
-        raise LiftError("cannot pin boundary incidence sign at q^0")
-    incidence = int(theta_const / geo_const_unsigned)
+    # the geometric constant before the incidence sign is applied
+    incidence = const_block.coefficient(0) / _bernoulli_block_scalar(probe.k)
     if incidence not in (1, -1):
-        raise LiftError("boundary incidence sign is not a sign")
+        raise LiftError(f"boundary incidence {incidence} at q^0 is not a sign")
 
     # the interior blocks, holomorphic parts only: the probe's 1/(pi v) part
     # cancels against the zero-cusp cap term, not against the interior
     interior = split * theta_w - const_block
     t_int = sigma * QExpansion(interior.exp_den, interior.n_max, interior.coeffs)
     g_int = QExpansion(probe.exp_den, probe.n_max, _interior_geometric(probe))
-    first = min(t_int.coeffs.keys() | g_int.coeffs.keys(), default=0)
-    tv, gv = t_int.coefficient(first), g_int.coefficient(first)
-    if tv == gv:
-        relative = 1
-    elif tv == -gv:
-        relative = -1
-    else:
+    relative, mism = g_int.multiple_of(t_int)
+    if relative not in (1, -1):
         raise LiftError("interior blocks differ by more than a sign")
-    conv = SignConvention(sigma, relative, incidence)
-    # verify the probe outright before caching
-    if (relative * t_int).first_mismatch(g_int) is not None:
+    if mism is not None:
         raise LiftError("interior blocks do not match after arbitration")
-    _CONVENTION = conv
+    conv = SignConvention(sigma, int(relative), int(incidence))
     log.info(
         "arbitrated signs: sigma_glob=%+d interior_relative=%+d incidence=%+d",
-        sigma,
-        relative,
-        incidence,
+        conv.sigma_glob,
+        conv.interior_relative,
+        conv.boundary_incidence,
     )
     return conv
 
@@ -274,9 +260,7 @@ def arbitrate_signs() -> SignConvention:
 # the two sides
 
 
-def lift_theta_side(
-    cfg: LiftConfig, convention: Optional[SignConvention] = None
-) -> QExpansion:
+def lift_theta_side(cfg: LiftConfig) -> QExpansion:
     """Theta route: split-plane factor times theta_W (+ k=1 cap remainder).
 
     The arbitrated sign applies to the split factor's interior block.  The
@@ -284,9 +268,8 @@ def lift_theta_side(
     per exponent; the returned expansion carries an identically-zero nonholo
     table for k = 1 as a witness.
     """
-    conv = convention or arbitrate_signs()
     theta_w = _theta_w(cfg)
-    series = _split_series(cfg, conv.effective_interior) * theta_w
+    series = _split_series(cfg, arbitrate_signs().effective_interior) * theta_w
     if cfg.k == 1:
         series = series + _cap_term(cfg, theta_w)
     if series.nonholo:
@@ -294,9 +277,7 @@ def lift_theta_side(
     return series
 
 
-def lift_geometric_side(
-    cfg: LiftConfig, convention: Optional[SignConvention] = None
-) -> QExpansion:
+def lift_geometric_side(cfg: LiftConfig) -> QExpansion:
     """Intersection route: cross-product interior + boundary cap counts.
 
     The boundary counts one cap family per point m of the w0-progression
@@ -305,14 +286,13 @@ def lift_geometric_side(
     paired with the symbol they give the constant term, the boundary
     incidence sign times (-1)^(k+1) B_{k+1}/(k+1).
     """
-    conv = convention or arbitrate_signs()
     coeffs = {n: Fraction(v) for n, v in _interior_geometric(cfg).items()}
     k = cfg.k
     block = _bernoulli_block_scalar(k)
     for t, num in _w0_points(cfg):
         if t == 0:
             # the boundary cycle at infinity paired with the symbol
-            coeffs[0] = conv.boundary_incidence * block
+            coeffs[0] = arbitrate_signs().boundary_incidence * block
             continue
         # the two families of +-m terminating/originating at the cusps
         coeffs[num] = coeffs.get(num, Fraction(0)) + 2 * block
@@ -379,9 +359,8 @@ def main_theorem_check(cfg: LiftConfig, with_proportionality: bool = False) -> L
     against the half-integral weight Eisenstein coefficients (odd k only)
     and records the resulting rational multiple.
     """
-    conv = arbitrate_signs()
-    ts = lift_theta_side(cfg, conv)
-    gs = lift_geometric_side(cfg, conv)
+    ts = lift_theta_side(cfg)
+    gs = lift_geometric_side(cfg)
     mism = ts.first_mismatch(gs)
     proportionality: Optional[Tuple[Fraction, str]] = None
     if with_proportionality and cfg.k % 2 == 1:
@@ -395,7 +374,7 @@ def main_theorem_check(cfg: LiftConfig, with_proportionality: bool = False) -> L
         n_max=cfg.n_max,
         theta_side=ts,
         geometric_side=gs,
-        sign_convention=conv,
+        sign_convention=arbitrate_signs(),
         equal_to=cfg.n_max if mism is None else None,
         first_mismatch=mism,
         proportionality=proportionality,
@@ -407,21 +386,8 @@ class PlusSpaceResult:
     k: int
     lam: Optional[Fraction]
     passed: bool
-    n_checked: int
     first_break: Optional[Tuple[int, Fraction, Fraction]]
     combined: QExpansion
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "lambda": None if self.lam is None else str(self.lam),
-            "passed": self.passed,
-            "n_checked": self.n_checked,
-            "first_break": None
-            if self.first_break is None
-            else [self.first_break[0], str(self.first_break[1]), str(self.first_break[2])],
-            "combined": self.combined.to_json_dict(),
-        }
 
 
 def plus_space_check(k: int, n_max: int) -> PlusSpaceResult:
@@ -440,27 +406,13 @@ def plus_space_check(k: int, n_max: int) -> PlusSpaceResult:
     if not (rep0.equal and reph.equal):
         raise LiftError("lift sides disagree; refusing the plus-space check")
     combined = rep0.theta_side.dilate(4) + reph.theta_side.dilate(4)
-    target = cohen_eisenstein(k + 1, n_max)
-    lam: Optional[Fraction] = None
-    first_break: Optional[Tuple[int, Fraction, Fraction]] = None
-    stored = combined.coeffs.keys() | target.coeffs.keys()
-    if stored:
-        # both tables sit on exp_den 1, so numerators are the N themselves
-        N = min(stored)
-        f, hh = combined.coefficient(N), target.coefficient(N)
-        if hh == 0:
-            first_break = (N, f, hh)
-        else:
-            lam = f / hh
-            mism = combined.first_mismatch(lam * target)
-            if mism is not None:
-                first_break = (mism[0].numerator, mism[1], mism[2])
-    passed = first_break is None and lam is not None
+    lam, mism = combined.multiple_of(cohen_eisenstein(k + 1, n_max))
+    # both tables sit on exp_den 1, so numerators are the N themselves
+    first_break = None if mism is None else (mism[0].numerator, mism[1], mism[2])
     return PlusSpaceResult(
         k=k,
         lam=lam,
-        passed=passed,
-        n_checked=n_max,
+        passed=first_break is None and lam is not None,
         first_break=first_break,
         combined=combined,
     )

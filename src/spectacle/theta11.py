@@ -24,6 +24,7 @@ whole series (both parts); nothing is hard-coded.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,8 +45,6 @@ __all__ = [
 ]
 
 log = logging.getLogger("spectacle.theta11")
-
-_GLOBAL_SIGN: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -138,31 +137,26 @@ def _literal_series(
     return QExpansion(den, n_max, coeffs, nonholo)
 
 
+@functools.cache
 def global_sign() -> int:
     """The module-wide sign, pinned once by the level-one Eisenstein identity.
 
-    Compares the literal k = 3 level-one series against
-    (-B_4/4) E_4 and returns the sign that makes them match.
+    Reads the multiple of the literal k = 3 level-one series that gives
+    (-B_4/4) E_4; it must be a sign and hold on every coefficient.
     """
-    global _GLOBAL_SIGN
-    if _GLOBAL_SIGN is None:
-        k = 3
-        probe = 8
-        literal = _literal_series(
-            SplitLatticeU.unimodular(), k, Fraction(0), Fraction(1), probe
+    k = 3
+    probe = 8
+    literal = _literal_series(SplitLatticeU.unimodular(), k, Fraction(0), Fraction(1), probe)
+    target = (-bernoulli_number(k + 1) / (k + 1)) * eisenstein_level1(k + 1, probe)
+    lam, mism = target.multiple_of(literal)
+    if lam not in (1, -1) or mism is not None:
+        raise RuntimeError(
+            "neither sign of the split theta series matches the classical "
+            "Eisenstein expansion; formula regression"
         )
-        target = (-bernoulli_number(k + 1) / (k + 1)) * eisenstein_level1(k + 1, probe)
-        if literal.equals_to(target):
-            _GLOBAL_SIGN = 1
-        elif ((-1) * literal).equals_to(target):
-            _GLOBAL_SIGN = -1
-        else:
-            raise RuntimeError(
-                "neither sign of the split theta series matches the classical "
-                "Eisenstein expansion; formula regression"
-            )
-        log.info("calibrated theta global sign: %+d", _GLOBAL_SIGN)
-    return _GLOBAL_SIGN
+    sign = int(lam)
+    log.info("calibrated theta global sign: %+d", sign)
+    return sign
 
 
 def theta11_series(

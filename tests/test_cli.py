@@ -153,6 +153,27 @@ def test_bad_input_is_one_line_error(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["caps", "--k", "0", "--i", "0"], "k must be >= 1"),
+        (["caps", "--k", "2", "--i", "3"], "weight index i=3 out of range [-1, 2]"),
+    ],
+    ids=["k=0", "i out of range"],
+)
+def test_caps_closed_form_names_the_bad_argument(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"spectacle: error: {message}\n"
+
+
+def test_caps_takes_no_format_flag(capsys):
+    # caps prints JSON only, so a --format would be a no-op
+    with pytest.raises(SystemExit) as exc:
+        main(["caps", "--k", "1", "--x", "0,1,0", "--format", "table"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_lvalue_large_finite_height_is_accepted(capsys):
     code, out = run_cli(capsys, "lvalue", "--weight", "4", "--T", "1000,3")
     assert code == 0

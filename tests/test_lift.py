@@ -260,9 +260,13 @@ def _arbitrate_with_interior(monkeypatch, edit):
     from spectacle import shintani_lift
 
     original = shintani_lift._interior_geometric
-    monkeypatch.setattr(shintani_lift, "_CONVENTION", None)
+    arbitrate_signs.cache_clear()
     monkeypatch.setattr(shintani_lift, "_interior_geometric", lambda cfg: edit(original(cfg)))
-    return arbitrate_signs()
+    try:
+        return arbitrate_signs()
+    finally:
+        # no convention pinned on the edited interior outlives the test
+        arbitrate_signs.cache_clear()
 
 
 def test_arbitration_refuses_interior_beyond_a_sign(monkeypatch):

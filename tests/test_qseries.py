@@ -389,6 +389,56 @@ def test_first_mismatch_matches_grid_walk(case):
     )
 
 
+def test_multiple_of_both_empty():
+    assert QExpansion(1, 5, {}).multiple_of(QExpansion(4, 3, {})) == (None, None)
+
+
+def test_multiple_of_other_zero_at_first_exponent():
+    a = QExpansion(1, 5, {1: 3, 2: 1})
+    b = QExpansion(1, 5, {2: 1})
+    assert a.multiple_of(b) == (None, (Fraction(1), Fraction(3), Fraction(0), "holo"))
+
+
+def test_multiple_of_across_grids():
+    # exp_den 1 against 4: q^1 and q^2 are the numerators 4 and 8 of the quarter grid
+    a = QExpansion(1, 3, {1: 6, 2: -3})
+    assert a.multiple_of(QExpansion(4, 12, {4: 2, 8: -1})) == (3, None)
+    lam, mism = a.multiple_of(QExpansion(4, 12, {4: 2, 5: 7, 8: -1}))
+    assert (lam, mism) == (3, (Fraction(5, 4), Fraction(0), Fraction(21), "holo"))
+
+
+def test_multiple_of_ignores_coefficients_beyond_the_common_bound():
+    a = QExpansion(1, 20, {0: 2, 10: 5})
+    assert a.multiple_of(QExpansion(1, 5, {0: 1})) == (2, None)
+    # nothing stored within the common bound: no multiple is read past it
+    assert QExpansion(1, 5, {}).multiple_of(QExpansion(1, 20, {10: 1})) == (None, None)
+
+
+def inline_multiple(a, b):
+    """Reference for ``QExpansion.multiple_of`` on holomorphic expansions,
+    through the public Fraction lookups: lam is read at the first exponent
+    either side stores within the common bound, and a zero of b there is
+    itself the first mismatch."""
+    bound = min(a.exponent_bound, b.exponent_bound)
+    stored = [e for e in (*a.support(), *b.support()) if e <= bound]
+    if not stored:
+        return None, None
+    e = min(stored)
+    f, h = a.coefficient(e), b.coefficient(e)
+    if h == 0:
+        return None, (e, f, h, "holo")
+    lam = f / h
+    return lam, grid_walk_first_mismatch(a, lam * b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_expansion_pairs(), mu=_SMALL)
+def test_multiple_of_matches_inline_rule(case, mu):
+    a, b, _ = case
+    a, b = QExpansion(a.exp_den, a.n_max, a.coeffs), mu * QExpansion(b.exp_den, b.n_max, b.coeffs)
+    assert a.multiple_of(b) == inline_multiple(a, b)
+
+
 def convolution_product(a, b):
     """Reference for ``QExpansion.__mul__``: the dict convolution on the
     common grid, one rational multiply-add per pair of stored terms."""
