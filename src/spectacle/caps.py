@@ -175,10 +175,6 @@ def gamma0_width(N: int) -> Callable[[IsotropicLine], Fraction]:
     return width
 
 
-def _unit_width(_: IsotropicLine) -> Fraction:
-    return Fraction(1)
-
-
 @dataclass(frozen=True)
 class SpectacleCycle:
     """Full capped-cycle data for a spacelike vector x.
@@ -219,16 +215,10 @@ def _cusp_cap(
     return r, act(sig, wt)
 
 
-def spectacle_assemble(
-    x: VecV,
-    k: int,
-    width_of: Optional[Callable[[IsotropicLine], Fraction]] = None,
-) -> SpectacleCycle:
-    """Assemble the capped cycle carrying the coefficient embed_power(x, k).
-
-    ``width_of`` maps a cusp to its width (default: width 1 everywhere, the
-    level-one normalization).
-    """
+def spectacle_assemble(x: VecV, k: int, level: int = 1) -> SpectacleCycle:
+    """Assemble the capped cycle carrying the coefficient embed_power(x, k),
+    with the cusp widths of Gamma_0(level)."""
+    width = gamma0_width(level)
     q = qform(x)
     if q <= 0:
         raise GeometryError("x must be spacelike (q(x) > 0)")
@@ -239,7 +229,6 @@ def spectacle_assemble(
         # closed geodesic: nothing to cap
         return SpectacleCycle(x, k, coeff, None, None, None, None)
     l1, l2 = isotropic_lines_of(x)
-    width_of = width_of or _unit_width
-    r1, w1 = _cusp_cap(l1, x, k, coeff, Fraction(width_of(l1)))
-    r2, w2 = _cusp_cap(l2, x, k, coeff, Fraction(width_of(l2)))
+    r1, w1 = _cusp_cap(l1, x, k, coeff, width(l1))
+    r2, w2 = _cusp_cap(l2, x, k, coeff, width(l2))
     return SpectacleCycle(x, k, coeff, (l1, r1), (l2, r2), w1, w2)

@@ -22,13 +22,13 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
-from .caps import cap_closed_form, gamma0_width, spectacle_assemble
+from .caps import cap_closed_form, spectacle_assemble
 from .periods import (
     MAX_PERIOD_WEIGHT, HolomorphicFormSpec, geodesic_intersection_numeric, spectacle_period
 )
 from .qseries import QExpansion, cohen_eisenstein, eisenstein_level1
 from .quad_space import VecV, epsilon_sign
-from .shintani_lift import LiftConfig, main_theorem_check
+from .shintani_lift import LiftConfig, main_theorem_check, plus_space_check
 from .theta11 import SplitLatticeU, theta11_series
 from .verify import verify_all
 
@@ -102,7 +102,11 @@ def cmd_theta11(args: argparse.Namespace) -> int:
 
 def cmd_lift(args: argparse.Namespace) -> int:
     cfg = LiftConfig(k=args.k, h=_h_fraction(args.h), n_max=args.nmax)
-    report = main_theorem_check(cfg, with_proportionality=args.cohen)
+    if args.cohen and cfg.k % 2:
+        # this coset is one component of the plus-space pair; read its report
+        report = plus_space_check(cfg.k, 4 * cfg.n_max // cfg.exp_den).reports[cfg.h != 0]
+    else:
+        report = main_theorem_check(cfg)
     table_lines = [
         f"# lift report k={args.k} h={args.h} n_max={args.nmax}",
         f"equal: {report.equal}",
@@ -122,7 +126,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
 def cmd_caps(args: argparse.Namespace) -> int:
     if args.x is not None:
         x = _parse_vec(args.x)
-        cyc = spectacle_assemble(x, args.k, width_of=gamma0_width(args.level))
+        cyc = spectacle_assemble(x, args.k, args.level)
         payload = {
             "x": [str(x.a), str(x.b), str(x.c)],
             "k": args.k,

@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -352,22 +352,11 @@ class LiftReport:
         }
 
 
-def main_theorem_check(cfg: LiftConfig, with_proportionality: bool = False) -> LiftReport:
-    """Compute both sides and compare exactly on all exponents <= the bound.
-
-    ``with_proportionality`` additionally runs the two-component comparison
-    against the half-integral weight Eisenstein coefficients (odd k only)
-    and records the resulting rational multiple.
-    """
+def main_theorem_check(cfg: LiftConfig) -> LiftReport:
+    """Compute both sides and compare exactly on all exponents <= the bound."""
     ts = lift_theta_side(cfg)
     gs = lift_geometric_side(cfg)
     mism = ts.first_mismatch(gs)
-    proportionality: Optional[Tuple[Fraction, str]] = None
-    if with_proportionality and cfg.k % 2 == 1:
-        bound = cfg.n_max if cfg.exp_den == 4 else 4 * cfg.n_max
-        res = plus_space_check(cfg.k, bound)
-        if res.passed and res.lam is not None:
-            proportionality = (res.lam, f"Cohen r = {cfg.k + 1}")
     return LiftReport(
         k=cfg.k,
         h=cfg.h,
@@ -377,7 +366,6 @@ def main_theorem_check(cfg: LiftConfig, with_proportionality: bool = False) -> L
         sign_convention=arbitrate_signs(),
         equal_to=cfg.n_max if mism is None else None,
         first_mismatch=mism,
-        proportionality=proportionality,
     )
 
 
@@ -388,6 +376,7 @@ class PlusSpaceResult:
     passed: bool
     first_break: Optional[Tuple[int, Fraction, Fraction]]
     combined: QExpansion
+    reports: Tuple[LiftReport, LiftReport]  # the h = 0 and h = 1/2 components
 
 
 def plus_space_check(k: int, n_max: int) -> PlusSpaceResult:
@@ -396,23 +385,22 @@ def plus_space_check(k: int, n_max: int) -> PlusSpaceResult:
     F(tau) = component(h=0)(4 tau) + component(h=1/2)(4 tau) must be a single
     rational multiple of the weight k + 3/2 Eisenstein coefficient series
     H(k+1, N) on all N <= n_max; lambda comes from the first nonzero
-    coefficient.  Both lift sides are verified for each component first.
+    coefficient.  Both lift sides are verified for each component first, and
+    on a pass each component's report records lambda.
     """
     if k % 2 == 0:
         raise ValueError("the combined lift vanishes for even k; k must be odd")
-    n_max -= n_max % 4  # the dilated components live on a numerator-4 grid
     rep0 = main_theorem_check(LiftConfig(k=k, h=Fraction(0), n_max=n_max // 4))
     reph = main_theorem_check(LiftConfig(k=k, h=Fraction(1, 2), n_max=n_max))
     if not (rep0.equal and reph.equal):
         raise LiftError("lift sides disagree; refusing the plus-space check")
+    # the sum stops at the h = 0 component's bound 4 (n_max // 4)
     combined = rep0.theta_side.dilate(4) + reph.theta_side.dilate(4)
     lam, mism = combined.multiple_of(cohen_eisenstein(k + 1, n_max))
     # both tables sit on exp_den 1, so numerators are the N themselves
     first_break = None if mism is None else (mism[0].numerator, mism[1], mism[2])
-    return PlusSpaceResult(
-        k=k,
-        lam=lam,
-        passed=first_break is None and lam is not None,
-        first_break=first_break,
-        combined=combined,
-    )
+    passed = first_break is None and lam is not None
+    if passed:
+        tag = (lam, f"Cohen r = {k + 1}")
+        rep0, reph = (replace(r, proportionality=tag) for r in (rep0, reph))
+    return PlusSpaceResult(k, lam, passed, first_break, combined, (rep0, reph))

@@ -61,10 +61,6 @@ class SymVector:
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     @classmethod
-    def zero(cls, k: int) -> "SymVector":
-        return cls(k, (Fraction(0),) * (2 * k + 1))
-
-    @classmethod
     def monomial(cls, k: int, i: int, coeff: RationalLike = 1) -> "SymVector":
         c = [Fraction(0)] * (2 * k + 1)
         c[i] = Fraction(coeff)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, List, Optional
 
-from .caps import CapInput, cap_closed_form, cap_solve, gamma0_width, spectacle_assemble
+from .caps import CapInput, cap_closed_form, cap_solve, spectacle_assemble
 from .exact_arith import bernoulli_number
 from .periods import HolomorphicFormSpec, geodesic_intersection_numeric, spectacle_period
 from .qseries import cohen_eisenstein
@@ -86,7 +86,7 @@ def criterion_worked_cap_example() -> CriterionResult:
         half = Fraction(1, 2)
         sixth = Fraction(1, 6)
         for N in (1, 2, 3, 5):
-            cyc = spectacle_assemble(W0_VEC, 1, width_of=gamma0_width(N))
+            cyc = spectacle_assemble(W0_VEC, 1, N)
             want_first = embed_vector(UPRIME_VEC - half * W0_VEC + sixth * U_VEC)
             want_second = embed_vector(
                 -Fraction(1, N) * U_VEC - half * W0_VEC - Fraction(N, 6) * UPRIME_VEC
@@ -131,8 +131,7 @@ def criterion_plus_space() -> CriterionResult:
                 f"k={k}: lambda={res.lam}, |lambda| should be {want_abs}"
             )
             lambdas[k] = res.lam
-            rep0 = main_theorem_check(LiftConfig(k=k, h=Fraction(0), n_max=8))
-            const = rep0.theta_side.coefficient(0)
+            const = res.combined.coefficient(0)  # the h = 1/2 component has no q^0
             assert abs(const) == abs(bernoulli_number(k + 1) / (k + 1)), (
                 f"k={k}: |constant| {const}"
             )

@@ -11,7 +11,6 @@ from spectacle.caps import (
     boundary_pairing_polynomial,
     cap_closed_form,
     cap_solve,
-    gamma0_width,
     spectacle_assemble,
 )
 from spectacle.exact_arith import bernoulli_poly
@@ -123,7 +122,7 @@ def test_boundary_term_at_lowest_admissible_index():
 
 def test_spectacle_assemble_worked_example():
     for N in (1, 2, 3, 5):
-        cyc = spectacle_assemble(W0_VEC, 1, width_of=gamma0_width(N))
+        cyc = spectacle_assemble(W0_VEC, 1, N)
         assert cyc.first[0].cusp == (1, 0)
         assert cyc.second[0].cusp == (0, 1)
         assert cyc.cap_first == embed_vector(

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectacle
+from spectacle import shintani_lift
 from spectacle.cli import build_parser, main
 
 
@@ -66,6 +67,27 @@ def test_lift_cohen_proportionality(capsys, k, flags, want):
     code, out = run_cli(capsys, "lift", "--k", str(k), "--h", "0", "--nmax", "8", *flags)
     assert code == 0
     assert json.loads(out)["proportionality"] == want
+
+
+@pytest.mark.parametrize(
+    "k, h, nmax", [(3, "half", "40"), (1, "0", "10")], ids=["k3-half", "k1-0"]
+)
+def test_lift_cohen_builds_each_coset_once(capsys, monkeypatch, k, h, nmax):
+    # --cohen reads its own coset from the plus-space pair: two cosets, each
+    # side built once, not the requested coset a second time
+    calls = {"lift_theta_side": 0, "lift_geometric_side": 0}
+    for name in calls:
+        side = getattr(shintani_lift, name)
+
+        def counted(cfg, name=name, side=side):
+            calls[name] += 1
+            return side(cfg)
+
+        monkeypatch.setattr(shintani_lift, name, counted)
+    code, out = run_cli(capsys, "lift", "--k", str(k), "--h", h, "--nmax", nmax, "--cohen")
+    assert code == 0
+    assert json.loads(out)["proportionality"] is not None
+    assert calls == {"lift_theta_side": 2, "lift_geometric_side": 2}
 
 
 def test_lift_half_coset(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -178,6 +179,22 @@ def test_plus_space_proportionality(k, want_abs):
     target = cohen_eisenstein(k + 1, 120)
     for num in (0, 1, 4, 5, 8, 9, 12, 13, 16):
         assert res.combined.coefficient(num) == res.lam * target.coefficient(num)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("N", [1, 5, 101, 403])
+def test_plus_space_reports_are_the_direct_builds(k, N):
+    # the bound need not be a multiple of 4: the verdict is the one at
+    # N - N % 4, and the reports are the two cosets built at their own bounds
+    res = plus_space_check(k, N)
+    low = plus_space_check(k, N - N % 4)
+    assert (res.lam, res.passed, res.first_break) == (low.lam, low.passed, low.first_break)
+    assert res.combined == low.combined
+    assert res.passed
+    tag = (res.lam, f"Cohen r = {k + 1}")
+    for rep, h, n_max in zip(res.reports, (Fraction(0), Fraction(1, 2)), (N // 4, N)):
+        direct = main_theorem_check(LiftConfig(k=k, h=h, n_max=n_max))
+        assert rep == dataclasses.replace(direct, proportionality=tag)
 
 
 def test_plus_space_rejects_even_k():
