@@ -23,18 +23,16 @@ def main() -> int:
         print(f"\nweight {weight}: Lambda(k+1) = {lam:.12g}")
         print("  T1    T2    capped pairing      uncapped")
         want = c_constant(k, 0) * lam
-        uncapped = []
-        for t1 in grid:
-            for t2 in grid:
-                full = spectacle_period(form, k, 0, t1, t2)
-                bare = spectacle_period(form, k, 0, t1, t2, include_caps=False)
-                print(f"  {t1:<5} {t2:<5} {full:+.12f}  {bare:+.3f}")
-                if abs(full - want) > 1e-8:
-                    failed.append(
-                        f"weight {weight} at ({t1}, {t2}): {full:.12g} != c Lambda = {want:.12g}"
-                    )
-                uncapped.append(bare)
-        if max(uncapped) - min(uncapped) <= 1e-2:
+        capped = spectacle_period(form, k, 0, grid)
+        uncapped = spectacle_period(form, k, 0, grid, include_caps=False)
+        for (t1, t2), full in capped.items():
+            bare = uncapped[t1, t2]
+            print(f"  {t1:<5} {t2:<5} {full:+.12f}  {bare:+.3f}")
+            if abs(full - want) > 1e-8:
+                failed.append(
+                    f"weight {weight} at ({t1}, {t2}): {full:.12g} != c Lambda = {want:.12g}"
+                )
+        if max(uncapped.values()) - min(uncapped.values()) <= 1e-2:
             failed.append(f"weight {weight}: the uncapped integrals do not depend on T")
 
     for line in failed:

@@ -172,11 +172,8 @@ def cmd_lvalue(args: argparse.Namespace) -> int:
     heights = [float(t) for t in args.T.split(",")]
     if not all(math.isfinite(t) and t > 1 for t in heights):
         raise ValueError("heights must be finite and exceed 1")
-    k = args.weight // 2 - 1
     form = HolomorphicFormSpec.eisenstein(args.weight)
-    values = [
-        spectacle_period(form, k, args.j, t1, t2) for t1 in heights for t2 in heights
-    ]
+    values = list(spectacle_period(form, form.k, args.j, heights).values())
     spread = max(values) - min(values)
     payload = {
         "weight": args.weight,

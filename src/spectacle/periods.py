@@ -22,9 +22,11 @@ at infinity, p_w' that of the zero-cusp cap in cusp-normal coordinates, and
 c_{k,j} = i (-i)^(k-j) 2^k (k!)^2 / ((k-j)! (k+j)!).  The value is exactly
 independent of (T1, T2) and equals c_{k,j} Lambda(f, k+1-j); dropping the
 caps destroys the T-independence (polynomial growth in T survives).  The
-one integral is summed Fourier mode by mode in closed form, without
-quadrature; the a_0 mode is summed exactly over the whole cycle and rounded
-once, so no float carries the T^(2k)-sized terms that the caps cancel.
+integral is summed Fourier mode by mode in closed form, without quadrature;
+the a_0 mode is summed exactly and rounded once, so no float carries the
+T^(2k)-sized terms that the caps cancel.  A height grid costs one exact
+half-cycle (axis piece and cap) per height and one mode sum per distinct
+boundary; with the caps, every pair shares the one sum at i.
 Past weight ``MAX_PERIOD_WEIGHT`` = 46 the float modes no longer meet the
 closed form (at 48 three j miss it, at 56 by a relative 11), so a larger
 weight raises ``ValueError``.
@@ -33,14 +35,16 @@ weight raises ``ValueError``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import add
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .caps import boundary_pairing_polynomial, cap_closed_form
-from .qseries import eisenstein_level1
+from .exact_arith import bernoulli_number, divisor_power_sum
 from .quad_space import GeometryError, VecV, inner, qform
 
 __all__ = [
@@ -74,16 +78,10 @@ class HolomorphicFormSpec:
 
     @classmethod
     def eisenstein(cls, weight: int) -> "HolomorphicFormSpec":
-        cache: List[Fraction] = []
-
-        def coeff(n: int) -> Fraction:
-            nonlocal cache
-            if n >= len(cache):
-                series = eisenstein_level1(weight, max(2 * n, 32))
-                cache = [series.coeffs.get(m, Fraction(0)) for m in range(series.n_max + 1)]
-            return cache[n]
-
-        return cls(weight, coeff)
+        """E_weight: a_0 = 1, a_n = -(2 weight / B_weight) sigma_{weight-1}(n) on demand."""
+        form = cls(weight, lambda n: scale * divisor_power_sum(n, weight - 1) if n else Fraction(1))
+        scale = -Fraction(2 * weight) / bernoulli_number(weight)  # once cls checked weight: B_5 = 0
+        return form
 
     @property
     def k(self) -> int:
@@ -193,25 +191,23 @@ def _cap_polynomial(k: int, j: int) -> Tuple[Fraction, ...]:
 _TAIL_TOL = 1e-16
 _MAX_MODES = 500
 Segment = Tuple[Tuple[int, Fraction], Tuple[int, Fraction], int, Tuple[Fraction, ...]]
+Terms = Tuple[Tuple[Fraction, Tuple[int, ...]], ...]  # see _boundary_terms
 
 
-def _cycle_integral(f: HolomorphicFormSpec, chain: Sequence[Segment]) -> complex:
-    """Sum of int_{z0}^{z1} f(z) i^e P(z) dz over straight segments (z0, z1, e, P).
+def _den_deg(polys: Sequence[Tuple[Fraction, ...]]) -> Tuple[int, int]:
+    """A common denominator of the antiderivatives' coefficients, and the longest length."""
+    den = math.lcm(*(c.denominator * (m + 1) for p in polys for m, c in enumerate(p)))
+    return den, max(map(len, polys))
 
-    Endpoints are exact points x + iy given as (x, y), x an integer and
-    y > 0 rational; P lists rational coefficients, constant term first.  The
-    integral is the boundary sum of +-i^e F(z), F' = P, mode by mode.  As f
-    has period 1, the F(x + w) of all endpoints at height y = N/D join, by
-    an integer Taylor shift, in one exact V_y(w) = sum_r t_r (w - iy)^r.
-    The mode a_n e^(2 pi i n z) gives a_0 t_0 for n = 0, summed exactly over
-    all heights and rounded once, and for n >= 1 a_n e^(-2 pi n y) Q_n(iy),
-    Q_n' + 2 pi i n Q_n = V_y' solved by back-substitution in closed form:
-    Q_n(iy) = -sum_{r>=1} r! t_r mu^r, mu = i/(2 pi n).  Summation stops at
-    the first n >= 3 whose mode is below _TAIL_TOL times the largest so far.
-    """
-    den = math.lcm(*(c.denominator * (m + 1) for *_, p in chain for m, c in enumerate(p)))
-    deg = max(len(p) for *_, p in chain)
-    by_height: Dict[Fraction, Tuple[List[int], List[int]]] = {}
+
+def _boundary_terms(chain: Sequence[Segment], den: int, deg: int) -> Terms:
+    """Exact boundary data of int f(z) i^e P(z) dz over segments (z0, z1, e, P):
+    endpoints x + iy as exact (x, y), x an integer and y > 0 rational; P lists
+    rational coefficients, constant term first.  The integral is the boundary
+    sum of +-i^e F(z), F' = P; as f has period 1, the F(x + w) of all endpoints
+    at height y join, by an integer Taylor shift, in one polynomial in w: its
+    deg + 1 real, then imaginary, coefficients times ``den``, at each y where nonzero."""
+    by_height: Dict[Fraction, List[int]] = {}
     for z0, z1, e, p in chain:
         anti = [0] + [c.numerator * den // (c.denominator * (m + 1)) for m, c in enumerate(p)]
         for (x, y), unit in ((z1, e), (z0, e + 2)):
@@ -219,17 +215,26 @@ def _cycle_integral(f: HolomorphicFormSpec, chain: Sequence[Segment]) -> complex
             for i in range(len(t) - 1 if x else 0):
                 for m in range(len(t) - 2, i - 1, -1):
                     t[m] += x * t[m + 1]
-            parts = by_height.setdefault(y, ([0] * (deg + 1), [0] * (deg + 1)))
-            for m, c in enumerate(t):  # times i^unit = 1, i, -1, -i
-                parts[unit % 2][m] += c if unit % 4 < 2 else -c
+            parts = by_height.setdefault(y, [0] * (2 * deg + 2))
+            for m, c in enumerate(t, unit % 2 * (deg + 1)):  # times i^unit = 1, i, -1, -i
+                parts[m] += c if unit % 4 < 2 else -c
+    return tuple((y, tuple(parts)) for y, parts in by_height.items() if any(parts))
+
+
+def _mode_sum(f: HolomorphicFormSpec, terms: Terms, den: int, deg: int) -> complex:
+    """Sum of f against ``terms`` mode by mode; at y = N/D they are V_y(w) =
+    sum_r t_r (w - iy)^r.  The mode a_n e^(2 pi i n z) gives a_0 t_0 for n = 0,
+    summed exactly over all heights and rounded once, and for n >= 1
+    a_n e^(-2 pi n y) Q_n(iy), Q_n' + 2 pi i n Q_n = V_y' solved by
+    back-substitution in closed form: Q_n(iy) = -sum_{r>=1} r! t_r mu^r,
+    mu = i/(2 pi n).  Summation stops at the first n >= 3 whose mode is
+    below _TAIL_TOL times the largest so far."""
     exact, heights = [Fraction(0), Fraction(0)], []
-    for y, (re, im) in by_height.items():
-        if not (any(re) or any(im)):
-            continue
+    for y, parts in terms:
         # homogenised in y = N/D: g_m D^(deg-m), Taylor-shifted by iN
         N, D = y.numerator, y.denominator
-        re = [c * D ** (deg - m) for m, c in enumerate(re)]
-        im = [c * D ** (deg - m) for m, c in enumerate(im)]
+        re = [c * D ** (deg - m) for m, c in enumerate(parts[: deg + 1])]
+        im = [c * D ** (deg - m) for m, c in enumerate(parts[deg + 1 :])]
         for i in range(deg):
             for m in range(deg - 1, i - 1, -1):
                 re[m], im[m] = re[m] - N * im[m + 1], im[m] + N * re[m + 1]
@@ -256,30 +261,30 @@ def _cycle_integral(f: HolomorphicFormSpec, chain: Sequence[Segment]) -> complex
     raise RuntimeError("Fourier-mode tail did not converge")
 
 
-def spectacle_period(
-    f: HolomorphicFormSpec,
-    k: int,
-    j: int,
-    T1: float,
-    T2: float,
-    include_caps: bool = True,
-) -> float:
-    """Truncated-cycle period pairing; equals c_{k,j} Lambda(f, k+1-j).
+def _cycle_integral(f: HolomorphicFormSpec, chain: Sequence[Segment]) -> complex:
+    """Sum of int_{z0}^{z1} f(z) i^e P(z) dz over straight segments (z0, z1, e, P)."""
+    den, deg = _den_deg([p for *_, p in chain])
+    return _mode_sum(f, _boundary_terms(chain, den, deg), den, deg)
 
-    Valid for weights up to ``MAX_PERIOD_WEIGHT`` and any finite heights
-    T1, T2 > 1 whose T^(2k) fits a float; anything else raises
-    ``ValueError``.  ``include_caps=False`` drops the two cap integrals
-    (negative control: the value then depends on T1, T2 polynomially).
-    """
+
+def spectacle_period(
+    f: HolomorphicFormSpec, k: int, j: int, heights: Sequence[float], include_caps: bool = True
+) -> Dict[Tuple[float, float], float]:
+    """Truncated-cycle period pairing c_{k,j} Lambda(f, k+1-j) at every
+    (T1, T2) in heights x heights, T1 outer.  Valid for weights up to
+    ``MAX_PERIOD_WEIGHT`` and finite heights T > 1 whose T^(2k) fits a float;
+    anything else raises ``ValueError``.  ``include_caps=False`` drops the cap
+    integrals: a control that depends on T1, T2 polynomially, real (so
+    returned) only for k - j odd, as c_{k,j} is imaginary for k - j even."""
     if f.weight != 2 * k + 2:
         raise ValueError("form weight must equal 2k+2")
     if f.weight > MAX_PERIOD_WEIGHT:
         raise ValueError(
             f"weight {f.weight} exceeds {MAX_PERIOD_WEIGHT}, the largest with accurate periods"
         )
-    if not (1 < T1 < math.inf and 1 < T2 < math.inf):
+    if not all(1 < T < math.inf for T in heights):
         raise ValueError("truncation heights must be finite and exceed 1")
-    for T in (T1, T2):
+    for T in heights:
         try:
             T ** (2 * k)
         except OverflowError:
@@ -287,19 +292,33 @@ def spectacle_period(
     if abs(j) > k - 1:
         raise ValueError("cap equation unsolvable at one cusp: need |j| <= k-1")
     unit, r = _c_exact(k, j)
-    t1, t2 = Fraction(T1), Fraction(T2)
-    # c_{k,j} (-i)^s int_i^iT f(z) z^(s-1) dz, the second times (-1)^(k+1) = i^(2k+2)
-    chain: List[Segment] = [
-        ((0, Fraction(1)), (0, t), unit + e + 3 * s, (Fraction(0),) * (s - 1) + (r,))
-        for s, t, e in ((k - j + 1, t1, 0), (k + j + 1, t2, 2 * k + 2))
+    p_zero = tuple((-1) ** (k - j) * c for c in _cap_polynomial(k, -j))
+    # per half, (e, P) of c_{k,j} (-i)^s int_i^iT f(z) z^(s-1) dz (the second
+    # times (-1)^(k+1) = i^(2k+2)) and of its cap iT -> 1 + iT
+    halves = [
+        ((unit + 3 * (k - j + 1), (Fraction(0),) * (k - j) + (r,)), (2, _cap_polynomial(k, j))),
+        ((unit + 2 * k + 2 + 3 * (k + j + 1), (Fraction(0),) * (k + j) + (r,)), (0, p_zero)),
     ]
-    if include_caps:
-        p_zero = tuple((-1) ** (k - j) * c for c in _cap_polynomial(k, -j))
-        chain += [((0, t1), (1, t1), 2, _cap_polynomial(k, j)), ((0, t2), (1, t2), 0, p_zero)]
-    total = _cycle_integral(f, chain)
-    if abs(total.imag) > 1e-7 * (1.0 + abs(total.real)):
-        raise ArithmeticError(f"period pairing unexpectedly non-real: {total} (k={k}, j={j})")
-    return total.real
+    den, deg = _den_deg([p for half in halves for _, p in half])
+    by_T: List[Dict[float, Terms]] = [{}, {}]  # each half's terms by height
+    for T in dict.fromkeys(heights):
+        t = Fraction(T)
+        for half, ((e, p), (cap_e, cap)) in zip(by_T, halves):
+            chain = [((0, Fraction(1)), (0, t), e, p), ((0, t), (1, t), cap_e, cap)]
+            half[T] = _boundary_terms(chain[: 1 + include_caps], den, deg)
+    sums, values = {}, {}  # one mode sum per distinct boundary; the value per (T1, T2)
+    for T1, T2 in itertools.product(heights, repeat=2):
+        terms = dict(by_T[0][T1])  # the halves added height by height
+        for y, v in by_T[1][T2]:
+            terms[y] = tuple(map(add, terms[y], v)) if y in terms else v
+        boundary = tuple((y, v) for y, v in terms.items() if any(v))
+        if boundary not in sums:
+            sums[boundary] = _mode_sum(f, boundary, den, deg)
+        total = sums[boundary]
+        if abs(total.imag) > 1e-7 * (1.0 + abs(total.real)):
+            raise ArithmeticError(f"period pairing unexpectedly non-real: {total} (k={k}, j={j})")
+        values[T1, T2] = total.real
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from spectacle import periods
+from spectacle import cli, periods
 from spectacle.exact_arith import bernoulli_number
 from spectacle.periods import (
     HolomorphicFormSpec,
@@ -15,6 +15,7 @@ from spectacle.periods import (
     geodesic_intersection_numeric,
     spectacle_period,
 )
+from spectacle.qseries import eisenstein_level1
 from spectacle.quad_space import GeometryError, VecV, W0_VEC, epsilon_sign, inner, qform
 
 
@@ -181,6 +182,71 @@ def test_axis_integral_matches_quadrature(weight):
             assert abs(got - want) <= 1e-12 * abs(want), (weight, s, T, got, want)
 
 
+def pairwise_period(
+    f: HolomorphicFormSpec, k: int, j: int, T1: float, T2: float, include_caps: bool = True
+) -> float:
+    """Test oracle for the grid route: the period at one (T1, T2) as a single
+    four-segment chain (two axis pieces, then the two caps) through
+    ``_cycle_integral``, with no terms shared between heights."""
+    unit, r = periods._c_exact(k, j)
+    t1, t2 = Fraction(T1), Fraction(T2)
+    chain = [
+        ((0, Fraction(1)), (0, t), unit + e + 3 * s, (Fraction(0),) * (s - 1) + (r,))
+        for s, t, e in ((k - j + 1, t1, 0), (k + j + 1, t2, 2 * k + 2))
+    ]
+    if include_caps:
+        p_zero = tuple((-1) ** (k - j) * c for c in periods._cap_polynomial(k, -j))
+        chain += [
+            ((0, t1), (1, t1), 2, periods._cap_polynomial(k, j)),
+            ((0, t2), (1, t2), 0, p_zero),
+        ]
+    total = _cycle_integral(f, chain)
+    assert abs(total.imag) <= 1e-7 * (1.0 + abs(total.real)), total
+    return total.real
+
+
+@pytest.mark.parametrize("weight", [4, 8, 16, 30, 46])
+def test_grid_route_equals_pairwise_route_bit_for_bit(weight):
+    form = HolomorphicFormSpec.eisenstein(weight)
+    k = form.k
+    compared = 0
+    for heights in ((1.5, 3.0), (2.0, 2.0), (2.3, 7.1, 1e10), (3.0,)):
+        if 2 * k * math.log10(max(heights)) > 308:  # 1e10 at weight 46: refused
+            with pytest.raises(ValueError, match="overflows"):
+                spectacle_period(form, k, 0, heights)
+            continue
+        for j in range(-(k - 1), k):
+            # the uncapped control is real only for k - j odd
+            for include_caps in (True, False) if (k - j) % 2 else (True,):
+                grid = spectacle_period(form, k, j, heights, include_caps)
+                want = {
+                    (t1, t2): pairwise_period(form, k, j, t1, t2, include_caps)
+                    for t1 in heights
+                    for t2 in heights
+                }
+                assert list(grid.items()) == list(want.items()), (weight, j, heights, include_caps)
+                compared += len(want)
+    assert compared
+
+
+def test_one_mode_sum_per_capped_grid(monkeypatch, capsys):
+    calls = []
+    mode_sum = periods._mode_sum
+
+    def counted(*args):
+        calls.append(args)
+        return mode_sum(*args)
+
+    monkeypatch.setattr(periods, "_mode_sum", counted)
+    assert cli.main(["lvalue", "--weight", "16", "--j=3", "--T", "1.5,3,10"]) == 0
+    assert "value" in capsys.readouterr().out
+    assert len(calls) == 1
+    calls.clear()
+    # without the caps every pair keeps its own heights: one mode sum each
+    spectacle_period(HolomorphicFormSpec.eisenstein(4), 1, 0, (3.0, 5.0, 10.0), include_caps=False)
+    assert len(calls) == 9
+
+
 # the truncation heights of the benchmark's lvalue ops, and three far heights
 _GRID_HEIGHTS = ((1.5, 3), (2, 2), (2, 3), (2, 4), (2.5, 3.5), (3, 3), (3, 4), (3, 5))
 _FAR_HEIGHTS = ((100, 3), (1000, 3), (1e10, 3))
@@ -191,11 +257,13 @@ def test_spectacle_period_matches_closed_form_on_height_grid(weight):
     form = HolomorphicFormSpec.eisenstein(weight)
     k = form.k
     pairs = {(a, b) for t1, t2 in _GRID_HEIGHTS + _FAR_HEIGHTS for a, b in ((t1, t2), (t2, t1))}
+    heights = sorted({float(t) for pair in pairs for t in pair})
     misses = []
     for j in range(-(k - 1), k):
         want = c_constant(k, j).real * closed_form_lambda(weight, k + 1 - j)
+        grid = spectacle_period(form, k, j, heights)
         for t1, t2 in pairs:
-            got = spectacle_period(form, k, j, float(t1), float(t2))
+            got = grid[float(t1), float(t2)]
             if abs(got - want) > 1e-9 + 1e-6 * abs(want):
                 misses.append((j, t1, t2, got, want))
     assert not misses
@@ -213,7 +281,7 @@ def test_max_period_weight_is_the_last_weight_every_j_meets(monkeypatch):
         k = form.k
         for j in range(-(k - 1), k):
             want = c_constant(k, j).real * closed_form_lambda(weight, k + 1 - j)
-            got = spectacle_period(form, k, j, 3.0, 10.0)
+            got = spectacle_period(form, k, j, (3.0, 10.0))[3.0, 10.0]
             if abs(got - want) > 1e-9 + 1e-6 * abs(want):
                 failing.append(weight)
                 break
@@ -227,56 +295,54 @@ def test_capped_period_is_the_same_float_at_every_height():
         form = HolomorphicFormSpec.eisenstein(weight)
         k = form.k
         for j in range(-(k - 1), k):
-            values = {
-                spectacle_period(form, k, j, t1, t2)
-                for t1, t2 in ((1.5, 3.0), (3.0, 1.5), (2.3, 7.1), (1e10, 3.0))
-            }
+            grid = spectacle_period(form, k, j, (1.5, 3.0, 2.3, 7.1, 1e10))
+            values = {grid[pair] for pair in ((1.5, 3.0), (3.0, 1.5), (2.3, 7.1), (1e10, 3.0))}
             assert len(values) == 1, (weight, j, values)
 
 
 def test_spectacle_period_values():
     e4 = HolomorphicFormSpec.eisenstein(4)
     e8 = HolomorphicFormSpec.eisenstein(8)
-    assert abs(spectacle_period(e4, 1, 0, 3.0, 10.0) + 5 / 3) < 1e-8
-    assert abs(spectacle_period(e8, 3, 0, 3.0, 5.0) + 2 / 15) < 1e-8
+    assert abs(spectacle_period(e4, 1, 0, (3.0, 10.0))[3.0, 10.0] + 5 / 3) < 1e-8
+    assert abs(spectacle_period(e8, 3, 0, (3.0, 5.0))[3.0, 5.0] + 2 / 15) < 1e-8
     # against the exact oracle through c_{k,j} Lambda
     want = float(c_constant(3, 2).real * exact_lambda(8, 2))
-    assert abs(spectacle_period(e8, 3, 2, 4.0, 6.0) - want) < 1e-8
+    assert abs(spectacle_period(e8, 3, 2, (4.0, 6.0))[4.0, 6.0] - want) < 1e-8
 
 
 def test_spectacle_period_negative_index():
     # j and -j land on reflected critical points; for these forms the values agree
     e8 = HolomorphicFormSpec.eisenstein(8)
-    plus = spectacle_period(e8, 3, 2, 4.0, 6.0)
-    minus = spectacle_period(e8, 3, -2, 4.0, 6.0)
+    plus = spectacle_period(e8, 3, 2, (4.0, 6.0))[4.0, 6.0]
+    minus = spectacle_period(e8, 3, -2, (4.0, 6.0))[4.0, 6.0]
     assert abs(plus + 4 / 21) < 1e-8
     assert abs(minus + 4 / 21) < 1e-8
 
 
 def test_spectacle_period_t_independence():
     e4 = HolomorphicFormSpec.eisenstein(4)
-    vals = [spectacle_period(e4, 1, 0, t1, t2) for t1 in (3, 5, 10) for t2 in (3, 5, 10)]
+    vals = list(spectacle_period(e4, 1, 0, (3, 5, 10)).values())
     assert max(vals) - min(vals) < 1e-8
 
 
 def test_dropping_caps_breaks_t_independence():
     e4 = HolomorphicFormSpec.eisenstein(4)
-    a = spectacle_period(e4, 1, 0, 3.0, 3.0, include_caps=False)
-    b = spectacle_period(e4, 1, 0, 10.0, 10.0, include_caps=False)
+    bare = spectacle_period(e4, 1, 0, (3.0, 10.0), include_caps=False)
+    a, b = bare[3.0, 3.0], bare[10.0, 10.0]
     assert abs(a - b) > 1e-2
 
 
 def test_spectacle_period_validation():
     e4 = HolomorphicFormSpec.eisenstein(4)
     with pytest.raises(ValueError):
-        spectacle_period(e4, 3, 0, 3.0, 3.0)  # weight mismatch
+        spectacle_period(e4, 3, 0, (3.0,))  # weight mismatch
     with pytest.raises(ValueError):
-        spectacle_period(e4, 1, 1, 3.0, 3.0)  # j = k rejected
+        spectacle_period(e4, 1, 1, (3.0,))  # j = k rejected
     with pytest.raises(ValueError):
-        spectacle_period(e4, 1, 0, 1.0, 3.0)
+        spectacle_period(e4, 1, 0, (1.0, 3.0))
     for weight in (periods.MAX_PERIOD_WEIGHT + 2, 60):  # above the accurate range
         with pytest.raises(ValueError, match="exceeds"):
-            spectacle_period(HolomorphicFormSpec.eisenstein(weight), weight // 2 - 1, 1, 3.0, 10.0)
+            spectacle_period(HolomorphicFormSpec.eisenstein(weight), weight // 2 - 1, 1, (3.0, 10.0))
 
 
 def test_geodesic_intersection_example():
@@ -319,6 +385,13 @@ def test_form_spec_validation():
         HolomorphicFormSpec.eisenstein(5)
     with pytest.raises(ValueError):
         HolomorphicFormSpec.eisenstein(2)
+
+
+def test_eisenstein_coefficients_match_the_exact_series():
+    for weight in range(4, 47, 2):
+        form = HolomorphicFormSpec.eisenstein(weight)
+        series = eisenstein_level1(weight, 60)
+        assert all(form.a(n) == series.coefficient(n) for n in range(61)), weight
 
 
 def test_geodesic_intersection_rejects_coordinates_outside_float_range():
