@@ -2,8 +2,9 @@
 
 Subcommands: theta11, lift, caps, cohen, eisenstein, lvalue, intersect,
 verify-all.  Each is declared once, in the table ``_COMMANDS`` (name -> help,
-arguments, handler), and a call builds only the parser of the subcommand it
-names; help, an empty argv or an unknown name build them all.  Exact series
+arguments, handler).  The first call of a subcommand in a process builds only
+that subcommand's parser, and later calls reuse it; help, an empty argv or an
+unknown name share one parser of them all.  Exact series
 serialize rationals as "p/q" strings; period results print 12 significant
 digits with an absolute error bound.  Output is deterministic (all maps are
 sorted before serialization): identical invocations produce identical bytes.
@@ -14,9 +15,9 @@ Environment: SPECTACLE_LOG in {error, info, debug} controls log verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
-import math
 import os
 import sys
 from fractions import Fraction
@@ -170,8 +171,6 @@ def cmd_eisenstein(args: argparse.Namespace) -> int:
 
 def cmd_lvalue(args: argparse.Namespace) -> int:
     heights = [float(t) for t in args.T.split(",")]
-    if not all(math.isfinite(t) and t > 1 for t in heights):
-        raise ValueError("heights must be finite and exceed 1")
     form = HolomorphicFormSpec.eisenstein(args.weight)
     values = list(spectacle_period(form, form.k, args.j, heights).values())
     spread = max(values) - min(values)
@@ -285,14 +284,20 @@ _COMMANDS: Dict[str, Tuple[str, List[Tuple[str, dict]], Callable[..., int]]] = {
 def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     """The parser for ``argv``.  When ``argv[0]`` names a subcommand, only that
     subcommand is registered; otherwise (help, no argv, an unknown name) all
-    are, so top-level help and the invalid-choice error list every one."""
+    are, so top-level help and the invalid-choice error list every one.  Each
+    parser is built on its first request in a process and shared by every later
+    one: parse with it, never mutate it."""
+    return _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+
+
+@functools.cache
+def _parser(command: Optional[str]) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spectacle",
         description="Exact capped-cycle data on the modular curve and its modular-form identities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    for name in names:
+    for name in _COMMANDS if command is None else [command]:
         help_text, arguments, handler = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for flag, options in arguments:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectacle
-from spectacle import shintani_lift
+from spectacle import cli, shintani_lift
 from spectacle.cli import build_parser, main
 
 
@@ -175,6 +175,68 @@ def test_bad_input_is_one_line_error(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+_BAD_HEIGHT = "truncation heights must be finite and exceed 1"
+
+
+@pytest.mark.parametrize(
+    "heights, message",
+    [
+        ("1,3", _BAD_HEIGHT),
+        ("0.5,3", _BAD_HEIGHT),
+        ("nan,3", _BAD_HEIGHT),
+        ("inf,3", _BAD_HEIGHT),
+        ("3,x", "could not convert string to float: 'x'"),
+    ],
+    ids=["1,3", "0.5,3", "nan,3", "inf,3", "3,x"],
+)
+def test_lvalue_bad_height_has_one_message(heights, message, capsys):
+    # spectacle_period alone checks the heights; the CLI adds no wording of its own
+    assert main(["lvalue", "--weight", "4", "--T", heights]) == 2
+    assert capsys.readouterr() == ("", f"spectacle: error: {message}\n")
+
+
+def _first_call(capsys, argv):
+    """Exit code and stdout of ``argv`` as the first call of a process."""
+    cli._parser.cache_clear()
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+_LVALUE_4 = ["lvalue", "--weight", "4"]
+
+
+@pytest.mark.parametrize(
+    "before, argv, defaults",
+    [
+        # j = 1 is out of range at weight 4: parsed, then rejected by the handler
+        (["lvalue", "--weight", "4", "--j=1", "--format", "table"], _LVALUE_4, {"j": 0}),
+        (["lvalue", "--weight", "6", "--j=1", "--format", "table"], _LVALUE_4, {"j": 0}),
+        # the closed form, not the assembled cycle: --x is back to None
+        (["caps", "--k", "1", "--x", "0,1,0", "--level", "5"], ["caps", "--k", "1", "--i", "0"],
+         {"i": 0, "M": "1"}),
+    ],
+    ids=["lvalue rejected j", "lvalue j and format", "caps x"],
+)
+def test_shared_parser_keeps_no_state_between_calls(before, argv, defaults, capsys):
+    code, want = _first_call(capsys, argv)
+    assert code == 0
+    _first_call(capsys, before)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    payload = json.loads(want)  # JSON, not the table of the call before
+    assert {name: payload[name] for name in defaults} == defaults
+
+
+def test_shared_parser_recovers_from_a_usage_error(capsys):
+    _, want = _first_call(capsys, _LVALUE_4)
+    with pytest.raises(SystemExit) as exc:
+        main([*_LVALUE_4, "--j=1/2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(_LVALUE_4) == 0
+    assert capsys.readouterr() == (want, "")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -237,7 +299,9 @@ _COMMAND_NAMES = [
 
 @pytest.fixture
 def registered(monkeypatch):
-    """Names of the subcommand parsers each call registers."""
+    """Names of the subcommand parsers each call registers, starting from an
+    empty parser cache, as in a fresh process."""
+    cli._parser.cache_clear()
     names = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -257,6 +321,15 @@ def registered(monkeypatch):
 def test_known_subcommand_registers_only_its_parser(argv, registered, capsys):
     assert main(argv) == 0
     assert registered == [argv[0]]
+
+
+def test_repeat_call_builds_no_parser(registered, capsys):
+    assert main(_LVALUE_4) == 0
+    first = capsys.readouterr().out
+    registered.clear()
+    assert main(_LVALUE_4) == 0
+    assert capsys.readouterr().out == first
+    assert registered == []
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], [], ["bogus"], ["--format", "json"]])
