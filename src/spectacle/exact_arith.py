@@ -242,13 +242,19 @@ def generalized_bernoulli(n: int, D: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("generalized Bernoulli index must be >= 1")
+    defect = _fundamental_defect(D)  # None for D = 1
+    if defect is not None:
+        raise ValueError(defect)
+    return _generalized_bernoulli(n, D)
+
+
+def _generalized_bernoulli(n: int, D: int) -> Fraction:
+    """``generalized_bernoulli`` for n >= 1 and D already known to be 1 or a
+    fundamental discriminant: the same sum, with no validation."""
     if D == 1:
         # Trivial character mod 1; only reached with n >= 2 in the Cohen
         # coefficient formula, where the a=1 endpoint convention is moot.
         return bernoulli_number(n)
-    defect = _fundamental_defect(D)
-    if defect is not None:
-        raise ValueError(defect)
     reflect = 1 + (1 if D > 0 else -1) * (-1) ** n  # 0 or 2
     if not reflect:
         return Fraction(0)
@@ -299,14 +305,13 @@ def clear_denominators(x: Sequence[Union[int, Fraction]]) -> Tuple[int, List[int
     return d, [c.numerator * (d // c.denominator) for c in x]
 
 
-def _packed(nums: List[int], width: int) -> int:
-    """sum_i nums[i] 2^(8 width i), from the bytes of the positive part and
-    of the negative part, ``width`` bytes per slot."""
-    pos, neg = (
-        int.from_bytes(b"".join(max(s * c, 0).to_bytes(width, "little") for c in nums), "little")
-        for s in (1, -1)
-    )
-    return pos - neg
+def _packed(nums: List[int], width: int, bias: int) -> int:
+    """sum_i nums[i] 2^(8 width i), in one pass: each slot is written as
+    nums[i] + 2^(8 width - 1), which ``width`` bytes hold without a sign, and
+    ``bias``, that offset in every slot, is subtracted once."""
+    half = 1 << (8 * width - 1)
+    raw = b"".join((c + half).to_bytes(width, "little") for c in nums)
+    return int.from_bytes(raw, "little") - (bias & ((1 << 8 * len(raw)) - 1))
 
 
 def poly_product(
@@ -322,6 +327,9 @@ def poly_product(
     terms, so w bytes hold it in bitlen(max|x|) + bitlen(max|y|) +
     bitlen(n + 1) bits and a sign bit.  2^(8w - 1) added to each slot makes
     it non-negative without carries; the slots are read back less that bias.
+    The product is cut to its low n + 1 slots by a mask, which is linear in
+    the size where a modulo by 2^(8w(n + 1)) is a quadratic long division,
+    and which agrees with that modulo for every sign.
     """
     if n < 0:
         raise ValueError("poly_product needs n >= 0")
@@ -330,9 +338,8 @@ def poly_product(
     width = (bits + (n + 1).bit_length() + 8) // 8  # one sign bit, rounded up
     size = width * (n + 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * (n + 1), "little")
-    raw = ((_packed(xs, width) * _packed(ys, width) + bias) % (1 << 8 * size)).to_bytes(
-        size, "little"
-    )
+    prod = _packed(xs, width, bias) * _packed(ys, width, bias) + bias
+    raw = (prod & ((1 << 8 * size) - 1)).to_bytes(size, "little")
     half, den = 1 << (8 * width - 1), dx * dy
     out = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
     return out if den == 1 else [Fraction(c, den) for c in out]

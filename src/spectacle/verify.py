@@ -17,7 +17,7 @@ from typing import Callable, List, Optional
 from .caps import CapInput, cap_closed_form, cap_solve, spectacle_assemble
 from .exact_arith import bernoulli_number
 from .periods import HolomorphicFormSpec, geodesic_intersection_numeric, spectacle_period
-from .qseries import cohen_eisenstein
+from .qseries import cohen_bernoulli, cohen_eisenstein
 from .quad_space import U_VEC, UPRIME_VEC, VecV, W0_VEC, epsilon_sign, inner, qform
 from .shintani_lift import LiftConfig, main_theorem_check, plus_space_check
 from .sym_rep import (
@@ -135,7 +135,14 @@ def criterion_plus_space() -> CriterionResult:
             assert abs(const) == abs(bernoulli_number(k + 1) / (k + 1)), (
                 f"k={k}: |constant| {const}"
             )
-        return f"single rational multiple of H(k+1, .) to N=1920; lambda = {', '.join(lambdas)}"
+        for r in range(2, 6):
+            assert cohen_eisenstein(r, 400) == cohen_bernoulli(r, 400), (
+                f"r={r}: ring and Bernoulli routes to H(r, .) differ"
+            )
+        return (
+            "ring and Bernoulli H(r, .) equal to N=400 for r=2..5; "
+            f"single rational multiple of H(k+1, .) to N=1920; lambda = {', '.join(lambdas)}"
+        )
 
     return _run("half-integral weight proportionality", 5.0, body)
 

@@ -234,6 +234,8 @@ def schoolbook_product(x, y, n):
     double loop, one rational multiply-add per pair of terms."""
     out = [Fraction(0)] * (n + 1)
     for i, a in enumerate(x):
+        if not a:
+            continue
         for j, b in enumerate(y):
             if i + j <= n:
                 out[i + j] += Fraction(a) * b
@@ -265,6 +267,21 @@ def test_poly_product_at_the_slot_bound(bits, terms, sign):
     x, y = [top] * terms, [sign * top] * terms
     n = 2 * terms - 2
     assert poly_product(x, y, n) == schoolbook_product(x, y, n)
+
+
+def test_poly_product_long_mixed_signs():
+    # n >= 3000 with 300-bit coefficients: each slot spans several machine
+    # words, and the full product, beyond the n + 1 slots kept, is negative
+    rng = random.Random(3001)
+    n = 3200
+    y = [rng.choice((-1, 1)) * rng.getrandbits(300) for _ in range(n + 1)]
+    y[-1] = 2**300
+    x = [0] * (n + 1)
+    for i in rng.sample(range(1, n), 28) + [0, n]:
+        x[i] = rng.choice((-1, 1)) * rng.getrandbits(290)
+    x[n] = -abs(x[n]) or -1
+    assert poly_product(x, y, n) == schoolbook_product(x, y, n)
+    assert poly_product(y, x, n - 1) == schoolbook_product(x, y, n - 1)
 
 
 _COEFF = st.one_of(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cohen_oracle
+from spectacle import exact_arith, qseries
 from spectacle.exact_arith import (
     bernoulli_number,
     divisor_power_sum,
@@ -19,6 +20,7 @@ from spectacle.exact_arith import (
 from spectacle.qseries import (
     QExpansion,
     TruncationError,
+    cohen_bernoulli,
     cohen_eisenstein,
     eisenstein_level1,
 )
@@ -175,6 +177,36 @@ def per_n_cohen_table(r, n_max):
 @pytest.mark.parametrize("r", range(1, 7))
 def test_cohen_table_matches_per_n_route(r, n_max):
     assert cohen_eisenstein(r, n_max) == per_n_cohen_table(r, n_max)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 2000])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_ring_route_matches_bernoulli_route(r, n_max):
+    # the ring route pins H by the constant term and J off-support zeros only,
+    # so equality at every N <= 2000 checks the rest of the plus-space support;
+    # n_max <= 3 ends at or below the exponents of its solve
+    assert cohen_eisenstein(r, n_max) == cohen_bernoulli(r, n_max)
+
+
+def test_route_follows_from_r(monkeypatch):
+    def unavailable(n, D):
+        raise RuntimeError(f"B_{n},chi_{D} asked for")
+
+    monkeypatch.setattr(exact_arith, "generalized_bernoulli", unavailable)
+    monkeypatch.setattr(qseries, "_generalized_bernoulli", unavailable)
+    for r in (2, 3, 4, 5):
+        assert cohen_eisenstein(r, 50).coefficient(0) == -bernoulli_number(2 * r) / (2 * r)
+    for r in (1, 6):
+        with pytest.raises(RuntimeError):
+            cohen_eisenstein(r, 50)
+
+
+def test_bernoulli_route_validates_each_discriminant_once(monkeypatch):
+    seen = []
+    defect = exact_arith._fundamental_defect
+    monkeypatch.setattr(exact_arith, "_fundamental_defect", lambda D: seen.append(D) or defect(D))
+    cohen_bernoulli(1, 300)
+    assert seen == [-a for a in range(1, 301)]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
