@@ -71,9 +71,12 @@ def bernoulli_poly(n: int, x: Rational) -> Fraction:
     """Bernoulli polynomial B_n(x) = sum_j C(n, j) B_j x^(n-j).
 
     Evaluated by Horner on the binomial expansion; exact for rational x.
+    B_n(0) is B_n, read without the loop.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
+    if x == 0:
+        return bernoulli_number(n)
     x = Fraction(x)
     bernoulli_number(n)  # populate cache through index n
     acc = Fraction(1)  # B_0 coefficient of x^n

@@ -24,9 +24,11 @@ independent of (T1, T2) and equals c_{k,j} Lambda(f, k+1-j); dropping the
 caps destroys the T-independence (polynomial growth in T survives).  The
 integral is summed Fourier mode by mode in closed form, without quadrature;
 the a_0 mode is summed exactly and rounded once, so no float carries the
-T^(2k)-sized terms that the caps cancel.  A height grid costs one exact
-half-cycle (axis piece and cap) per height and one mode sum per distinct
-boundary; with the caps, every pair shares the one sum at i.
+T^(2k)-sized terms that the caps cancel.  Each half's boundary at iT (axis
+end and cap) is one polynomial whatever T is, and with the caps it is zero,
+so the exact closing data is built once per (k, j) per process and a height
+only labels it.  A call runs one mode sum per distinct boundary; with the
+caps, every pair of its grid shares the one sum at i.
 Past weight ``MAX_PERIOD_WEIGHT`` = 46 the float modes no longer meet the
 closed form (at 48 three j miss it, at 56 by a relative 11), so a larger
 weight raises ``ValueError``.
@@ -191,7 +193,10 @@ def _cap_polynomial(k: int, j: int) -> Tuple[Fraction, ...]:
 _TAIL_TOL = 1e-16
 _MAX_MODES = 500
 Segment = Tuple[Tuple[int, Fraction], Tuple[int, Fraction], int, Tuple[Fraction, ...]]
-Terms = Tuple[Tuple[Fraction, Tuple[int, ...]], ...]  # see _boundary_terms
+Parts = Tuple[int, ...]
+Terms = Tuple[Tuple[Fraction, Parts], ...]  # see _boundary_terms
+Closing = Tuple[int, int, Tuple[Tuple[Parts, Parts], ...]]  # see _closing
+_ONE = Fraction(1)
 
 
 def _den_deg(polys: Sequence[Tuple[Fraction, ...]]) -> Tuple[int, int]:
@@ -261,10 +266,28 @@ def _mode_sum(f: HolomorphicFormSpec, terms: Terms, den: int, deg: int) -> compl
     raise RuntimeError("Fourier-mode tail did not converge")
 
 
-def _cycle_integral(f: HolomorphicFormSpec, chain: Sequence[Segment]) -> complex:
-    """Sum of int_{z0}^{z1} f(z) i^e P(z) dz over straight segments (z0, z1, e, P)."""
-    den, deg = _den_deg([p for *_, p in chain])
-    return _mode_sum(f, _boundary_terms(chain, den, deg), den, deg)
+@functools.cache
+def _closing(k: int, j: int, include_caps: bool) -> Closing:
+    """(den, deg) and, per half, the boundary parts (see ``_boundary_terms``)
+    at the top iT and at i.  Per half, (e, P) of c_{k,j} (-i)^s int_i^iT
+    f(z) z^(s-1) dz (the second times (-1)^(k+1) = i^(2k+2)) and of its cap
+    iT -> 1 + iT; the parts do not depend on T, so any height > 1 stands for
+    all.  With the caps the top parts are zero.  The weight bound leaves at
+    most 2 * 22^2 = 968 keys, so the cache stays small."""
+    unit, r = _c_exact(k, j)
+    p_zero = tuple((-1) ** (k - j) * c for c in _cap_polynomial(k, -j))
+    halves = [
+        ((unit + 3 * (k - j + 1), (Fraction(0),) * (k - j) + (r,)), (2, _cap_polynomial(k, j))),
+        ((unit + 2 * k + 2 + 3 * (k + j + 1), (Fraction(0),) * (k + j) + (r,)), (0, p_zero)),
+    ]
+    den, deg = _den_deg([p for half in halves for _, p in half])
+    top, zero = Fraction(2), (0,) * (2 * deg + 2)
+    closing = []
+    for (e, p), (cap_e, cap) in halves:
+        chain = [((0, _ONE), (0, top), e, p), ((0, top), (1, top), cap_e, cap)]
+        terms = dict(_boundary_terms(chain[: 1 + include_caps], den, deg))
+        closing.append((terms.get(top, zero), terms.get(_ONE, zero)))
+    return den, deg, tuple(closing)
 
 
 def spectacle_period(
@@ -291,26 +314,15 @@ def spectacle_period(
             raise ValueError(f"height {T} too large: T^{2 * k} overflows a float") from None
     if abs(j) > k - 1:
         raise ValueError("cap equation unsolvable at one cusp: need |j| <= k-1")
-    unit, r = _c_exact(k, j)
-    p_zero = tuple((-1) ** (k - j) * c for c in _cap_polynomial(k, -j))
-    # per half, (e, P) of c_{k,j} (-i)^s int_i^iT f(z) z^(s-1) dz (the second
-    # times (-1)^(k+1) = i^(2k+2)) and of its cap iT -> 1 + iT
-    halves = [
-        ((unit + 3 * (k - j + 1), (Fraction(0),) * (k - j) + (r,)), (2, _cap_polynomial(k, j))),
-        ((unit + 2 * k + 2 + 3 * (k + j + 1), (Fraction(0),) * (k + j) + (r,)), (0, p_zero)),
-    ]
-    den, deg = _den_deg([p for half in halves for _, p in half])
-    by_T: List[Dict[float, Terms]] = [{}, {}]  # each half's terms by height
-    for T in dict.fromkeys(heights):
-        t = Fraction(T)
-        for half, ((e, p), (cap_e, cap)) in zip(by_T, halves):
-            chain = [((0, Fraction(1)), (0, t), e, p), ((0, t), (1, t), cap_e, cap)]
-            half[T] = _boundary_terms(chain[: 1 + include_caps], den, deg)
+    den, deg, halves = _closing(k, j, include_caps)
+    labels = {T: Fraction(T) for T in heights}
     sums, values = {}, {}  # one mode sum per distinct boundary; the value per (T1, T2)
     for T1, T2 in itertools.product(heights, repeat=2):
-        terms = dict(by_T[0][T1])  # the halves added height by height
-        for y, v in by_T[1][T2]:
-            terms[y] = tuple(map(add, terms[y], v)) if y in terms else v
+        terms: Dict[Fraction, Parts] = {}  # the halves added height by height, tops first
+        for T, (top, bottom) in zip((T1, T2), halves):
+            for y, v in ((labels[T], top), (_ONE, bottom)):
+                if any(v):
+                    terms[y] = tuple(map(add, terms[y], v)) if y in terms else v
         boundary = tuple((y, v) for y, v in terms.items() if any(v))
         if boundary not in sums:
             sums[boundary] = _mode_sum(f, boundary, den, deg)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectacle
-from spectacle import cli, shintani_lift
+from spectacle import cli, periods, shintani_lift
 from spectacle.cli import build_parser, main
 
 
@@ -351,15 +351,39 @@ def test_subcommand_help_matches_the_all_commands_parser(name, registered, capsy
     assert registered[1:] == _COMMAND_NAMES
 
 
-def test_module_entry_point_prints_what_main_prints(capsys):
-    argv = ["lvalue", "--weight", "4", "--j", "0", "--T", "3,10"]
-    code, out = run_cli(capsys, *argv)
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of ``python -m spectacle argv`` in a new interpreter."""
     src = str(Path(spectacle.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-m", "spectacle", *argv], env=env, capture_output=True, check=False
     )
-    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), b"")
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["lvalue", "--weight", "4", "--j", "0", "--T", "3,10"]
+    code, out = run_cli(capsys, *argv)
+    assert _fresh_process(argv) == (code, out.encode(), b"")
+
+
+def test_lvalue_at_new_heights_reuses_the_closing(capsys, monkeypatch):
+    calls = {"_boundary_terms": 0, "_mode_sum": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _run=getattr(periods, name)):
+            calls[_name] += 1
+            return _run(*args)
+
+        monkeypatch.setattr(periods, name, counted)
+    periods._closing.cache_clear()
+    assert run_cli(capsys, "lvalue", "--weight", "12", "--j=2", "--T", "1.5,3")[0] == 0
+    assert calls == {"_boundary_terms": 2, "_mode_sum": 1}  # one chain per half
+    argv = ["lvalue", "--weight", "12", "--j=2", "--T", "2,4,7.1"]
+    code, out = run_cli(capsys, *argv)
+    # the closing is read from the first call; each call sums its own modes
+    assert calls == {"_boundary_terms": 2, "_mode_sum": 2}
+    assert _fresh_process(argv) == (code, out.encode(), b"")
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -46,6 +46,25 @@ def test_bernoulli_number_is_poly_at_zero(n):
     assert bernoulli_number(n) == bernoulli_poly(n, 0)
 
 
+def _bernoulli_poly_horner(n: int, x: Fraction) -> Fraction:
+    """B_n(x) = sum_j C(n, j) B_j x^(n-j) by Horner, at every x."""
+    acc = Fraction(1)
+    for j in range(1, n + 1):
+        acc = acc * x + comb(n, j) * bernoulli_number(j)
+    return acc
+
+
+def test_bernoulli_poly_at_zero_agrees_with_the_horner_loop():
+    for n in range(61):
+        assert bernoulli_poly(n, 0) == bernoulli_poly(n, Fraction(0)) == bernoulli_number(n)
+        assert _bernoulli_poly_horner(n, Fraction(0)) == bernoulli_number(n), n
+    rng = random.Random(20261019)
+    for _ in range(3000):
+        n = rng.randint(0, 40)
+        x = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+        assert bernoulli_poly(n, x) == _bernoulli_poly_horner(n, x), (n, x)
+
+
 @settings(max_examples=50)
 @given(n=st.integers(min_value=0, max_value=20), x=rationals)
 def test_bernoulli_difference_equation(n, x):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from spectacle import cli, periods
 from spectacle.exact_arith import bernoulli_number
 from spectacle.periods import (
     HolomorphicFormSpec,
-    _cycle_integral,
     _gamma_q,
     c_constant,
     completed_L,
@@ -170,6 +170,12 @@ def _quadrature_axis_integral(f: HolomorphicFormSpec, s: int, T: float) -> float
     return value
 
 
+def _cycle_integral(f: HolomorphicFormSpec, chain) -> complex:
+    """Sum of int_{z0}^{z1} f(z) i^e P(z) dz over straight segments (z0, z1, e, P)."""
+    den, deg = periods._den_deg([p for *_, p in chain])
+    return periods._mode_sum(f, periods._boundary_terms(chain, den, deg), den, deg)
+
+
 @pytest.mark.parametrize("weight", [4, 6, 8, 10, 12, 14, 16])
 def test_axis_integral_matches_quadrature(weight):
     form = HolomorphicFormSpec.eisenstein(weight)
@@ -245,6 +251,56 @@ def test_one_mode_sum_per_capped_grid(monkeypatch, capsys):
     # without the caps every pair keeps its own heights: one mode sum each
     spectacle_period(HolomorphicFormSpec.eisenstein(4), 1, 0, (3.0, 5.0, 10.0), include_caps=False)
     assert len(calls) == 9
+
+
+def test_caps_close_the_cycle_exactly():
+    # the boundary at iT, axis end plus cap, is zero as an exact polynomial:
+    # the T-independence of the capped period, with no float in between
+    for weight in range(4, periods.MAX_PERIOD_WEIGHT + 1, 2):
+        k = weight // 2 - 1
+        for j in range(-(k - 1), k):
+            for include_caps in (True, False):
+                _, _, halves = periods._closing(k, j, include_caps)
+                for top, bottom in halves:
+                    assert any(top) != include_caps, (weight, j, include_caps)
+                    assert any(bottom), (weight, j, include_caps)
+
+
+def test_closing_is_the_boundary_at_every_height():
+    # the cached parts, labelled with T, are what the two-segment chain gives at T
+    k, j = 5, 2
+    unit, r = periods._c_exact(k, j)
+    den, deg, halves = periods._closing(k, j, True)
+    cap = periods._cap_polynomial(k, j)
+    for T in (Fraction(3, 2), Fraction(7), Fraction(10**10)):
+        chain = [
+            ((0, Fraction(1)), (0, T), unit + 3 * (k - j + 1), (Fraction(0),) * (k - j) + (r,)),
+            ((0, T), (1, T), 2, cap),
+        ]
+        assert periods._boundary_terms(chain, den, deg) == ((Fraction(1), halves[0][1]),)
+        assert periods._boundary_terms(chain[:1], den, deg) == (
+            (T, periods._closing(k, j, False)[2][0][0]),
+            (Fraction(1), halves[0][1]),
+        )
+
+
+@dataclass
+class _Coefficients:
+    """A coefficient stream that, as a plain dataclass with ``__call__``, cannot be hashed."""
+
+    form: HolomorphicFormSpec
+
+    def __call__(self, n: int) -> Fraction:
+        return self.form.a(n)
+
+
+def test_period_takes_an_unhashable_coefficient_callable():
+    form = HolomorphicFormSpec.eisenstein(12)
+    stream = HolomorphicFormSpec(12, _Coefficients(form))
+    with pytest.raises(TypeError):
+        hash(stream)
+    heights = (1.5, 3.0)
+    assert spectacle_period(stream, 5, 2, heights) == spectacle_period(form, 5, 2, heights)
 
 
 # the truncation heights of the benchmark's lvalue ops, and three far heights
