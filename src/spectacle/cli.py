@@ -6,7 +6,9 @@ arguments, handler).  The first call of a subcommand in a process builds only
 that subcommand's parser, and later calls reuse it; help, an empty argv or an
 unknown name share one parser of them all.  Exact series
 serialize rationals as "p/q" strings; period results print 12 significant
-digits with an absolute error bound.  Output is deterministic (all maps are
+digits with abs_err_bound = max(t_spread, 1e-11).  A capped period's t_spread
+is exactly 0, so that field always reads the constant 1e-11, while the true
+error reaches 3.0e-10 at weight 44, j = 0.  Output is deterministic (all maps are
 sorted before serialization): identical invocations produce identical bytes.
 
 Environment: SPECTACLE_LOG in {error, info, debug} controls log verbosity.

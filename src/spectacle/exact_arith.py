@@ -17,7 +17,7 @@ Conventions
 
 from __future__ import annotations
 
-import threading
+import functools
 from fractions import Fraction
 from math import comb, isqrt, lcm
 from operator import mul
@@ -41,30 +41,19 @@ __all__ = [
     "poly_product",
 ]
 
-# Memoized B_0, B_1, ... and the smallest-prime-factor sieve; one lock guards
-# both so concurrent fills stay race-free.
-_bernoulli_cache: List[Fraction] = [Fraction(1)]
-_spf: List[int] = [0, 1]  # _spf[a] = smallest prime factor of a >= 2
-_cache_lock = threading.Lock()
-
-
+@functools.cache
 def bernoulli_number(n: int) -> Fraction:
     """Bernoulli number B_n (convention B_1 = -1/2), as an exact Fraction.
 
-    Uses the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1.
+    Uses the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1.  The
+    memo is filled for j < n in increasing order, so a cold call recurses
+    at most two deep.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    if n < len(_bernoulli_cache):
-        return _bernoulli_cache[n]
-    with _cache_lock:
-        while len(_bernoulli_cache) <= n:
-            m = len(_bernoulli_cache)
-            s = sum(
-                Fraction(comb(m + 1, j)) * _bernoulli_cache[j] for j in range(m)
-            )
-            _bernoulli_cache.append(-s / (m + 1))
-    return _bernoulli_cache[n]
+    if n == 0:
+        return Fraction(1)
+    return -sum(Fraction(comb(n + 1, j)) * bernoulli_number(j) for j in range(n)) / (n + 1)
 
 
 def bernoulli_poly(n: int, x: Rational) -> Fraction:
@@ -78,10 +67,9 @@ def bernoulli_poly(n: int, x: Rational) -> Fraction:
     if x == 0:
         return bernoulli_number(n)
     x = Fraction(x)
-    bernoulli_number(n)  # populate cache through index n
     acc = Fraction(1)  # B_0 coefficient of x^n
     for j in range(1, n + 1):
-        acc = acc * x + comb(n, j) * _bernoulli_cache[j]
+        acc = acc * x + comb(n, j) * bernoulli_number(j)
     return acc
 
 
@@ -186,36 +174,19 @@ def is_fundamental_discriminant(D: int) -> bool:
     return _fundamental_defect(D) is None
 
 
-def _smallest_prime_factors(n: int) -> List[int]:
-    """The shared table spf[a] = smallest prime factor of a, for 2 <= a <= n.
-
-    Built on first use and re-sieved to at least twice its size when a larger
-    n is asked for, so it never holds more than twice the largest n asked for.
-    """
-    global _spf
-    if n < len(_spf):
-        return _spf
-    with _cache_lock:
-        if n >= len(_spf):
-            size = max(n + 1, 2 * len(_spf))
-            spf = list(range(size))
-            # every multiple of p from p^2 on, largest p first: the smallest
-            # divisor d >= 2 of a composite a (a prime, with d^2 <= a) is
-            # written last
-            for p in range(isqrt(size - 1), 1, -1):
-                spf[p * p :: p] = [p] * len(range(p * p, size, p))
-            _spf = spf
-        return _spf
-
-
 def _character_table(D: int, half: int) -> List[int]:
     """chi_D(a) for 0 <= a <= half (entry 0 is 0), for |D| > 1 and half >= 1.
 
-    Complete multiplicativity over the shared sieve: chi_D(p) is one
-    ``kronecker_symbol`` per prime p, and chi_D(a) = chi_D(p) chi_D(a/p) for
-    composite a with smallest prime factor p.
+    Complete multiplicativity over a smallest-prime-factor sieve of
+    0..half, built for this D: chi_D(p) is one ``kronecker_symbol`` per
+    prime p, and chi_D(a) = chi_D(p) chi_D(a/p) for composite a with
+    smallest prime factor p.
     """
-    spf = _smallest_prime_factors(half)
+    spf = list(range(half + 1))
+    # every multiple of p from p^2 on, largest p first: the smallest divisor
+    # d >= 2 of a composite a (a prime, with d^2 <= a) is written last
+    for p in range(isqrt(half), 1, -1):
+        spf[p * p :: p] = [p] * len(range(p * p, half + 1, p))
     chi = [0, 1] + [0] * (half - 1)
     for a in range(2, half + 1):
         p = spf[a]
@@ -238,10 +209,10 @@ def generalized_bernoulli(n: int, D: int) -> Fraction:
         S'_i = sum_{1 <= a < m/2} chi_D(a) a^i,
 
     so the wrong parity is 0 without any summing.  Otherwise chi_D over
-    a < m/2 comes from the module's shared smallest-prime-factor sieve (one
-    Kronecker symbol per prime below m/2), and S'_0..S'_n from n products
-    over the a with chi_D(a) != 0: O(|D| n / 2) integer work, then n + 1
-    rational terms.
+    a < m/2 comes from a smallest-prime-factor sieve built for this D over
+    the residues below m/2 (one Kronecker symbol per prime below m/2), and
+    S'_0..S'_n from n products over the a with chi_D(a) != 0: O(|D| n / 2)
+    integer work, then n + 1 rational terms.
     """
     if n < 1:
         raise ValueError("generalized Bernoulli index must be >= 1")

@@ -179,7 +179,7 @@ def c_constant(k: int, j: int) -> complex:
     return 1j**unit * float(r)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _cap_polynomial(k: int, j: int) -> Tuple[Fraction, ...]:
     """Boundary pairing polynomial of the cap at infinity for the jump v_{2j},
     read from the Bernoulli closed form (width 1, position 0) once per
@@ -297,8 +297,9 @@ def spectacle_period(
     (T1, T2) in heights x heights, T1 outer.  Valid for weights up to
     ``MAX_PERIOD_WEIGHT`` and finite heights T > 1 whose T^(2k) fits a float;
     anything else raises ``ValueError``.  ``include_caps=False`` drops the cap
-    integrals: a control that depends on T1, T2 polynomially, real (so
-    returned) only for k - j odd, as c_{k,j} is imaginary for k - j even."""
+    integrals: a control that depends on T1, T2 polynomially, real only for
+    k - j odd, as c_{k,j} is imaginary for k - j even, where it raises
+    ``ValueError`` before any mode is summed."""
     if f.weight != 2 * k + 2:
         raise ValueError("form weight must equal 2k+2")
     if f.weight > MAX_PERIOD_WEIGHT:
@@ -314,6 +315,8 @@ def spectacle_period(
             raise ValueError(f"height {T} too large: T^{2 * k} overflows a float") from None
     if abs(j) > k - 1:
         raise ValueError("cap equation unsolvable at one cusp: need |j| <= k-1")
+    if not include_caps and (k - j) % 2 == 0:
+        raise ValueError("the uncapped control is real only for k - j odd")
     den, deg, halves = _closing(k, j, include_caps)
     labels = {T: Fraction(T) for T in heights}
     sums, values = {}, {}  # one mode sum per distinct boundary; the value per (T1, T2)

@@ -149,6 +149,13 @@ def _interior_geometric(cfg: LiftConfig) -> Dict[int, int]:
     in integers: t = 2m, the sign is taken on the doubled coordinates
     (-2 m2, t, 2 m1), and the exponent numerator is -m1 m2 d + t^2 d/4 with
     d = exp_den (t is even when d = 1).
+
+    On y = w0 the sign is constant: ``epsilon_sign_int(x, w0)`` is
+    sgn(x_a + x_c), and every walked vector has a = -2 m2 > 0 and
+    c = 2 m1 > 0, so it returns +1 for (a, t, c) and -1 for (-a, t, -c)
+    (pinned by ``test_interior_epsilon_routes_agree_vectorwise``).  The call
+    stays because it is the geometric side's only contact with the
+    orientation.
     """
     d, k, n_max = cfg.exp_den, cfg.k, cfg.n_max
     t_first = int(2 * cfg.h)

@@ -1,19 +1,23 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cohen_oracle
+from spectacle import exact_arith
 from spectacle.exact_arith import (
     _character_table,
     bernoulli_number,
     bernoulli_poly,
     divisor_power_sum,
     divisors,
-    factorize,
     fundamental_discriminant_split,
     generalized_bernoulli,
     is_fundamental_discriminant,
@@ -210,42 +214,27 @@ def test_bernoulli_memo_concurrent_fill():
     assert results[0] == bernoulli_poly(220, 0)
 
 
-def test_prime_sieve_concurrent_growth(monkeypatch):
-    import sys
-    import threading
-
-    from spectacle import exact_arith
-
-    sizes = [1000 * (i + 1) ** 2 for i in range(12)]
-
-    def race():
-        monkeypatch.setattr(exact_arith, "_spf", [0, 1])
-        tables = {}
-        start = threading.Barrier(len(sizes))
-
-        def worker(n):
-            start.wait(timeout=30)
-            tables[n] = exact_arith._smallest_prime_factors(n)
-
-        threads = [threading.Thread(target=worker, args=(n,)) for n in sizes]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
-        # each caller was covered, and no grown table was replaced by a smaller one
-        assert all(len(tables[n]) > n for n in sizes)
-        assert len(exact_arith._spf) > max(sizes)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(8):
-            race()
-    finally:
-        sys.setswitchinterval(interval)
-    spf = exact_arith._spf
-    assert all(spf[a] == min(factorize(a)) for a in range(2, len(spf)))
+def test_cold_bernoulli_memo_recurses_shallowly():
+    # B_300 from a cold memo under a recursion limit of 40, in a fresh
+    # interpreter: the memo fills B_j in increasing j, so no call chain
+    # grows with the index
+    src = str(Path(exact_arith.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys\n"
+        "from spectacle import exact_arith\n"
+        "exact_arith.bernoulli_number.cache_clear()\n"
+        "sys.setrecursionlimit(40)\n"
+        "print(exact_arith.bernoulli_number(300))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=False
+    )
+    assert done.returncode == 0, done.stderr
+    B = [Fraction(1)]
+    for m in range(1, 301):
+        B.append(-sum(comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    assert Fraction(done.stdout.strip()) == B[300]
 
 
 def schoolbook_product(x, y, n):

@@ -253,6 +253,17 @@ def test_one_mode_sum_per_capped_grid(monkeypatch, capsys):
     assert len(calls) == 9
 
 
+def test_uncapped_control_with_k_minus_j_even_fails_up_front(monkeypatch):
+    # c_{k,j} is imaginary for k - j even, so the uncapped control is refused
+    # before its mode sums run, not after them as a non-real pairing
+    calls = []
+    monkeypatch.setattr(periods, "_mode_sum", lambda *args: calls.append(args))
+    for j in (-5, -1, 1, 3):
+        with pytest.raises(ValueError, match="real only for k - j odd"):
+            spectacle_period(HolomorphicFormSpec.eisenstein(16), 7, j, (2.3, 3.7), include_caps=False)
+    assert calls == []
+
+
 def test_caps_close_the_cycle_exactly():
     # the boundary at iT, axis end plus cap, is zero as an exact polynomial:
     # the T-independence of the capped period, with no float in between
