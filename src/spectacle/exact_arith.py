@@ -59,18 +59,23 @@ def bernoulli_number(n: int) -> Fraction:
 def bernoulli_poly(n: int, x: Rational) -> Fraction:
     """Bernoulli polynomial B_n(x) = sum_j C(n, j) B_j x^(n-j).
 
-    Evaluated by Horner on the binomial expansion; exact for rational x.
-    B_n(0) is B_n, read without the loop.
+    For an int or Fraction x = p/q, with L the lcm of the denominators of
+    B_0..B_n, L q^n B_n(x) = sum_j C(n, j) (L B_j) p^(n-j) q^j is an
+    integer, so the Horner loop runs on integers and one Fraction is built
+    at the end.  B_n(0) is B_n, read without the loop.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
     if x == 0:
         return bernoulli_number(n)
-    x = Fraction(x)
-    acc = Fraction(1)  # B_0 coefficient of x^n
-    for j in range(1, n + 1):
-        acc = acc * x + comb(n, j) * bernoulli_number(j)
-    return acc
+    p, q = x.numerator, x.denominator
+    ratios = [bernoulli_number(j).as_integer_ratio() for j in range(n + 1)]
+    L = lcm(*(d for _, d in ratios))
+    acc, q_j = 0, 1
+    for j, (a, d) in enumerate(ratios):
+        acc = acc * p + comb(n, j) * a * (L // d) * q_j
+        q_j *= q
+    return Fraction(acc, L * q**n)
 
 
 def factorize(n: int) -> Dict[int, int]:
@@ -292,8 +297,9 @@ def poly_product(
     x: Sequence[Union[int, Fraction]], y: Sequence[Union[int, Fraction]], n: int
 ) -> List[Union[int, Fraction]]:
     """Coefficients 0..n of the product of the polynomials with coefficient
-    lists x and y (constant term first): ints for integral x and y, else
-    Fractions.
+    lists x and y (constant term first), each an int when it is integral and
+    a Fraction otherwise: with a common denominator d != 1, a slot c that d
+    divides is returned as c // d.
 
     Kronecker substitution: each factor, cleared to one integer denominator
     and cut to n + 1 terms, is one int in slots of w bytes, and one integer
@@ -316,4 +322,4 @@ def poly_product(
     raw = (prod & ((1 << 8 * size) - 1)).to_bytes(size, "little")
     half, den = 1 << (8 * width - 1), dx * dy
     out = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
-    return out if den == 1 else [Fraction(c, den) for c in out]
+    return out if den == 1 else [c // den if c % den == 0 else Fraction(c, den) for c in out]

@@ -11,6 +11,15 @@ never False.  A product lays both factors out as dense coefficient lists on
 the common grid and hands them to ``exact_arith.poly_product``, the one exact
 product kernel (Kronecker substitution: one big-integer multiply).
 
+Table contract: a stored coefficient is an ``int`` when it is integral and a
+``Fraction`` otherwise (an integral Fraction is stored as its numerator), and
+a float is refused with ``TypeError``.  Most coefficients the package builds
+are integers (intersection counts, theta and sigma values, most of H(r, N)),
+so they are added and multiplied as ints; ``coefficient`` and
+``nonholo_coefficient`` still return a ``Fraction``, and ``to_json_dict``
+writes the same strings either way.  A division on table values goes through
+``Fraction``, since int / int is a float.
+
 An expansion may carry a separate non-holomorphic part: ``nonholo[m]`` is the
 rational multiplier of q^(m/exp_den) / (pi * v) where v is the imaginary part
 of the modular variable.  The two parts never mix; equality checks assert
@@ -37,6 +46,7 @@ from .exact_arith import (
 
 RationalLike = Union[int, Fraction]
 ExponentLike = Union[int, Fraction]
+Table = Dict[int, RationalLike]  # exponent numerator -> coefficient
 
 __all__ = [
     "QExpansion",
@@ -51,12 +61,12 @@ class TruncationError(ValueError):
     """Comparison or access beyond the reliable truncation range."""
 
 
-def _rescaled(table: Dict[int, Fraction], scale: int) -> Dict[int, Fraction]:
+def _rescaled(table: Table, scale: int) -> Table:
     """``table`` with every numerator moved to a grid ``scale`` times finer."""
     return table if scale == 1 else {n * scale: c for n, c in table.items()}
 
 
-def _dense(table: Dict[int, Fraction], scale: int, top: int) -> List[RationalLike]:
+def _dense(table: Table, scale: int, top: int) -> List[RationalLike]:
     """The coefficient list, through numerator ``top``, of ``table`` moved to
     a grid ``scale`` times finer."""
     out: List[RationalLike] = [0] * (min(max(table, default=0) * scale, top) + 1)
@@ -73,8 +83,8 @@ class QExpansion:
         self,
         exp_den: int,
         n_max: int,
-        coeffs: Dict[int, RationalLike],
-        nonholo: Optional[Dict[int, RationalLike]] = None,
+        coeffs: Table,
+        nonholo: Optional[Table] = None,
     ) -> None:
         if exp_den < 1:
             raise ValueError("exp_den must be >= 1")
@@ -85,10 +95,11 @@ class QExpansion:
         self.coeffs = self._table(coeffs, "exponent")
         self.nonholo = None if nonholo is None else self._table(nonholo, "nonholo")
 
-    def _table(self, d: Dict[int, RationalLike], what: str) -> Dict[int, Fraction]:
-        """The nonzero entries of ``d`` as Fractions; every numerator must be an
-        integer, and those of nonzero entries lie in [0, n_max]."""
-        out: Dict[int, Fraction] = {}
+    def _table(self, d: Table, what: str) -> Table:
+        """The nonzero entries of ``d``, each an int when integral and a
+        Fraction otherwise; every numerator must be an integer, and those of
+        nonzero entries lie in [0, n_max].  A float coefficient is a TypeError."""
+        out: Table = {}
         for n, c in d.items():
             m = int(n)
             if m != n:
@@ -96,7 +107,14 @@ class QExpansion:
             if c:
                 if m < 0 or m > self.n_max:
                     raise ValueError(f"{what} numerator {m} outside [0, {self.n_max}]")
-                out[m] = Fraction(c)
+                if type(c) is not int:
+                    if isinstance(c, float):
+                        raise TypeError(f"coefficient {c!r} at {what} numerator {m} is a float")
+                    if type(c) is not Fraction:
+                        c = Fraction(c)
+                    if c.denominator == 1:
+                        c = c.numerator
+                out[m] = c
         return out
 
     # -- bounds ------------------------------------------------------------
@@ -106,14 +124,14 @@ class QExpansion:
         """Largest exponent this expansion is reliable up to."""
         return Fraction(self.n_max, self.exp_den)
 
-    def _lookup(self, table: Optional[Dict[int, Fraction]], e: ExponentLike) -> Fraction:
+    def _lookup(self, table: Optional[Table], e: ExponentLike) -> Fraction:
         e = Fraction(e)
         if e < 0 or e > self.exponent_bound:
             raise TruncationError(f"exponent {e} outside [0, {self.exponent_bound}]")
         num = e * self.exp_den
         if not table or num.denominator != 1:
             return Fraction(0)
-        return table.get(num.numerator, Fraction(0))
+        return Fraction(table.get(num.numerator, 0))
 
     def coefficient(self, e: ExponentLike) -> Fraction:
         """Coefficient of q^e; exact zero off the grid, error past n_max."""
@@ -135,20 +153,19 @@ class QExpansion:
 
     def __add__(self, other: "QExpansion") -> "QExpansion":
         den, n_max = self._unified(other)
-        out: Dict[int, Fraction] = {}
-        nh: Dict[int, Fraction] = {}
+        out: Table = {}
+        nh: Table = {}
         for src in (self, other):
             scale = den // src.exp_den
             for acc, table in ((out, src.coeffs), (nh, src.nonholo or {})):
                 for n, c in table.items():
                     m = n * scale
                     if m <= n_max:
-                        acc[m] = acc.get(m, Fraction(0)) + c
+                        acc[m] = acc.get(m, 0) + c
         has_nh = self.nonholo is not None or other.nonholo is not None
         return QExpansion(den, n_max, out, nh if has_nh else None)
 
     def __rmul__(self, t: RationalLike) -> "QExpansion":
-        t = Fraction(t)
         return QExpansion(
             self.exp_den,
             self.n_max,
@@ -175,11 +192,11 @@ class QExpansion:
         den, n_max = self._unified(other)
         sa, sb = den // self.exp_den, den // other.exp_den
 
-        def convolve(x: Dict[int, Fraction], y: Dict[int, Fraction]) -> Dict[int, Fraction]:
+        def convolve(x: Table, y: Table) -> Table:
             prod = poly_product(_dense(x, sa, n_max), _dense(y, sb, n_max), n_max)
             return {e: c for e, c in enumerate(prod) if c}
 
-        nh: Optional[Dict[int, Fraction]] = None
+        nh: Optional[Table] = None
         if self.nonholo is not None or other.nonholo is not None:
             # at most one of the two tables is non-empty
             nh = {
@@ -230,12 +247,11 @@ class QExpansion:
                 ("nonholo", self.nonholo or {}, other.nonholo or {}),
             )
         ]
-        zero = Fraction(0)
         for num in sorted({n for _, x, y in parts for n in (*x, *y) if n <= top}):
             for part, x, y in parts:
-                a, b = x.get(num, zero), y.get(num, zero)
+                a, b = x.get(num, 0), y.get(num, 0)
                 if a != b:
-                    return (Fraction(num, den), a, b, part)
+                    return (Fraction(num, den), Fraction(a), Fraction(b), part)
         return None
 
     def multiple_of(
@@ -252,7 +268,7 @@ class QExpansion:
         a = _rescaled(self.coeffs, den // self.exp_den)
         b = _rescaled(other.coeffs, den // other.exp_den)
         first = min((n for n in (*a, *b) if n <= top), default=None)
-        lam = a.get(first, 0) / b[first] if first in b else None
+        lam = Fraction(a.get(first, 0)) / b[first] if first in b else None
         return lam, self.first_mismatch(other if lam is None else lam * other)
 
     def equals_to(self, other: "QExpansion", up_to: Optional[ExponentLike] = None) -> bool:
@@ -304,7 +320,7 @@ def eisenstein_level1(m: int, n_max: int) -> QExpansion:
     if m < 4 or m % 2:
         raise ValueError("weight must be even and >= 4")
     scale = -Fraction(2 * m) / bernoulli_number(m)
-    coeffs: Dict[int, Fraction] = {0: Fraction(1)}
+    coeffs: Table = {0: 1}
     for n in range(1, n_max + 1):
         coeffs[n] = scale * divisor_power_sum(n, m - 1)
     return QExpansion(1, n_max, coeffs)
@@ -321,8 +337,11 @@ def cohen_eisenstein(r: int, n_max: int) -> QExpansion:
     (Zagier 1975), so no form on Gamma0(4) has these coefficients; for
     r >= 6, M_{2r} has cusp forms, and the plus-space support and the
     constant term no longer pin H.  Both stay on Cohen's formula
-    (``cohen_bernoulli``), which grows like n_max^2.
+    (``cohen_bernoulli``), which grows like n_max^2.  A negative n_max is
+    refused before either route runs, with the message of every table.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     return _cohen_ring(r, n_max) if 2 <= r <= 5 else cohen_bernoulli(r, n_max)
 
 
@@ -396,7 +415,9 @@ def _cohen_ring(r: int, n_max: int) -> QExpansion:
         acc = poly_product([a + e[j] * t for a, t in zip(acc, powers[J - j - 1])], f2, top)
     acc = [a + e[0] * t for a, t in zip(acc, powers[J - 1])]
     table = poly_product(head, acc, n_max)
-    return QExpansion(1, n_max, {n: Fraction(c, d) for n, c in enumerate(table)})
+    return QExpansion(
+        1, n_max, {n: c // d if c % d == 0 else Fraction(c, d) for n, c in enumerate(table)}
+    )
 
 
 def cohen_bernoulli(r: int, n_max: int) -> QExpansion:

@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
 from .exact_arith import bernoulli_number
-from .qseries import QExpansion, cohen_eisenstein
+from .qseries import QExpansion, RationalLike, cohen_eisenstein
 from .quad_space import epsilon_sign_int
 from . import theta11
 
@@ -215,7 +215,7 @@ def _cap_term(cfg: LiftConfig, theta_w: QExpansion) -> QExpansion:
         cfg.exp_den,
         cfg.n_max,
         {n: -2 * Fraction(n, cfg.exp_den) * c for n, c in theta_w.coeffs.items()},
-        {n: c / 4 for n, c in theta_w.coeffs.items()},
+        {n: Fraction(c, 4) for n, c in theta_w.coeffs.items()},
     )
 
 
@@ -293,7 +293,7 @@ def lift_geometric_side(cfg: LiftConfig) -> QExpansion:
     paired with the symbol they give the constant term, the boundary
     incidence sign times (-1)^(k+1) B_{k+1}/(k+1).
     """
-    coeffs = {n: Fraction(v) for n, v in _interior_geometric(cfg).items()}
+    coeffs: Dict[int, RationalLike] = _interior_geometric(cfg)
     k = cfg.k
     block = _bernoulli_block_scalar(k)
     for t, num in _w0_points(cfg):
@@ -302,7 +302,7 @@ def lift_geometric_side(cfg: LiftConfig) -> QExpansion:
             coeffs[0] = arbitrate_signs().boundary_incidence * block
             continue
         # the two families of +-m terminating/originating at the cusps
-        coeffs[num] = coeffs.get(num, Fraction(0)) + 2 * block
+        coeffs[num] = coeffs.get(num, 0) + 2 * block
         if k == 1:
             # each oriented family contributes -2 m^2 at the zero cusp
             coeffs[num] -= 4 * Fraction(num, cfg.exp_den)

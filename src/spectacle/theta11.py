@@ -88,7 +88,7 @@ def _literal_series(
 ) -> QExpansion:
     """The series exactly as displayed, before the global sign is applied."""
     den = lat.exp_den()
-    coeffs: Dict[int, Fraction] = {}
+    coeffs: Dict[int, RationalLike] = {}
     const = Fraction(0)
     if lat.h2 == 0:
         const += -(lat.M1**k) * bernoulli_poly(k + 1, lat.h1 / lat.M1) / (k + 1) * (
@@ -124,8 +124,13 @@ def _literal_series(
             assert rem == 0
             sum_u[key] = sum_u.get(key, 0) + sgn * (-j) ** k
             sum_up[key] = sum_up.get(key, 0) + pow_i
+    # w_u (-m2)^k = (w_u / D2^k) (-j)^k and w_up (-m1)^k = (w_up / D1^k) (-i)^k;
+    # on an integral progression with integral weights both scales are ints
+    a_u, a_up = (Fraction(w, D**k) for w, D in ((w_u, D2), (w_up, D1)))
+    if a_u.denominator == a_up.denominator == 1:
+        a_u, a_up = a_u.numerator, a_up.numerator
     for key in sum_u:
-        coeffs[key] = w_u * Fraction(sum_u[key], D2**k) + w_up * Fraction(sum_up[key], D1**k)
+        coeffs[key] = a_u * sum_u[key] + a_up * sum_up[key]
     nonholo: Optional[Dict[int, Fraction]] = None
     if k == 1:
         nh = Fraction(0)

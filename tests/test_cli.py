@@ -502,3 +502,10 @@ def test_fuzzed_rational_argv_never_tracebacks(argv):
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_cohen_negative_nmax_has_one_message_for_every_route(r, capsys):
+    # the ring route (r = 2..5) and the Bernoulli route (r = 1, 6) fail alike
+    assert main(["cohen", "--r", str(r), "--nmax=-3"]) == 2
+    assert capsys.readouterr() == ("", "spectacle: error: n_max must be >= 0\n")

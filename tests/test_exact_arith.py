@@ -51,7 +51,8 @@ def test_bernoulli_number_is_poly_at_zero(n):
 
 
 def _bernoulli_poly_horner(n: int, x: Fraction) -> Fraction:
-    """B_n(x) = sum_j C(n, j) B_j x^(n-j) by Horner, at every x."""
+    """B_n(x) = sum_j C(n, j) B_j x^(n-j) by Horner on Fractions, at every x:
+    the oracle for ``bernoulli_poly``'s integer Horner."""
     acc = Fraction(1)
     for j in range(1, n + 1):
         acc = acc * x + comb(n, j) * bernoulli_number(j)
@@ -67,6 +68,20 @@ def test_bernoulli_poly_at_zero_agrees_with_the_horner_loop():
         n = rng.randint(0, 40)
         x = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
         assert bernoulli_poly(n, x) == _bernoulli_poly_horner(n, x), (n, x)
+
+
+# negative, integral and proper rationals, denominators 1..30, and plain ints
+_HORNER_GRID = sorted(
+    {Fraction(p, q) for q in range(1, 31) for p in (-3 * q - 1, -q, -1, 1, q + 1, 2 * q)}
+) + [-3, -1, 1, 2, 7]
+
+
+def test_integer_horner_matches_the_fraction_horner_on_a_grid():
+    for n in range(41):
+        for x in _HORNER_GRID:
+            got = bernoulli_poly(n, x)
+            assert type(got) is Fraction
+            assert got == _bernoulli_poly_horner(n, Fraction(x)), (n, x)
 
 
 @settings(max_examples=50)

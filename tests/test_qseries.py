@@ -24,6 +24,8 @@ from spectacle.qseries import (
     cohen_eisenstein,
     eisenstein_level1,
 )
+from spectacle.shintani_lift import LiftConfig, lift_geometric_side, lift_theta_side
+from spectacle.theta11 import SplitLatticeU, theta11_series
 
 
 def test_eisenstein_values():
@@ -550,3 +552,96 @@ def test_json_round_trip():
 def test_divisor_sum_consistency(n, k):
     # sanity anchor for the Eisenstein generator
     assert divisor_power_sum(n, k) == sum(d**k for d in range(1, n + 1) if n % d == 0)
+
+
+# -- table contract: an int when integral, a Fraction otherwise, never a float
+
+
+def non_contract_entries(series):
+    """(part, numerator, value) of every stored value that is neither an int
+    nor a Fraction (a float, say), or is a Fraction with denominator 1."""
+    return [
+        (part, n, c)
+        for part, table in (("holo", series.coeffs), ("nonholo", series.nonholo or {}))
+        for n, c in table.items()
+        if type(c) not in (int, Fraction) or (type(c) is int) != (Fraction(c).denominator == 1)
+    ]
+
+
+def _lift_sides():
+    for k in (1, 3):
+        for h, n_max in ((Fraction(0), 60), (Fraction(1, 2), 240)):
+            cfg = LiftConfig(k, h, n_max)
+            yield f"theta k={k} h={h}", lift_theta_side(cfg)
+            yield f"geometric k={k} h={h}", lift_geometric_side(cfg)
+
+
+def _level_one_theta11():
+    lat = SplitLatticeU.unimodular()
+    for k, w_u, w_up in ((1, 0, 1), (3, 0, 1), (3, 2, -5), (5, 1, 1), (3, Fraction(1, 3), 1)):
+        yield f"theta11 k={k} w=({w_u}, {w_up})", theta11_series(lat, k, w_u, w_up, 80)
+
+
+def _eisenstein_and_cohen_tables():
+    for m in (4, 12):  # an integral series and one with 691 in its denominators
+        yield f"E_{m}", eisenstein_level1(m, 60)
+    for r in range(2, 6):
+        yield f"cohen r={r}", cohen_eisenstein(r, 400)
+
+
+@pytest.mark.parametrize("source", [_lift_sides, _level_one_theta11, _eisenstein_and_cohen_tables])
+def test_tables_hold_ints_exactly_where_integral(source):
+    for name, series in source():
+        assert series.coeffs, name
+        assert non_contract_entries(series) == [], name
+
+
+def test_constructor_normalizes_integral_fractions():
+    a = QExpansion(2, 6, {0: Fraction(6, 3), 1: Fraction(1, 2), 2: True, 3: 0}, {1: Fraction(-4)})
+    assert a.coeffs == {0: 2, 1: Fraction(1, 2), 2: 1}
+    assert [type(c) for c in a.coeffs.values()] == [int, Fraction, int]
+    assert type(a.nonholo[1]) is int
+    assert non_contract_entries(a) == []
+    assert non_contract_entries(a + a) == non_contract_entries(Fraction(2) * a) == []
+    assert type((Fraction(2) * a).coeffs[0]) is int
+
+
+def test_public_accessors_return_fractions():
+    a = QExpansion(1, 4, {0: 3, 1: Fraction(1, 2)}, {0: 7})
+    for c in (a.coefficient(0), a.coefficient(1), a.coefficient(2), a.nonholo_coefficient(0)):
+        assert type(c) is Fraction
+    e, mine, theirs, _ = a.first_mismatch(QExpansion(1, 4, {0: 4}))
+    assert (type(e), type(mine), type(theirs)) == (Fraction, Fraction, Fraction)
+    lam, _ = QExpansion(1, 4, {1: 3}).multiple_of(QExpansion(1, 4, {1: 2}))
+    assert lam == Fraction(3, 2) and type(lam) is Fraction
+
+
+@pytest.mark.parametrize("table", ["coeffs", "nonholo"])
+def test_constructor_refuses_a_float(table):
+    tables = {"coeffs": {0: 1}, "nonholo": None, table: {2: 0.5}}
+    with pytest.raises(TypeError):
+        QExpansion(1, 4, tables["coeffs"], tables["nonholo"])
+
+
+def test_scalar_float_is_refused():
+    a = QExpansion(1, 4, {0: 1, 1: 2})
+    with pytest.raises(TypeError):
+        0.5 * a
+    assert type((2 * a).coeffs[1]) is int
+    assert (Fraction(1, 2) * a).coeffs == {0: Fraction(1, 2), 1: 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=st.lists(st.fractions(max_denominator=12).map(lambda c: c * 7), min_size=1, max_size=12),
+    y=st.lists(st.one_of(_SMALL, st.fractions(max_denominator=6)), min_size=1, max_size=12),
+    n=st.integers(0, 24),
+)
+def test_poly_product_with_a_common_denominator(x, y, n):
+    got = exact_arith.poly_product(x, y, n)
+    a, b = (QExpansion(1, n, dict(enumerate(v[: n + 1]))) for v in (x, y))
+    want = convolution_product(a, b)
+    assert got == [want.coefficient(e) for e in range(n + 1)]
+    for c in got:
+        assert type(c) in (int, Fraction)
+        assert (type(c) is int) == (Fraction(c).denominator == 1)
