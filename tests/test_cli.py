@@ -419,6 +419,21 @@ def test_out_file(tmp_path, capsys):
     assert d["coeffs"][0] == [0, "1"]
 
 
+def test_out_file_rewrite_drops_a_longer_earlier_output(tmp_path, capsys):
+    target = tmp_path / "series.json"
+    run_cli(capsys, "eisenstein", "--weight", "6", "--nmax", "40", "--out", str(target))
+    long_bytes = target.read_bytes()
+    code, _ = run_cli(capsys, "eisenstein", "--weight", "6", "--nmax", "3", "--out", str(target))
+    _, expected = run_cli(capsys, "eisenstein", "--weight", "6", "--nmax", "3")
+    assert code == 0 and len(long_bytes) > len(expected)
+    assert target.read_bytes() == expected.encode("utf-8")
+
+
+def test_out_to_a_device_writes_without_truncating(capsys):
+    code, out = run_cli(capsys, "eisenstein", "--weight", "6", "--nmax", "3", "--out", os.devnull)
+    assert code == 0 and out == ""
+
+
 def test_out_file_unwritable_is_one_line_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     assert main(["eisenstein", "--weight", "4", "--nmax", "2", "--out", str(target)]) == 2
