@@ -12,13 +12,13 @@ highest weight vector u^k), and then w is unique up to u^k; the period
 normalization removes that freedom because (n(t) u'^k, u^k) = (-1)^k is a
 nonzero constant.
 
-Two independent routes are provided: ``cap_solve`` solves the nilpotent
-triangular system plus the exact polynomial integral, and ``cap_closed_form``
-evaluates the Bernoulli-polynomial closed formula
+Every cap the package places comes from ``cap_closed_form``, the
+Bernoulli-polynomial closed formula
 
     w = sum_{j=i-1}^{k} (-M)^(j-i) C(k+j, j+1-i) B_{j+1-i}(-r/M)/(k+i) v_{2j}
 
-for jump value n(r) v_{2i}.  They agree exactly; tests enforce it.
+for jump value n(r) v_{2i}.  ``cap_solve`` (the nilpotent triangular system
+plus the exact polynomial integral) is its oracle in verify-all and the tests.
 """
 
 from __future__ import annotations
@@ -197,22 +197,17 @@ class SpectacleCycle:
 
 
 def _cusp_cap(
-    line: IsotropicLine,
-    x: VecV,
-    k: int,
-    v: SymVector,
-    width: Fraction,
+    line: IsotropicLine, x: VecV, k: int, width: Fraction
 ) -> Tuple[Fraction, SymVector]:
-    """Solve the cap at one cusp by transport to normal form and back."""
+    """Closed-form cap at one cusp, moved back from normal form, where x is
+    (0, b, c) = b n(r) w0 with r = -c/(2b): the jump x^k is b^k n(r) v_0, and
+    caps are linear in the jump."""
     sig = sigma_matrix(line)
-    inv = (sig[3], -sig[1], -sig[2], sig[0])
-    xt = conjugate_vec(inv, x)
+    xt = conjugate_vec((sig[3], -sig[1], -sig[2], sig[0]), x)
     if xt.a != 0:
         raise GeometryError("transported geodesic is not vertical")
     r = -xt.c / (2 * xt.b)
-    vt = act(inv, v)
-    wt = cap_solve(CapInput(k=k, width=width, position=r, jump=vt))
-    return r, act(sig, wt)
+    return r, act(sig, xt.b**k * cap_closed_form(k, 0, r, width))
 
 
 def spectacle_assemble(x: VecV, k: int, level: int = 1) -> SpectacleCycle:
@@ -229,6 +224,6 @@ def spectacle_assemble(x: VecV, k: int, level: int = 1) -> SpectacleCycle:
         # closed geodesic: nothing to cap
         return SpectacleCycle(x, k, coeff, None, None, None, None)
     l1, l2 = isotropic_lines_of(x)
-    r1, w1 = _cusp_cap(l1, x, k, coeff, width(l1))
-    r2, w2 = _cusp_cap(l2, x, k, coeff, width(l2))
+    r1, w1 = _cusp_cap(l1, x, k, width(l1))
+    r2, w2 = _cusp_cap(l2, x, k, width(l2))
     return SpectacleCycle(x, k, coeff, (l1, r1), (l2, r2), w1, w2)

@@ -11,6 +11,7 @@ from spectacle.caps import (
     boundary_pairing_polynomial,
     cap_closed_form,
     cap_solve,
+    gamma0_width,
     spectacle_assemble,
 )
 from spectacle.exact_arith import bernoulli_poly
@@ -20,12 +21,15 @@ from spectacle.quad_space import (
     UPRIME_VEC,
     VecV,
     W0_VEC,
+    conjugate_vec,
+    isotropic_lines_of,
     qform,
     sigma_matrix,
 )
 from spectacle.sym_rep import (
     act,
     act_n,
+    embed_power,
     embed_vector,
     pairing,
     u_power,
@@ -131,6 +135,39 @@ def test_spectacle_assemble_worked_example():
         assert cyc.cap_second == embed_vector(
             Fraction(-1, N) * U_VEC - Fraction(1, 2) * W0_VEC - Fraction(N, 6) * UPRIME_VEC
         )
+
+
+def _solved_cusp_cap(line, x, k, width):
+    # the triangular-solve route: the jump x^k moved into the cusp's normal
+    # form by sigma^(-1), capped by cap_solve and moved back by sigma
+    sig = sigma_matrix(line)
+    inv = (sig[3], -sig[1], -sig[2], sig[0])
+    xt = conjugate_vec(inv, x)
+    r = -xt.c / (2 * xt.b)
+    jump = act(inv, embed_power(x, k))
+    return r, act(sig, cap_solve(CapInput(k=k, width=width, position=r, jump=jump)))
+
+
+def test_spectacle_assemble_equals_the_cap_solve_route():
+    # the assembled caps come from the closed form; cap_solve, reached by
+    # transporting the jump itself, must give the same cusps, positions and caps
+    rng = random.Random(22)
+    rand = lambda: Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+    found = 0
+    while found < 320:
+        # split: q(x) = b^2 + ac is the square s^2
+        a, b, s = rand(), rand(), rand()
+        x = VecV(a, b, (s * s - b * b) / a if a else rand())
+        if qform(x) <= 0:
+            continue
+        k, level = rng.randint(1, 6), rng.randint(1, 6)
+        width = gamma0_width(level)
+        l1, l2 = isotropic_lines_of(x)
+        (r1, w1), (r2, w2) = (_solved_cusp_cap(line, x, k, width(line)) for line in (l1, l2))
+        cyc = spectacle_assemble(x, k, level)
+        got = (cyc.first, cyc.second, cyc.cap_first, cyc.cap_second)
+        assert got == ((l1, r1), (l2, r2), w1, w2), (x, k, level)
+        found += 1
 
 
 def test_spectacle_assemble_orientation_swap():

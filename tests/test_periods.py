@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from spectacle import cli, periods
+from spectacle.caps import CapInput, boundary_pairing_polynomial, cap_solve
 from spectacle.exact_arith import bernoulli_number
 from spectacle.periods import (
     HolomorphicFormSpec,
@@ -16,7 +17,17 @@ from spectacle.periods import (
     spectacle_period,
 )
 from spectacle.qseries import eisenstein_level1
-from spectacle.quad_space import GeometryError, VecV, W0_VEC, epsilon_sign, inner, qform
+from spectacle.quad_space import (
+    LINE_ZERO,
+    GeometryError,
+    VecV,
+    W0_VEC,
+    epsilon_sign,
+    inner,
+    qform,
+    sigma_matrix,
+)
+from spectacle.sym_rep import act, weight_vector
 
 
 def exact_lambda(weight: int, s: int) -> Fraction:
@@ -275,6 +286,20 @@ def test_caps_close_the_cycle_exactly():
                 for top, bottom in halves:
                     assert any(top) != include_caps, (weight, j, include_caps)
                     assert any(bottom), (weight, j, include_caps)
+
+
+def test_zero_cusp_cap_is_the_s_symmetric_cap_at_infinity():
+    # _closing's zero-cusp polynomial (-1)^(k-j) _cap_polynomial(k, -j) is the
+    # cap that cap_solve gives for the jump v_{2j} moved into the zero cusp's
+    # normal form by sigma_0^(-1)
+    sig = sigma_matrix(LINE_ZERO)
+    inv = (sig[3], -sig[1], -sig[2], sig[0])
+    for k in range(1, 13):
+        for j in range(-(k - 1), k):
+            jump = act(inv, weight_vector(k, j))
+            solved = cap_solve(CapInput(k=k, width=1, position=0, jump=jump))
+            shortcut = tuple((-1) ** (k - j) * c for c in periods._cap_polynomial(k, -j))
+            assert shortcut == boundary_pairing_polynomial(solved), (k, j)
 
 
 def test_closing_is_the_boundary_at_every_height():
