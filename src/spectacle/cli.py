@@ -47,9 +47,11 @@ def _configure_logging() -> None:
     logging.basicConfig(level=levels[level], format="%(name)s: %(message)s")
 
 
-def _emit(args: argparse.Namespace, payload: dict, table: Optional[str] = None) -> None:
-    """Write ``payload`` as JSON, or ``table`` under ``--format table``; a
-    subcommand without a table takes no ``--format``.
+def _emit(
+    args: argparse.Namespace, payload: dict, table: Optional[Callable[[], str]] = None
+) -> None:
+    """Write ``payload`` as JSON, or ``table()`` (rendered only then) under
+    ``--format table``; a subcommand without a table takes no ``--format``.
 
     ``--out`` overwrites an existing file in place and then cuts it to the
     new length, instead of truncating it to zero on open: ext4 takes a
@@ -59,7 +61,7 @@ def _emit(args: argparse.Namespace, payload: dict, table: Optional[str] = None) 
     text = (
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
         if table is None or args.format == "json"
-        else table
+        else table()
     )
     if args.out:
         try:
@@ -108,7 +110,7 @@ def _h_fraction(tag: str) -> Fraction:
 def cmd_theta11(args: argparse.Namespace) -> int:
     lat = SplitLatticeU(*(_rational(t) for t in (args.m1, args.h1, args.m2, args.h2)))
     series = theta11_series(lat, args.k, _rational(args.wu), _rational(args.wup), args.nmax)
-    _emit(args, series.to_json_dict(), _series_table(series, f"theta series, k={args.k}"))
+    _emit(args, series.to_json_dict(), lambda: _series_table(series, f"theta series, k={args.k}"))
     return 0
 
 
@@ -119,15 +121,19 @@ def cmd_lift(args: argparse.Namespace) -> int:
         report = plus_space_check(cfg.k, 4 * cfg.n_max // cfg.exp_den).reports[cfg.h != 0]
     else:
         report = main_theorem_check(cfg)
-    table_lines = [
-        f"# lift report k={args.k} h={args.h} n_max={args.nmax}",
-        f"equal: {report.equal}",
-    ]
-    if report.first_mismatch:
-        e, a, b, part = report.first_mismatch
-        table_lines.append(f"first mismatch at q^{e} [{part}]: theta {a} vs geometric {b}")
-    table_lines.append(_series_table(report.theta_side, "theta side"))
-    _emit(args, report.to_json_dict(), "\n".join(table_lines))
+
+    def table() -> str:
+        lines = [
+            f"# lift report k={args.k} h={args.h} n_max={args.nmax}",
+            f"equal: {report.equal}",
+        ]
+        if report.first_mismatch:
+            e, a, b, part = report.first_mismatch
+            lines.append(f"first mismatch at q^{e} [{part}]: theta {a} vs geometric {b}")
+        lines.append(_series_table(report.theta_side, "theta side"))
+        return "\n".join(lines)
+
+    _emit(args, report.to_json_dict(), table)
     if args.check and not report.equal:
         e, a, b, part = report.first_mismatch
         print(f"FAIL: sides differ at q^{e} [{part}]: {a} vs {b}", file=sys.stderr)
@@ -170,13 +176,13 @@ def cmd_caps(args: argparse.Namespace) -> int:
 
 def cmd_cohen(args: argparse.Namespace) -> int:
     series = cohen_eisenstein(args.r, args.nmax)
-    _emit(args, series.to_json_dict(), _series_table(series, f"H({args.r}, N)"))
+    _emit(args, series.to_json_dict(), lambda: _series_table(series, f"H({args.r}, N)"))
     return 0
 
 
 def cmd_eisenstein(args: argparse.Namespace) -> int:
     series = eisenstein_level1(args.weight, args.nmax)
-    _emit(args, series.to_json_dict(), _series_table(series, f"E_{args.weight}"))
+    _emit(args, series.to_json_dict(), lambda: _series_table(series, f"E_{args.weight}"))
     return 0
 
 
@@ -193,11 +199,10 @@ def cmd_lvalue(args: argparse.Namespace) -> int:
         "abs_err_bound": f"{max(spread, 1e-11):.3g}",
         "t_spread": f"{spread:.3g}",
     }
-    table = (
+    _emit(args, payload, lambda: (
         f"period(weight={args.weight}, j={args.j}) = {values[0]:.12g}\n"
         f"T-spread over {heights}: {spread:.3g}\n"
-    )
-    _emit(args, payload, table)
+    ))
     return 0
 
 
@@ -212,11 +217,10 @@ def cmd_intersect(args: argparse.Namespace) -> int:
         "point": [f"{point.real:.12g}", f"{point.imag:.12g}"],
         "agree": sign == numeric_sign,
     }
-    table = (
+    _emit(args, payload, lambda: (
         f"epsilon = {sign}, numeric sign = {numeric_sign}, "
         f"point = {point.real:.6g} + {point.imag:.6g} i\n"
-    )
-    _emit(args, payload, table)
+    ))
     return 0 if sign == numeric_sign else 1
 
 

@@ -5,11 +5,12 @@ integer numerator; ``n_max`` bounds the stored numerators, so the reliable
 exponent range is [0, n_max/exp_den].  Arithmetic and comparison work on the
 numerators alone (two grids meet on the lcm of their exp_den); a ``Fraction``
 exponent appears only at the public edge: the argument of ``coefficient`` and
-``nonholo_coefficient``, ``support`` and the exponent that ``first_mismatch``
-returns.  Comparing two expansions beyond either reliable range is an error,
-never False.  A product lays both factors out as dense coefficient lists on
-the common grid and hands them to ``exact_arith.poly_product``, the one exact
-product kernel (Kronecker substitution: one big-integer multiply).
+``nonholo_coefficient`` and the exponent that ``first_mismatch`` returns.
+Comparisons run over the common reliable range, and a coefficient lookup past
+``n_max`` raises ``TruncationError``.  A product lays both factors out as
+dense coefficient lists on the common grid and hands them to
+``exact_arith.poly_product``, the one exact product kernel (Kronecker
+substitution: one big-integer multiply).
 
 Table contract: a stored coefficient is an ``int`` when it is integral and a
 ``Fraction`` otherwise (an integral Fraction is stored as its numerator), and
@@ -140,9 +141,6 @@ class QExpansion:
     def nonholo_coefficient(self, e: ExponentLike) -> Fraction:
         return self._lookup(self.nonholo, e)
 
-    def support(self) -> List[Fraction]:
-        return [Fraction(n, self.exp_den) for n in sorted(self.coeffs)]
-
     # -- arithmetic ----------------------------------------------------------
 
     def _unified(self, other: "QExpansion") -> Tuple[int, int]:
@@ -222,24 +220,14 @@ class QExpansion:
     # -- comparison ----------------------------------------------------------
 
     def first_mismatch(
-        self, other: "QExpansion", up_to: Optional[ExponentLike] = None
+        self, other: "QExpansion"
     ) -> Optional[Tuple[Fraction, Fraction, Fraction, str]]:
-        """First exponent <= up_to where the expansions differ, or None.
+        """First exponent in the common reliable range where they differ, or None.
 
         Returns (exponent, own value, other value, part) with part 'holo' or
-        'nonholo'.  Raises TruncationError when up_to is negative or exceeds
-        either bound.
+        'nonholo'.
         """
         den, top = self._unified(other)
-        if up_to is not None:
-            up_to = Fraction(up_to)
-            if up_to < 0:
-                raise TruncationError(f"comparison up to {up_to} is below q^0")
-            if up_to * den > top:
-                raise TruncationError(
-                    f"comparison up to {up_to} exceeds common truncation {Fraction(top, den)}"
-                )
-            top = int(up_to * den)
         parts = [
             (part, _rescaled(x, den // self.exp_den), _rescaled(y, den // other.exp_den))
             for part, x, y in (
@@ -271,8 +259,8 @@ class QExpansion:
         lam = Fraction(a.get(first, 0)) / b[first] if first in b else None
         return lam, self.first_mismatch(other if lam is None else lam * other)
 
-    def equals_to(self, other: "QExpansion", up_to: Optional[ExponentLike] = None) -> bool:
-        return self.first_mismatch(other, up_to) is None
+    def equals_to(self, other: "QExpansion") -> bool:
+        return self.first_mismatch(other) is None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QExpansion):

@@ -86,9 +86,6 @@ class VecV:
         t = Fraction(t)
         return VecV(t * self.a, t * self.b, t * self.c)
 
-    def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c)
-
     def as_matrix(self) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
         return ((self.b, self.c), (self.a, -self.b))
 

@@ -31,7 +31,6 @@ RationalLike = Union[int, Fraction]
 
 __all__ = [
     "SymVector",
-    "S_MAT",
     "n_mat",
     "act",
     "act_n",
@@ -81,15 +80,9 @@ class SymVector:
         t = Fraction(t)
         return SymVector(self.k, tuple(t * a for a in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def _check(self, other: "SymVector") -> None:
         if self.k != other.k:
             raise ValueError(f"mismatched degrees: k={self.k} vs k={other.k}")
-
-
-S_MAT = (0, -1, 1, 0)
 
 
 def n_mat(r: RationalLike) -> Tuple[Fraction, Fraction, Fraction, Fraction]:

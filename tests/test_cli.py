@@ -36,6 +36,45 @@ def test_eisenstein_table(capsys):
     assert "q^0" in out and "240" in out
 
 
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["theta11", "--k", "3", "--nmax", "4"],
+         ["# theta series, k=3", "# exponent denominator 1", "q^0     1/120"]),
+        (["lift", "--k", "3", "--h", "half", "--nmax", "8"],
+         ["# lift report k=3 h=half n_max=8", "equal: True", "# theta side",
+          "# exponent denominator 4", "q^1/4   -1/60"]),
+        (["cohen", "--r", "2", "--nmax", "5"],
+         ["# H(2, N)", "# exponent denominator 1", "q^0     1/120"]),
+        (["intersect", "--x", "1,0,1", "--y", "0,1,0"],
+         ["epsilon = 1, numeric sign = 1, point = -0 + 1 i"]),
+    ],
+)
+def test_table_header(argv, head, capsys):
+    code, out = run_cli(capsys, *argv, "--format", "table")
+    assert code == 0
+    assert out.splitlines()[: len(head)] == head
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta11", "--k", "3", "--nmax", "4"],
+        ["lift", "--k", "1", "--h", "0", "--nmax", "6"],
+        ["cohen", "--r", "2", "--nmax", "5"],
+        ["eisenstein", "--weight", "4", "--nmax", "2"],
+    ],
+)
+def test_json_call_renders_no_table(argv, capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a JSON call rendered its table")
+
+    monkeypatch.setattr(cli, "_series_table", refuse)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)
+
+
 def test_cohen_json(capsys):
     code, out = run_cli(capsys, "cohen", "--r", "2", "--nmax", "5")
     assert code == 0

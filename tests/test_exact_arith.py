@@ -252,6 +252,21 @@ def test_cold_bernoulli_memo_recurses_shallowly():
     assert Fraction(done.stdout.strip()) == B[300]
 
 
+def test_import_loads_no_other_package_module():
+    # the package re-exports nothing, so importing exact_arith (which imports
+    # no sibling) loads no other spectacle module
+    src = str(Path(exact_arith.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, spectacle.exact_arith\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'spectacle'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["spectacle", "spectacle.exact_arith"]
+
+
 def schoolbook_product(x, y, n):
     """Reference for ``poly_product``: coefficients 0..n of x * y by the
     double loop, one rational multiply-add per pair of terms."""

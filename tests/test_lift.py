@@ -310,7 +310,7 @@ def test_lift_constant_absolute_value():
 def test_truncation_stability():
     small = lift_theta_side(LiftConfig(k=3, h=Fraction(1, 2), n_max=20))
     large = lift_theta_side(LiftConfig(k=3, h=Fraction(1, 2), n_max=80))
-    assert small.equals_to(large, up_to=small.exponent_bound)
+    assert small.equals_to(large)
 
 
 def test_config_validation():

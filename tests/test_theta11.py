@@ -123,7 +123,7 @@ def test_truncation_stability():
     lat = SplitLatticeU(Fraction(3, 2), Fraction(1, 2), Fraction(1), Fraction(0))
     small = theta11_series(lat, 3, 1, 2, 20)
     large = theta11_series(lat, 3, 1, 2, 60)
-    assert small.equals_to(large, up_to=small.exponent_bound)
+    assert small.equals_to(large)
 
 
 def test_validation():
