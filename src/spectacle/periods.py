@@ -396,7 +396,7 @@ def geodesic_intersection_numeric(x: VecV, y: VecV) -> Tuple[complex, int]:
     Y2 = (2 * bc * X + cc) / ac - X * X
     if Y2 <= 0:
         raise GeometryError("geodesics do not cross in the upper half-plane")
-    z = complex(X, math.sqrt(Y2))
+    z = complex(X + 0.0, math.sqrt(Y2))  # + 0.0: a real part of -0.0 would print as "-0"
     # each oriented tangent is its ambient normal turned by -90 degrees, and
     # turning both leaves their determinant unchanged
     nx, ny = _ambient_vector(x, z), _ambient_vector(y, z)

@@ -317,20 +317,59 @@ def eisenstein_level1(m: int, n_max: int) -> QExpansion:
 def cohen_eisenstein(r: int, n_max: int) -> QExpansion:
     """Half-integral weight r + 1/2 Eisenstein coefficients H(r, N), N <= n_max.
 
-    The route follows from r alone.  For 2 <= r <= 5 the table comes from the
-    graded ring C[theta, F_2] (``_cohen_ring``): a fixed number of
-    full-length ``poly_product`` calls, so it grows like n_max^1.3
+    The route follows from r alone (times on a shared 2-core x86-64 machine).
+    r = 1 is mock modular (Zagier 1975), so no form on Gamma0(4) has these
+    coefficients, but H(1, N) is the Hurwitz class number: ``_hurwitz``
+    counts reduced binary quadratic forms in O(n_max^1.5) additions (about
+    0.001 s at N = 3840 and 0.004 s at 10^4).  For 2 <= r <= 5 the table
+    comes from the graded ring C[theta, F_2] (``_cohen_ring``): a fixed
+    number of full-length ``poly_product`` calls, so it grows like n_max^1.3
     (``cohen_eisenstein(4, N)``: about 0.02 s at N = 10^3, 0.08 s at 3840
-    and 0.29 s at 10^4 on a shared 2-core x86-64 machine).  r = 1 is mock modular
-    (Zagier 1975), so no form on Gamma0(4) has these coefficients; for
-    r >= 6, M_{2r} has cusp forms, and the plus-space support and the
-    constant term no longer pin H.  Both stay on Cohen's formula
-    (``cohen_bernoulli``), which grows like n_max^2.  A negative n_max is
-    refused before either route runs, with the message of every table.
+    and 0.29 s at 10^4).  For r >= 6, M_{2r} has cusp forms, and the
+    plus-space support and the constant term no longer pin H, so the table
+    stays on Cohen's formula (``cohen_bernoulli``), which grows like
+    n_max^2.  A negative n_max is refused before any route runs, with the
+    message of every table.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if r == 1:
+        return _hurwitz(n_max)
     return _cohen_ring(r, n_max) if 2 <= r <= 5 else cohen_bernoulli(r, n_max)
+
+
+def _hurwitz(n_max: int) -> QExpansion:
+    """H(1, N) for N <= n_max: H(0) = -B_2/2 = -1/12, and for N > 0 the
+    Hurwitz class number, the count of reduced positive definite forms
+    (a, b, c) of discriminant b^2 - 4ac = -N, with -a < b <= a <= c and
+    b >= 0 when a = c, where multiples of x^2 + y^2 weigh 1/2 and of
+    x^2 + xy + y^2 weigh 1/3.
+
+    The walk runs over (a, b) with 0 <= b <= a and 3a^2 <= n_max, and adds
+    each form's weight along N = 4ac - b^2, c = a, a + 1, ..., an arithmetic
+    progression of step 4a; b and -b give the same N, so a form with
+    0 < b < a and c > a counts twice.  The table holds 6 H(N) as ints: an
+    ordinary form adds 6, (a, 0, a) adds 3 and (a, a, a) adds 2.  About
+    (n_max/4) sqrt(n_max/3) additions in all.
+    """
+    six_h = [0] * (n_max + 1)
+    a = 1
+    while 3 * a * a <= n_max:
+        step = 4 * a
+        for b in range(a + 1):
+            first = step * a - b * b  # c = a
+            if first > n_max:
+                continue
+            six_h[first] += 3 if b == 0 else 2 if b == a else 6
+            w = 12 if 0 < b < a else 6  # c > a, with -b for 0 < b < a
+            for N in range(first + step, n_max + 1, step):
+                six_h[N] += w
+        a += 1
+    table: Table = {
+        n: c // 6 if c % 6 == 0 else Fraction(c, 6) for n, c in enumerate(six_h) if c
+    }
+    table[0] = -bernoulli_number(2) / 2
+    return QExpansion(1, n_max, table)
 
 
 def _theta_and_f2(n: int) -> Tuple[List[int], List[int]]:
@@ -410,8 +449,8 @@ def _cohen_ring(r: int, n_max: int) -> QExpansion:
 
 def cohen_bernoulli(r: int, n_max: int) -> QExpansion:
     """H(r, N) for every r >= 1 from Cohen's formula: the route of
-    ``cohen_eisenstein`` for r = 1 and r >= 6, and the independent second
-    route for 2 <= r <= 5.
+    ``cohen_eisenstein`` for r >= 6, and the independent second route for
+    r = 1 (against the form count) and 2 <= r <= 5 (against the ring).
 
     H(r, 0) = zeta(1 - 2r); for N > 0 with (-1)^r N = D f^2 (D fundamental
     or 1),
@@ -426,7 +465,8 @@ def cohen_bernoulli(r: int, n_max: int) -> QExpansion:
     residues below |D|/2, with chi_D from a smallest-prime-factor sieve
     built per D over those residues (one Kronecker symbol per prime below
     |D|/2): O(|D| r / 2) integer work, so the table grows like n_max^2
-    (``cohen_bernoulli(4, N)``: about 0.07 s at N = 10^3, 0.6 s at 3840 and
+    (``cohen_bernoulli(1, N)``: about 0.28 s at N = 3840 and 1.8 s at 10^4;
+    ``cohen_bernoulli(4, N)``: about 0.07 s at N = 10^3, 0.6 s at 3840 and
     3.6 s at 10^4 of CPU, same machine).
     """
     if r < 1:

@@ -135,12 +135,13 @@ def criterion_plus_space() -> CriterionResult:
             assert abs(const) == abs(bernoulli_number(k + 1) / (k + 1)), (
                 f"k={k}: |constant| {const}"
             )
-        for r in range(2, 6):
+        for r in range(1, 6):
             assert cohen_eisenstein(r, 400) == cohen_bernoulli(r, 400), (
-                f"r={r}: ring and Bernoulli routes to H(r, .) differ"
+                f"r={r}: {'class-number' if r == 1 else 'ring'} and Bernoulli "
+                "routes to H(r, .) differ"
             )
         return (
-            "ring and Bernoulli H(r, .) equal to N=400 for r=2..5; "
+            "class-number, ring and Bernoulli H(r, .) equal to N=400 for r=1..5; "
             f"single rational multiple of H(k+1, .) to N=1920; lambda = {', '.join(lambdas)}"
         )
 

@@ -47,7 +47,7 @@ def test_eisenstein_table(capsys):
         (["cohen", "--r", "2", "--nmax", "5"],
          ["# H(2, N)", "# exponent denominator 1", "q^0     1/120"]),
         (["intersect", "--x", "1,0,1", "--y", "0,1,0"],
-         ["epsilon = 1, numeric sign = 1, point = -0 + 1 i"]),
+         ["epsilon = 1, numeric sign = 1, point = 0 + 1 i"]),
     ],
 )
 def test_table_header(argv, head, capsys):
@@ -165,6 +165,7 @@ def test_intersect(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["epsilon"] == 1 and d["numeric_sign"] == 1 and d["agree"]
+    assert d["point"] == ["0", "1"]
 
 
 def test_unknown_command_exits_2(capsys):

@@ -190,17 +190,25 @@ def test_ring_route_matches_bernoulli_route(r, n_max):
     assert cohen_eisenstein(r, n_max) == cohen_bernoulli(r, n_max)
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 7, 2000])
+def test_class_number_route_matches_bernoulli_route(n_max):
+    # n_max <= 7 covers the first forms of each weight: (1, 0, 1) at N = 4,
+    # (1, 1, 1) at 3 and (1, 1, 2) at 7
+    assert cohen_eisenstein(1, n_max) == cohen_bernoulli(1, n_max)
+
+
 def test_route_follows_from_r(monkeypatch):
-    def unavailable(n, D):
-        raise RuntimeError(f"B_{n},chi_{D} asked for")
+    def unavailable(*args):
+        raise RuntimeError(f"a Cohen kernel asked for at {args}")
 
     monkeypatch.setattr(exact_arith, "generalized_bernoulli", unavailable)
     monkeypatch.setattr(qseries, "_generalized_bernoulli", unavailable)
-    for r in (2, 3, 4, 5):
+    monkeypatch.setattr(exact_arith, "kronecker_symbol", unavailable)
+    monkeypatch.setattr(qseries, "kronecker_symbol", unavailable)
+    for r in (1, 2, 3, 4, 5):
         assert cohen_eisenstein(r, 50).coefficient(0) == -bernoulli_number(2 * r) / (2 * r)
-    for r in (1, 6):
-        with pytest.raises(RuntimeError):
-            cohen_eisenstein(r, 50)
+    with pytest.raises(RuntimeError):
+        cohen_eisenstein(6, 50)
 
 
 def test_bernoulli_route_validates_each_discriminant_once(monkeypatch):
