@@ -4,8 +4,9 @@ Completed L-values of level-one Eisenstein series, truncated-cycle period
 integrals with pushed-in caps, and the numerical geodesic-intersection
 oracle.  This is the only module that touches floats; every comparison made
 against its output carries an explicit tolerance.  It needs only the
-standard library: the incomplete gamma function behind ``completed_L`` is
-written here (``_gamma_q``), so importing the package loads no scipy.
+standard library: ``completed_L`` is read at the integers 1 <= s <= weight - 1
+only, where its incomplete gamma function Q(s, x) is an exact finite sum
+(``_gamma_q``), so importing the package loads no scipy.
 
 Period assembly.  For a weight 2k+2 level-one form f (Fricke flip g = f),
 the pairing with the capped cycle on the imaginary axis with coefficient
@@ -90,65 +91,31 @@ class HolomorphicFormSpec:
         return self.weight // 2 - 1
 
 
-_GAMMA_EPS = 2**-53
-_LENTZ_TINY = 1e-300
-_GAMMA_MAX_ITER = 1000
-
-
-def _gamma_q(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s), s, x > 0.
-
-    Integer s: the finite sum e^(-x) sum_{i<s} x^i / i!.  Otherwise
-    e^(-x) x^s / Gamma(s) times Legendre's continued fraction (modified
-    Lentz) for x > s + 1, or 1 - P(s, x) from the power series for P.  The
-    prefactor is a product of three factors each rounded once, not
-    exp(-x + s log x), whose exponent's rounding error, of order x 2^-53,
-    would become a relative error of Q.
-    """
-    if float(s).is_integer():
-        acc = 1.0  # sum_{i<s} x^i / i! by Horner
-        for i in range(int(s) - 1, 0, -1):
-            acc = 1.0 + acc * x / i
-        return math.exp(-x) * acc
-    scale = math.exp(-x) * x**s / math.gamma(s)
-    if x <= s + 1:
-        term = acc = 1.0 / s
-        a = s
-        while abs(term) > _GAMMA_EPS * acc:
-            a += 1
-            term *= x / a
-            acc += term
-        return 1.0 - scale * acc
-    b = x + 1 - s
-    c, d = 1 / _LENTZ_TINY, 1 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER):
-        an = -i * (i - s)
-        b += 2
-        d = an * d + b
-        d = 1 / (d if abs(d) > _LENTZ_TINY else _LENTZ_TINY)
-        c = b + an / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        delta = d * c
-        h *= delta
-        if abs(delta - 1) <= _GAMMA_EPS:
-            return scale * h
-    raise RuntimeError(f"incomplete-gamma continued fraction did not converge at s = {s}, x = {x}")
+def _gamma_q(s: int, x: float) -> float:
+    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s) at
+    an integer s >= 1: the exact finite sum e^(-x) sum_{i<s} x^i / i!."""
+    acc = 1.0  # sum_{i<s} x^i / i! by Horner
+    for i in range(s - 1, 0, -1):
+        acc = 1.0 + acc * x / i
+    return math.exp(-x) * acc
 
 
 def completed_L(f: HolomorphicFormSpec, s: float) -> float:
-    """Completed L-value Lambda(f, s) inside the critical strip 0 < s < weight.
+    """Completed L-value Lambda(f, s) at an integer 1 <= s <= weight - 1.
 
-    Termwise incomplete-gamma summation of the two-integral split:
+    s is an ``int`` or an integer-valued float; any other s raises
+    ``ValueError``.  These are the critical values that the capped-cycle
+    periods read, and there Q(s, x) is an exact finite sum.  Termwise
+    incomplete-gamma summation of the two-integral split:
     Lambda = sum a_n G(s, 2 pi n) + eps sum b_n G(w-s, 2 pi n)
              - a_0/s - eps b_0/(w-s),
     G(s, x) = Gamma(s, x) x^(-s) = Gamma(s) Q(s, x) x^(-s), eps = (-1)^(k+1).
     Independent of the cycle integral in ``spectacle_period``.
     """
     w = f.weight
-    if not 0 < s < w:
-        raise ValueError(f"s = {s} outside the critical strip (0, {w})")
+    if not (0 < s < w and float(s).is_integer()):
+        raise ValueError(f"s = {s} is not an integer in the critical strip (0, {w})")
+    s = int(s)
     eps = (-1) ** (f.k + 1)
     a0 = float(f.a(0))
     total = -a0 / s - eps * a0 / (w - s)

@@ -40,7 +40,6 @@ __all__ = [
     "SplitLatticeU",
     "theta11_series",
     "global_sign",
-    "SiegelWeilReport",
     "siegel_weil_check",
 ]
 
@@ -67,10 +66,6 @@ class SplitLatticeU:
     @classmethod
     def unimodular(cls) -> "SplitLatticeU":
         return cls(Fraction(1), Fraction(0), Fraction(1), Fraction(0))
-
-    @property
-    def is_level_one(self) -> bool:
-        return (self.M1, self.h1, self.M2, self.h2) == (1, 0, 1, 0)
 
     def exp_den(self) -> int:
         """Common denominator of all products m1*m2 over the two cosets."""
@@ -182,29 +177,15 @@ def theta11_series(
     return global_sign() * literal
 
 
-@dataclass(frozen=True)
-class SiegelWeilReport:
-    passed: bool
-    note: str
-    first_mismatch: Optional[Tuple[Fraction, Fraction, Fraction, str]] = None
+def siegel_weil_check(k: int, n_max: int) -> Optional[Tuple[Fraction, Fraction, Fraction, str]]:
+    """First mismatch of the level-one series for w = u'^k against
+    (-B_{k+1}/(k+1)) E_{k+1} up to q^n_max, or None when they agree.
 
-
-def siegel_weil_check(lat: SplitLatticeU, k: int, n_max: int) -> SiegelWeilReport:
-    """Compare the series for w = u'^k against (-B_{k+1}/(k+1)) E_{k+1}.
-
-    Implemented for the level-one lattice; even k yields the vacuous report
-    (the series is identically zero).
+    Domain: the level-one lattice and odd k >= 3, where E_{k+1} is a modular
+    form; any other k raises ``ValueError``.
     """
-    if not lat.is_level_one:
-        return SiegelWeilReport(False, "comparison target not implemented")
-    if k % 2 == 0:
-        series = theta11_series(lat, k, 0, 1, n_max)
-        zero = all(c == 0 for c in series.coeffs.values())
-        note = "series identically zero beyond constant" if zero else "unexpected nonzero"
-        return SiegelWeilReport(zero, f"vacuous: {note}")
-    series = theta11_series(lat, k, 0, 1, n_max)
+    if k < 3 or k % 2 == 0:
+        raise ValueError(f"the Siegel-Weil comparison needs odd k >= 3, got k = {k}")
+    series = theta11_series(SplitLatticeU.unimodular(), k, 0, 1, n_max)
     target = (-bernoulli_number(k + 1) / (k + 1)) * eisenstein_level1(k + 1, n_max)
-    mism = series.first_mismatch(target)
-    if mism is None:
-        return SiegelWeilReport(True, f"matches (-B_{k+1}/{k+1}) E_{k+1} to q^{n_max}")
-    return SiegelWeilReport(False, "coefficient mismatch", mism)
+    return series.first_mismatch(target)

@@ -436,7 +436,7 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
         "def scipy_loaded(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "print(scipy_loaded())\n"
         "from spectacle.periods import HolomorphicFormSpec, completed_L\n"
-        "completed_L(HolomorphicFormSpec.eisenstein(6), 2.4)\n"
+        "completed_L(HolomorphicFormSpec.eisenstein(6), 2)\n"
         "print(scipy_loaded())\n"
     )
     done = subprocess.run(

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from coset_oracle import literal_series_fraction
 
+from spectacle import theta11
 from spectacle.exact_arith import bernoulli_number, bernoulli_poly
 from spectacle.qseries import eisenstein_level1
 from spectacle.theta11 import (
@@ -100,15 +101,20 @@ def test_swap_symmetry_brute_force():
 
 
 def test_siegel_weil():
-    lat = SplitLatticeU.unimodular()
     for k in (3, 5):
-        rep = siegel_weil_check(lat, k, 100)
-        assert rep.passed, rep
-    rep = siegel_weil_check(lat, 2, 40)
-    assert rep.passed and "vacuous" in rep.note
-    rep = siegel_weil_check(SplitLatticeU(2, 0, 1, 0), 3, 10)
-    assert not rep.passed
-    assert "not implemented" in rep.note
+        assert siegel_weil_check(k, 100) is None, k
+
+
+def test_siegel_weil_rejects_even_or_small_k():
+    for k in (1, 2, 4):
+        with pytest.raises(ValueError, match=f"k = {k}"):
+            siegel_weil_check(k, 20)
+
+
+def test_siegel_weil_catches_a_flipped_sign(monkeypatch):
+    sign = global_sign()
+    monkeypatch.setattr(theta11, "global_sign", lambda: -sign)
+    assert siegel_weil_check(3, 20) is not None
 
 
 def test_siegel_weil_value_identity():
