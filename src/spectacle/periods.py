@@ -21,15 +21,15 @@ in to heights T1, T2 > 1, a chain of four segments:
 Here p_w(z) = (n(z) u'^k, w) is the boundary pairing polynomial of the cap
 at infinity, p_w' that of the zero-cusp cap in cusp-normal coordinates, and
 c_{k,j} = i (-i)^(k-j) 2^k (k!)^2 / ((k-j)! (k+j)!).  The value is exactly
-independent of (T1, T2) and equals c_{k,j} Lambda(f, k+1-j); dropping the
-caps destroys the T-independence (polynomial growth in T survives).  The
-integral is summed Fourier mode by mode in closed form, without quadrature;
-the a_0 mode is summed exactly and rounded once, so no float carries the
-T^(2k)-sized terms that the caps cancel.  Each half's boundary at iT (axis
-end and cap) is one polynomial whatever T is, and with the caps it is zero,
-so the exact closing data is built once per (k, j) per process and a height
-only labels it.  A call runs one mode sum per distinct boundary; with the
-caps, every pair of its grid shares the one sum at i.
+independent of (T1, T2) and equals c_{k,j} Lambda(f, k+1-j): each cap
+cancels its axis end at iT as an exact polynomial, so the chain's boundary
+lies at height 1 alone (i and 1 + i, joined by f's period), and the exact
+closing data is built once per (k, j) per process, at one probe height.
+Dropping the caps destroys the T-independence (polynomial growth in T
+survives); that uncapped control is the only period that reads a height.
+The integral is summed Fourier mode by mode in closed form, without
+quadrature, one mode sum at i; the a_0 mode is summed exactly and rounded
+once, so no float carries a T^(2k)-sized term.
 Past weight ``MAX_PERIOD_WEIGHT`` = 46 the float modes no longer meet the
 closed form (at 48 three j miss it, at 56 by a relative 11), so a larger
 weight raises ``ValueError``.
@@ -38,13 +38,11 @@ weight raises ``ValueError``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from operator import add
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .caps import boundary_pairing_polynomial, cap_closed_form
 from .exact_arith import bernoulli_number, divisor_power_sum
@@ -160,9 +158,7 @@ def _cap_polynomial(k: int, j: int) -> Tuple[Fraction, ...]:
 _TAIL_TOL = 1e-16
 _MAX_MODES = 500
 Segment = Tuple[Tuple[int, Fraction], Tuple[int, Fraction], int, Tuple[Fraction, ...]]
-Parts = Tuple[int, ...]
-Terms = Tuple[Tuple[Fraction, Parts], ...]  # see _boundary_terms
-Closing = Tuple[int, int, Tuple[Tuple[Parts, Parts], ...]]  # see _closing
+Terms = Tuple[Tuple[Fraction, Tuple[int, ...]], ...]  # see _boundary_terms
 _ONE = Fraction(1)
 
 
@@ -233,74 +229,74 @@ def _mode_sum(f: HolomorphicFormSpec, terms: Terms, den: int, deg: int) -> compl
     raise RuntimeError("Fourier-mode tail did not converge")
 
 
-@functools.cache
-def _closing(k: int, j: int, include_caps: bool) -> Closing:
-    """(den, deg) and, per half, the boundary parts (see ``_boundary_terms``)
-    at the top iT and at i.  Per half, (e, P) of c_{k,j} (-i)^s int_i^iT
-    f(z) z^(s-1) dz (the second times (-1)^(k+1) = i^(2k+2)) and of its cap
-    iT -> 1 + iT; the parts do not depend on T, so any height > 1 stands for
-    all.  With the caps the top parts are zero.  The weight bound leaves at
-    most 2 * 22^2 = 968 keys, so the cache stays small."""
+def _cycle_boundary(
+    k: int, j: int, tops: Tuple[Fraction, Fraction], caps: bool
+) -> Tuple[int, int, Terms]:
+    """(den, deg) and the boundary terms (see ``_boundary_terms``) of the
+    cycle pushed in to heights (T1, T2): per half, c_{k,j} (-i)^s int_i^iT
+    f(z) z^(s-1) dz (the second times (-1)^(k+1) = i^(2k+2)), then, with
+    ``caps``, each half's cap iT -> 1 + iT."""
     unit, r = _c_exact(k, j)
-    p_zero = tuple((-1) ** (k - j) * c for c in _cap_polynomial(k, -j))
-    halves = [
-        ((unit + 3 * (k - j + 1), (Fraction(0),) * (k - j) + (r,)), (2, _cap_polynomial(k, j))),
-        ((unit + 2 * k + 2 + 3 * (k + j + 1), (Fraction(0),) * (k + j) + (r,)), (0, p_zero)),
+    chain = [
+        ((0, _ONE), (0, T), unit + e + 3 * s, (Fraction(0),) * (s - 1) + (r,))
+        for s, T, e in ((k - j + 1, tops[0], 0), (k + j + 1, tops[1], 2 * k + 2))
     ]
-    den, deg = _den_deg([p for half in halves for _, p in half])
-    top, zero = Fraction(2), (0,) * (2 * deg + 2)
-    closing = []
-    for (e, p), (cap_e, cap) in halves:
-        chain = [((0, _ONE), (0, top), e, p), ((0, top), (1, top), cap_e, cap)]
-        terms = dict(_boundary_terms(chain[: 1 + include_caps], den, deg))
-        closing.append((terms.get(top, zero), terms.get(_ONE, zero)))
-    return den, deg, tuple(closing)
+    if caps:
+        p_zero = tuple((-1) ** (k - j) * c for c in _cap_polynomial(k, -j))
+        chain += [((0, tops[0]), (1, tops[0]), 2, _cap_polynomial(k, j)),
+                  ((0, tops[1]), (1, tops[1]), 0, p_zero)]
+    den, deg = _den_deg([p for *_, p in chain])
+    return den, deg, _boundary_terms(chain, den, deg)
+
+
+@functools.cache
+def _closing(k: int, j: int) -> Tuple[int, int, Terms]:
+    """The capped cycle's ``_cycle_boundary``.  Each cap cancels its axis end
+    at iT as an exact polynomial, so the chain, built at one probe height,
+    keeps a boundary at height 1 only, or none where the two halves cancel:
+    the period does not depend on T.  The weight bound leaves at most 22^2
+    keys, so the cache stays small."""
+    closing = _cycle_boundary(k, j, (Fraction(2), Fraction(2)), caps=True)
+    assert all(y == _ONE for y, _ in closing[2]), f"the caps leave a top (k={k}, j={j})"
+    return closing
 
 
 def spectacle_period(
-    f: HolomorphicFormSpec, k: int, j: int, heights: Sequence[float], include_caps: bool = True
-) -> Dict[Tuple[float, float], float]:
-    """Truncated-cycle period pairing c_{k,j} Lambda(f, k+1-j) at every
-    (T1, T2) in heights x heights, T1 outer.  Valid for weights up to
-    ``MAX_PERIOD_WEIGHT`` and finite heights T > 1 whose T^(2k) fits a float;
-    anything else raises ``ValueError``.  ``include_caps=False`` drops the cap
-    integrals: a control that depends on T1, T2 polynomially, real only for
-    k - j odd, as c_{k,j} is imaginary for k - j even, where it raises
-    ``ValueError`` before any mode is summed."""
+    f: HolomorphicFormSpec, k: int, j: int, tops: Optional[Tuple[float, float]] = None
+) -> float:
+    """Capped-cycle period pairing c_{k,j} Lambda(f, k+1-j): one mode sum
+    over the boundary at i, for weights up to ``MAX_PERIOD_WEIGHT``.
+
+    ``tops = (T1, T2)`` asks instead for the uncapped control, the two axis
+    pieces cut at finite heights T1, T2 > 1 whose T^(2k) fits a float.  It
+    depends on T1, T2 polynomially and is real only for k - j odd, as c_{k,j}
+    is imaginary for k - j even.  Anything else raises ``ValueError`` before
+    any mode is summed."""
     if f.weight != 2 * k + 2:
         raise ValueError("form weight must equal 2k+2")
     if f.weight > MAX_PERIOD_WEIGHT:
         raise ValueError(
             f"weight {f.weight} exceeds {MAX_PERIOD_WEIGHT}, the largest with accurate periods"
         )
-    if not all(1 < T < math.inf for T in heights):
-        raise ValueError("truncation heights must be finite and exceed 1")
-    for T in heights:
-        try:
-            T ** (2 * k)
-        except OverflowError:
-            raise ValueError(f"height {T} too large: T^{2 * k} overflows a float") from None
     if abs(j) > k - 1:
         raise ValueError("cap equation unsolvable at one cusp: need |j| <= k-1")
-    if not include_caps and (k - j) % 2 == 0:
-        raise ValueError("the uncapped control is real only for k - j odd")
-    den, deg, halves = _closing(k, j, include_caps)
-    labels = {T: Fraction(T) for T in heights}
-    sums, values = {}, {}  # one mode sum per distinct boundary; the value per (T1, T2)
-    for T1, T2 in itertools.product(heights, repeat=2):
-        terms: Dict[Fraction, Parts] = {}  # the halves added height by height, tops first
-        for T, (top, bottom) in zip((T1, T2), halves):
-            for y, v in ((labels[T], top), (_ONE, bottom)):
-                if any(v):
-                    terms[y] = tuple(map(add, terms[y], v)) if y in terms else v
-        boundary = tuple((y, v) for y, v in terms.items() if any(v))
-        if boundary not in sums:
-            sums[boundary] = _mode_sum(f, boundary, den, deg)
-        total = sums[boundary]
-        if abs(total.imag) > 1e-7 * (1.0 + abs(total.real)):
-            raise ArithmeticError(f"period pairing unexpectedly non-real: {total} (k={k}, j={j})")
-        values[T1, T2] = total.real
-    return values
+    if tops is None:
+        den, deg, terms = _closing(k, j)
+    else:
+        if not all(1 < T < math.inf for T in tops):
+            raise ValueError("truncation heights must be finite and exceed 1")
+        for T in tops:
+            try:
+                T ** (2 * k)
+            except OverflowError:
+                raise ValueError(f"height {T} too large: T^{2 * k} overflows a float") from None
+        if (k - j) % 2 == 0:
+            raise ValueError("the uncapped control is real only for k - j odd")
+        den, deg, terms = _cycle_boundary(k, j, (Fraction(tops[0]), Fraction(tops[1])), False)
+    total = _mode_sum(f, terms, den, deg)
+    if abs(total.imag) > 1e-7 * (1.0 + abs(total.real)):
+        raise ArithmeticError(f"period pairing unexpectedly non-real: {total} (k={k}, j={j})")
+    return total.real
 
 
 # ---------------------------------------------------------------------------

@@ -191,8 +191,6 @@ def test_unknown_command_exits_2(capsys):
         ["lvalue", "--weight", "4", "--T", "inf,3"],
         ["lvalue", "--weight", "4", "--T", "nan,3"],
         ["intersect", "--x", "1e400,0,1", "--y", "0,1,0"],
-        ["lvalue", "--weight", "4", "--T", "1e300,3"],
-        ["lvalue", "--weight", "4", "--T", "1e200,3"],
         ["lvalue", "--weight", "4", "--j=1/2"],
         ["lift", "--k", "x"],
         ["cohen", "--r", "1.5"],
@@ -230,7 +228,7 @@ _BAD_HEIGHT = "truncation heights must be finite and exceed 1"
     ids=["1,3", "0.5,3", "nan,3", "inf,3", "3,x"],
 )
 def test_lvalue_bad_height_has_one_message(heights, message, capsys):
-    # spectacle_period alone checks the heights; the CLI adds no wording of its own
+    # lvalue checks --T itself: one message for every height that is not finite and > 1
     assert main(["lvalue", "--weight", "4", "--T", heights]) == 2
     assert capsys.readouterr() == ("", f"spectacle: error: {message}\n")
 
@@ -302,6 +300,12 @@ def test_lvalue_large_finite_height_is_accepted(capsys):
     code, out = run_cli(capsys, "lvalue", "--weight", "4", "--T", "1000,3")
     assert code == 0
     assert json.loads(out)["heights"] == [1000.0, 3.0]
+    # no height reaches the float sum, so not even T^(2k) past the float range
+    want = json.loads(run_cli(capsys, "lvalue", "--weight", "4", "--T", "3,10")[1])["value"]
+    for heights in ("1e300,3", "1e200,3"):
+        code, out = run_cli(capsys, "lvalue", "--weight", "4", "--T", heights)
+        assert code == 0
+        assert json.loads(out)["value"] == want
 
 
 def test_lvalue_weight8_at_height_1e10(capsys):
@@ -418,11 +422,11 @@ def test_lvalue_at_new_heights_reuses_the_closing(capsys, monkeypatch):
         monkeypatch.setattr(periods, name, counted)
     periods._closing.cache_clear()
     assert run_cli(capsys, "lvalue", "--weight", "12", "--j=2", "--T", "1.5,3")[0] == 0
-    assert calls == {"_boundary_terms": 2, "_mode_sum": 1}  # one chain per half
+    assert calls == {"_boundary_terms": 1, "_mode_sum": 1}  # one capped chain
     argv = ["lvalue", "--weight", "12", "--j=2", "--T", "2,4,7.1"]
     code, out = run_cli(capsys, *argv)
     # the closing is read from the first call; each call sums its own modes
-    assert calls == {"_boundary_terms": 2, "_mode_sum": 2}
+    assert calls == {"_boundary_terms": 1, "_mode_sum": 2}
     assert _fresh_process(argv) == (code, out.encode(), b"")
 
 

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -102,12 +104,15 @@ def test_completed_L_matches_closed_forms(weight):
 
 
 def test_completed_L_functional_equation():
+    # each side against the closed form, not one against the other: both are
+    # summed by the same code, so their difference would cancel a shared fault
     for weight in range(4, 31, 2):
         form = HolomorphicFormSpec.eisenstein(weight)
         eps = (-1) ** (form.k + 1)
         for s in range(1, weight):
-            got = completed_L(form, s) - eps * completed_L(form, weight - s)
-            assert abs(got) < 1e-10, (weight, s)
+            want = closed_form_lambda(weight, s)
+            assert abs(completed_L(form, s) - want) < 1e-12, (weight, s)
+            assert abs(eps * completed_L(form, weight - s) - want) < 1e-12, (weight, s)
 
 
 def test_gamma_q_matches_scipy():
@@ -203,14 +208,10 @@ def test_axis_integral_matches_quadrature(weight):
             assert abs(got - want) <= 1e-12 * abs(want), (weight, s, T, got, want)
 
 
-def pairwise_period(
-    f: HolomorphicFormSpec, k: int, j: int, T1: float, T2: float, include_caps: bool = True
-) -> float:
-    """Test oracle for the grid route: the period at one (T1, T2) as a single
-    four-segment chain (two axis pieces, then the two caps) through
-    ``_cycle_integral``, with no terms shared between heights."""
+def _oracle_chain(k: int, j: int, t1: Fraction, t2: Fraction, include_caps: bool) -> list:
+    """The cycle at one (T1, T2) as segments (z0, z1, e, P): the two axis
+    pieces, then, with ``include_caps``, the two caps."""
     unit, r = periods._c_exact(k, j)
-    t1, t2 = Fraction(T1), Fraction(T2)
     chain = [
         ((0, Fraction(1)), (0, t), unit + e + 3 * s, (Fraction(0),) * (s - 1) + (r,))
         for s, t, e in ((k - j + 1, t1, 0), (k + j + 1, t2, 2 * k + 2))
@@ -221,51 +222,64 @@ def pairwise_period(
             ((0, t1), (1, t1), 2, periods._cap_polynomial(k, j)),
             ((0, t2), (1, t2), 0, p_zero),
         ]
-    total = _cycle_integral(f, chain)
+    return chain
+
+
+def pairwise_period(
+    f: HolomorphicFormSpec, k: int, j: int, T1: float, T2: float, include_caps: bool = True
+) -> float:
+    """Test oracle for the period at one (T1, T2): the whole chain through
+    ``_cycle_integral``, built at those heights, with nothing cached."""
+    total = _cycle_integral(f, _oracle_chain(k, j, Fraction(T1), Fraction(T2), include_caps))
     assert abs(total.imag) <= 1e-7 * (1.0 + abs(total.real)), total
     return total.real
 
 
-@pytest.mark.parametrize("weight", [4, 8, 16, 30, 46])
+@pytest.mark.parametrize("weight", [4, 8, 12, 16, 30, 46])
 def test_grid_route_equals_pairwise_route_bit_for_bit(weight):
+    # the one capped value is the oracle's at every (T1, T2) of the grids, to
+    # the last bit: the truncation heights leave no trace, 1e10 at weight 46
+    # included; the uncapped control is the oracle's uncapped chain
     form = HolomorphicFormSpec.eisenstein(weight)
     k = form.k
     compared = 0
-    for heights in ((1.5, 3.0), (2.0, 2.0), (2.3, 7.1, 1e10), (3.0,)):
-        if 2 * k * math.log10(max(heights)) > 308:  # 1e10 at weight 46: refused
-            with pytest.raises(ValueError, match="overflows"):
-                spectacle_period(form, k, 0, heights)
-            continue
-        for j in range(-(k - 1), k):
-            # the uncapped control is real only for k - j odd
-            for include_caps in (True, False) if (k - j) % 2 else (True,):
-                grid = spectacle_period(form, k, j, heights, include_caps)
-                want = {
-                    (t1, t2): pairwise_period(form, k, j, t1, t2, include_caps)
-                    for t1 in heights
-                    for t2 in heights
-                }
-                assert list(grid.items()) == list(want.items()), (weight, j, heights, include_caps)
-                compared += len(want)
+    for j in range(-(k - 1), k):
+        value = spectacle_period(form, k, j).hex()
+        for heights in ((1.5, 3.0), (2.0, 2.0), (2.3, 7.1, 1e10), (3.0,)):
+            for t1, t2 in itertools.product(heights, repeat=2):
+                assert pairwise_period(form, k, j, t1, t2).hex() == value, (weight, j, t1, t2)
+                compared += 1
+                if (k - j) % 2 == 0:  # the uncapped control is real only for k - j odd
+                    continue
+                if 2 * k * math.log10(max(t1, t2)) > 308:  # 1e10 at weight 46: refused
+                    with pytest.raises(ValueError, match="overflows"):
+                        spectacle_period(form, k, j, (t1, t2))
+                    continue
+                bare = spectacle_period(form, k, j, (t1, t2))
+                assert bare.hex() == pairwise_period(form, k, j, t1, t2, False).hex(), (j, t1, t2)
+                compared += 1
     assert compared
 
 
 def test_one_mode_sum_per_capped_grid(monkeypatch, capsys):
-    calls = []
-    mode_sum = periods._mode_sum
+    calls = {"_boundary_terms": 0, "_mode_sum": 0}
+    for name in calls:
 
-    def counted(*args):
-        calls.append(args)
-        return mode_sum(*args)
+        def counted(*args, _name=name, _run=getattr(periods, name)):
+            calls[_name] += 1
+            return _run(*args)
 
-    monkeypatch.setattr(periods, "_mode_sum", counted)
-    assert cli.main(["lvalue", "--weight", "16", "--j=3", "--T", "1.5,3,10"]) == 0
-    assert "value" in capsys.readouterr().out
-    assert len(calls) == 1
-    calls.clear()
-    # without the caps every pair keeps its own heights: one mode sum each
-    spectacle_period(HolomorphicFormSpec.eisenstein(4), 1, 0, (3.0, 5.0, 10.0), include_caps=False)
-    assert len(calls) == 9
+        monkeypatch.setattr(periods, name, counted)
+    periods._closing.cache_clear()
+    for n, heights in enumerate(("1.5,3,10", "2,2", "1e300,3"), 1):
+        assert cli.main(["lvalue", "--weight", "16", "--j=3", "--T", heights]) == 0
+        assert "value" in capsys.readouterr().out
+        # one capped chain per (k, j), one mode sum per call whatever the heights
+        assert calls == {"_boundary_terms": 1, "_mode_sum": n}
+    # the uncapped control builds its chain on every call
+    for n in (1, 2):
+        spectacle_period(HolomorphicFormSpec.eisenstein(4), 1, 0, (3.0, 5.0))
+        assert calls == {"_boundary_terms": 1 + n, "_mode_sum": 3 + n}
 
 
 def test_uncapped_control_with_k_minus_j_even_fails_up_front(monkeypatch):
@@ -275,25 +289,28 @@ def test_uncapped_control_with_k_minus_j_even_fails_up_front(monkeypatch):
     monkeypatch.setattr(periods, "_mode_sum", lambda *args: calls.append(args))
     for j in (-5, -1, 1, 3):
         with pytest.raises(ValueError, match="real only for k - j odd"):
-            spectacle_period(HolomorphicFormSpec.eisenstein(16), 7, j, (2.3, 3.7), include_caps=False)
+            spectacle_period(HolomorphicFormSpec.eisenstein(16), 7, j, (2.3, 3.7))
     assert calls == []
 
 
 def test_caps_close_the_cycle_exactly():
     # the boundary at iT, axis end plus cap, is zero as an exact polynomial:
     # the T-independence of the capped period, with no float in between
+    tops = (Fraction(2), Fraction(3))
     for weight in range(4, periods.MAX_PERIOD_WEIGHT + 1, 2):
         k = weight // 2 - 1
         for j in range(-(k - 1), k):
-            for include_caps in (True, False):
-                _, _, halves = periods._closing(k, j, include_caps)
-                for top, bottom in halves:
-                    assert any(top) != include_caps, (weight, j, include_caps)
-                    assert any(bottom), (weight, j, include_caps)
+            _, _, terms = periods._closing(k, j)
+            assert all(y == 1 for y, _ in terms), (weight, j)
+            # without the caps each half keeps its own top
+            bare = _oracle_chain(k, j, *tops, include_caps=False)
+            den, deg = periods._den_deg([p for *_, p in bare])
+            heights = dict(periods._boundary_terms(bare, den, deg))
+            assert all(T in heights for T in tops), (weight, j)
 
 
 def test_zero_cusp_cap_is_the_s_symmetric_cap_at_infinity():
-    # _closing's zero-cusp polynomial (-1)^(k-j) _cap_polynomial(k, -j) is the
+    # the chain's zero-cusp polynomial (-1)^(k-j) _cap_polynomial(k, -j) is the
     # cap that cap_solve gives for the jump v_{2j} moved into the zero cusp's
     # normal form by sigma_0^(-1)
     sig = sigma_matrix(LINE_ZERO)
@@ -307,21 +324,15 @@ def test_zero_cusp_cap_is_the_s_symmetric_cap_at_infinity():
 
 
 def test_closing_is_the_boundary_at_every_height():
-    # the cached parts, labelled with T, are what the two-segment chain gives at T
+    # the cached terms, built at one probe height, are what the capped chain
+    # gives at every (T1, T2); without the caps the tops stay
     k, j = 5, 2
-    unit, r = periods._c_exact(k, j)
-    den, deg, halves = periods._closing(k, j, True)
-    cap = periods._cap_polynomial(k, j)
-    for T in (Fraction(3, 2), Fraction(7), Fraction(10**10)):
-        chain = [
-            ((0, Fraction(1)), (0, T), unit + 3 * (k - j + 1), (Fraction(0),) * (k - j) + (r,)),
-            ((0, T), (1, T), 2, cap),
-        ]
-        assert periods._boundary_terms(chain, den, deg) == ((Fraction(1), halves[0][1]),)
-        assert periods._boundary_terms(chain[:1], den, deg) == (
-            (T, periods._closing(k, j, False)[2][0][0]),
-            (Fraction(1), halves[0][1]),
-        )
+    den, deg, terms = periods._closing(k, j)
+    assert terms
+    for t1, t2 in ((Fraction(3, 2), Fraction(7)), (Fraction(7), Fraction(7)), (Fraction(10**10), 3)):
+        assert periods._boundary_terms(_oracle_chain(k, j, t1, t2, True), den, deg) == terms
+        bare = periods._boundary_terms(_oracle_chain(k, j, t1, t2, False), den, deg)
+        assert [y for y, _ in bare] == list(dict.fromkeys((t1, 1, t2))), (t1, t2)
 
 
 @dataclass
@@ -339,8 +350,8 @@ def test_period_takes_an_unhashable_coefficient_callable():
     stream = HolomorphicFormSpec(12, _Coefficients(form))
     with pytest.raises(TypeError):
         hash(stream)
-    heights = (1.5, 3.0)
-    assert spectacle_period(stream, 5, 2, heights) == spectacle_period(form, 5, 2, heights)
+    assert spectacle_period(stream, 5, 2) == spectacle_period(form, 5, 2)
+    assert spectacle_period(stream, 5, 2, (1.5, 3.0)) == spectacle_period(form, 5, 2, (1.5, 3.0))
 
 
 # the truncation heights of the benchmark's lvalue ops, and three far heights
@@ -349,26 +360,27 @@ _FAR_HEIGHTS = ((100, 3), (1000, 3), (1e10, 3))
 
 
 @pytest.mark.parametrize("weight", [4, 6, 8, 10, 12, 14, 16])
-def test_spectacle_period_matches_closed_form_on_height_grid(weight):
+def test_spectacle_period_matches_closed_form_on_height_grid(weight, capsys):
+    # the one value meets the closed form, and lvalue prints it at every
+    # height pair of the grid
     form = HolomorphicFormSpec.eisenstein(weight)
     k = form.k
     pairs = {(a, b) for t1, t2 in _GRID_HEIGHTS + _FAR_HEIGHTS for a, b in ((t1, t2), (t2, t1))}
-    heights = sorted({float(t) for pair in pairs for t in pair})
     misses = []
     for j in range(-(k - 1), k):
         want = c_constant(k, j).real * closed_form_lambda(weight, k + 1 - j)
-        grid = spectacle_period(form, k, j, heights)
+        got = spectacle_period(form, k, j)
+        if abs(got - want) > 1e-9 + 1e-6 * abs(want):
+            misses.append((j, got, want))
         for t1, t2 in pairs:
-            got = grid[float(t1), float(t2)]
-            if abs(got - want) > 1e-9 + 1e-6 * abs(want):
-                misses.append((j, t1, t2, got, want))
+            assert cli.main(["lvalue", "--weight", str(weight), f"--j={j}", "--T", f"{t1},{t2}"]) == 0
+            assert json.loads(capsys.readouterr().out)["value"] == f"{got:.12g}", (j, t1, t2)
     assert not misses
 
 
 def test_max_period_weight_is_the_last_weight_every_j_meets(monkeypatch):
     # re-derive the limit with the guard lifted: every j passes at each weight
-    # up to it and the next weight has a miss; the period is height-independent,
-    # so one height pair stands for every height
+    # up to it and the next weight has a miss
     limit = periods.MAX_PERIOD_WEIGHT
     monkeypatch.setattr(periods, "MAX_PERIOD_WEIGHT", limit + 2)
     failing = []
@@ -377,68 +389,56 @@ def test_max_period_weight_is_the_last_weight_every_j_meets(monkeypatch):
         k = form.k
         for j in range(-(k - 1), k):
             want = c_constant(k, j).real * closed_form_lambda(weight, k + 1 - j)
-            got = spectacle_period(form, k, j, (3.0, 10.0))[3.0, 10.0]
+            got = spectacle_period(form, k, j)
             if abs(got - want) > 1e-9 + 1e-6 * abs(want):
                 failing.append(weight)
                 break
     assert failing == [limit + 2]
 
 
-def test_capped_period_is_the_same_float_at_every_height():
-    # the caps cancel the axis ends exactly, so the truncation heights leave
-    # no trace, not even in the last bit
-    for weight in (4, 8, 12, 16):
-        form = HolomorphicFormSpec.eisenstein(weight)
-        k = form.k
-        for j in range(-(k - 1), k):
-            grid = spectacle_period(form, k, j, (1.5, 3.0, 2.3, 7.1, 1e10))
-            values = {grid[pair] for pair in ((1.5, 3.0), (3.0, 1.5), (2.3, 7.1), (1e10, 3.0))}
-            assert len(values) == 1, (weight, j, values)
-
-
 def test_spectacle_period_values():
     e4 = HolomorphicFormSpec.eisenstein(4)
     e8 = HolomorphicFormSpec.eisenstein(8)
-    assert abs(spectacle_period(e4, 1, 0, (3.0, 10.0))[3.0, 10.0] + 5 / 3) < 1e-8
-    assert abs(spectacle_period(e8, 3, 0, (3.0, 5.0))[3.0, 5.0] + 2 / 15) < 1e-8
+    assert abs(spectacle_period(e4, 1, 0) + 5 / 3) < 1e-8
+    assert abs(spectacle_period(e8, 3, 0) + 2 / 15) < 1e-8
     # against the exact oracle through c_{k,j} Lambda
     want = float(c_constant(3, 2).real * exact_lambda(8, 2))
-    assert abs(spectacle_period(e8, 3, 2, (4.0, 6.0))[4.0, 6.0] - want) < 1e-8
+    assert abs(spectacle_period(e8, 3, 2) - want) < 1e-8
 
 
 def test_spectacle_period_negative_index():
     # j and -j land on reflected critical points; for these forms the values agree
     e8 = HolomorphicFormSpec.eisenstein(8)
-    plus = spectacle_period(e8, 3, 2, (4.0, 6.0))[4.0, 6.0]
-    minus = spectacle_period(e8, 3, -2, (4.0, 6.0))[4.0, 6.0]
-    assert abs(plus + 4 / 21) < 1e-8
-    assert abs(minus + 4 / 21) < 1e-8
+    assert abs(spectacle_period(e8, 3, 2) + 4 / 21) < 1e-8
+    assert abs(spectacle_period(e8, 3, -2) + 4 / 21) < 1e-8
 
 
 def test_spectacle_period_t_independence():
+    # the oracle, cut at each height pair, meets the one value
     e4 = HolomorphicFormSpec.eisenstein(4)
-    vals = list(spectacle_period(e4, 1, 0, (3, 5, 10)).values())
-    assert max(vals) - min(vals) < 1e-8
+    value = spectacle_period(e4, 1, 0)
+    for t1, t2 in itertools.product((3, 5, 10), repeat=2):
+        assert abs(pairwise_period(e4, 1, 0, t1, t2) - value) < 1e-8, (t1, t2)
 
 
 def test_dropping_caps_breaks_t_independence():
     e4 = HolomorphicFormSpec.eisenstein(4)
-    bare = spectacle_period(e4, 1, 0, (3.0, 10.0), include_caps=False)
-    a, b = bare[3.0, 3.0], bare[10.0, 10.0]
+    a, b = (spectacle_period(e4, 1, 0, (T, T)) for T in (3.0, 10.0))
     assert abs(a - b) > 1e-2
 
 
 def test_spectacle_period_validation():
     e4 = HolomorphicFormSpec.eisenstein(4)
     with pytest.raises(ValueError):
-        spectacle_period(e4, 3, 0, (3.0,))  # weight mismatch
+        spectacle_period(e4, 3, 0)  # weight mismatch
     with pytest.raises(ValueError):
-        spectacle_period(e4, 1, 1, (3.0,))  # j = k rejected
-    with pytest.raises(ValueError):
-        spectacle_period(e4, 1, 0, (1.0, 3.0))
+        spectacle_period(e4, 1, 1)  # j = k rejected
+    for tops in ((1.0, 3.0), (3.0, math.inf), (math.nan, 3.0)):
+        with pytest.raises(ValueError, match="finite and exceed 1"):
+            spectacle_period(e4, 1, 0, tops)
     for weight in (periods.MAX_PERIOD_WEIGHT + 2, 60):  # above the accurate range
         with pytest.raises(ValueError, match="exceeds"):
-            spectacle_period(HolomorphicFormSpec.eisenstein(weight), weight // 2 - 1, 1, (3.0, 10.0))
+            spectacle_period(HolomorphicFormSpec.eisenstein(weight), weight // 2 - 1, 1)
 
 
 def test_geodesic_intersection_example():

@@ -117,6 +117,20 @@ def test_siegel_weil_catches_a_flipped_sign(monkeypatch):
     assert siegel_weil_check(3, 20) is not None
 
 
+def test_global_sign_refuses_a_multiple_that_is_not_a_sign(monkeypatch):
+    # twice the Eisenstein target is still a multiple of the literal series,
+    # but the multiple is +-2, not a sign
+    monkeypatch.setattr(theta11, "eisenstein_level1", lambda w, n: 2 * eisenstein_level1(w, n))
+    global_sign.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="neither sign"):
+            global_sign()
+    finally:
+        monkeypatch.undo()
+        global_sign.cache_clear()
+    assert global_sign() in (-1, 1)
+
+
 def test_siegel_weil_value_identity():
     # the comparison target itself: constant is -B_{k+1}/(k+1)
     k = 5
