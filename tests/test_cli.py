@@ -300,12 +300,15 @@ def test_lvalue_large_finite_height_is_accepted(capsys):
     code, out = run_cli(capsys, "lvalue", "--weight", "4", "--T", "1000,3")
     assert code == 0
     assert json.loads(out)["heights"] == [1000.0, 3.0]
+
+
+@pytest.mark.parametrize("heights", ["1e300,3", "1e200,3"])
+def test_lvalue_height_past_float_range_is_accepted(heights, capsys):
     # no height reaches the float sum, so not even T^(2k) past the float range
     want = json.loads(run_cli(capsys, "lvalue", "--weight", "4", "--T", "3,10")[1])["value"]
-    for heights in ("1e300,3", "1e200,3"):
-        code, out = run_cli(capsys, "lvalue", "--weight", "4", "--T", heights)
-        assert code == 0
-        assert json.loads(out)["value"] == want
+    code, out = run_cli(capsys, "lvalue", "--weight", "4", "--T", heights)
+    assert code == 0
+    assert json.loads(out)["value"] == want
 
 
 def test_lvalue_weight8_at_height_1e10(capsys):
