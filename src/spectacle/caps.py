@@ -24,10 +24,9 @@ plus the exact polynomial integral) is its oracle in verify-all and the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 from .exact_arith import bernoulli_poly
 from .quad_space import (
@@ -60,26 +59,30 @@ class CapJumpError(ValueError):
     """Jump value not capped off by any boundary chain."""
 
 
-@dataclass(frozen=True)
-class CapInput:
+class _CapFields(NamedTuple):
+    k: int
+    width: Fraction
+    position: Fraction
+    jump: SymVector
+
+
+class CapInput(_CapFields):
     """Cap problem at one cusp, in cusp-normal (infinity) coordinates.
 
     k: coefficient degree; width: the cusp width M > 0; position: the
     boundary point r; jump: the jump value v, orthogonal to u^k.
     """
 
-    k: int
-    width: Fraction
-    position: Fraction
-    jump: SymVector
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace refuses too
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "width", Fraction(self.width))
-        object.__setattr__(self, "position", Fraction(self.position))
-        if self.width <= 0:
+    def __new__(cls, k: int, width: RationalLike, position: RationalLike, jump: SymVector) -> "CapInput":
+        width, position = Fraction(width), Fraction(position)
+        if width <= 0:
             raise ValueError("cusp width must be positive")
-        if self.jump.k != self.k:
+        if jump.k != k:
             raise ValueError("jump value degree does not match k")
+        return super().__new__(cls, k, width, position, jump)
 
 
 def boundary_pairing_polynomial(w: SymVector) -> Tuple[Fraction, ...]:
@@ -175,8 +178,7 @@ def gamma0_width(N: int) -> Callable[[IsotropicLine], Fraction]:
     return width
 
 
-@dataclass(frozen=True)
-class SpectacleCycle:
+class SpectacleCycle(NamedTuple):
     """Full capped-cycle data for a spacelike vector x.
 
     For split x (q(x) a positive rational square) the geodesic runs from the

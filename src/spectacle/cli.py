@@ -13,6 +13,10 @@ weight 44, j = 0.  Output is deterministic (all maps are
 sorted before serialization): identical invocations produce identical bytes.
 
 Environment: SPECTACLE_LOG in {error, info, debug} controls log verbosity.
+Only info and debug import ``logging`` and give its root logger a stderr
+handler; error, the default, leaves the host's logging untouched.  Start-up
+imports neither ``logging`` nor ``dataclasses``, and only verify-all loads
+``spectacle.verify``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import math
 import os
 import stat
@@ -36,17 +39,19 @@ from .qseries import QExpansion, cohen_eisenstein, eisenstein_level1
 from .quad_space import VecV, epsilon_sign
 from .shintani_lift import LiftConfig, main_theorem_check, plus_space_check
 from .theta11 import SplitLatticeU, theta11_series
-from .verify import verify_all
-
-log = logging.getLogger("spectacle.cli")
 
 
-def _configure_logging() -> None:
+def _configure_logging(command: str) -> None:
+    """Check SPECTACLE_LOG; only info and debug import and configure ``logging``."""
     level = os.environ.get("SPECTACLE_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+    levels = ["debug", "error", "info"]
     if level not in levels:
-        raise ValueError(f"SPECTACLE_LOG must be one of {sorted(levels)}, got {level!r}")
-    logging.basicConfig(level=levels[level], format="%(name)s: %(message)s")
+        raise ValueError(f"SPECTACLE_LOG must be one of {levels}, got {level!r}")
+    if level != "error":
+        import logging
+
+        logging.basicConfig(level=level.upper(), format="%(name)s: %(message)s")
+        logging.getLogger("spectacle.cli").debug("dispatching %s", command)
 
 
 def _emit(
@@ -228,6 +233,8 @@ def cmd_intersect(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
+    from .verify import verify_all  # only this subcommand loads the acceptance matrix
+
     results = verify_all()
     for r in results:
         print(r.line())
@@ -327,8 +334,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        _configure_logging()
-        log.debug("dispatching %s", args.command)
+        _configure_logging(args.command)
         return args.func(args)
     except ValueError as exc:
         # bad input; internal failures (LiftError, ArithmeticError) keep their traceback

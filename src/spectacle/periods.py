@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .caps import boundary_pairing_polynomial, cap_closed_form
 from .exact_arith import bernoulli_number, divisor_power_sum
@@ -61,8 +60,12 @@ __all__ = [
 MAX_PERIOD_WEIGHT = 46
 
 
-@dataclass(frozen=True)
-class HolomorphicFormSpec:
+class _FormFields(NamedTuple):
+    weight: int
+    a: Callable[[int], Fraction]
+
+
+class HolomorphicFormSpec(_FormFields):
     """Level-one holomorphic form given by its exact coefficient stream.
 
     ``a`` maps n >= 0 to the exact n-th Fourier coefficient; the expansion at
@@ -70,12 +73,13 @@ class HolomorphicFormSpec:
     the form).  Weight must be even and >= 4.
     """
 
-    weight: int
-    a: Callable[[int], Fraction]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace refuses too
 
-    def __post_init__(self) -> None:
-        if self.weight < 4 or self.weight % 2:
+    def __new__(cls, weight: int, a: Callable[[int], Fraction]) -> "HolomorphicFormSpec":
+        if weight < 4 or weight % 2:
             raise ValueError("weight must be even and >= 4")
+        return super().__new__(cls, weight, a)
 
     @classmethod
     def eisenstein(cls, weight: int) -> "HolomorphicFormSpec":

@@ -25,9 +25,8 @@ positive-definite plane is +1 precisely when their cross product points down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import NamedTuple, NoReturn, Sequence, Tuple, Union
 
 from .exact_arith import clear_denominators
 
@@ -60,18 +59,32 @@ class GeometryError(ValueError):
     """Raised on invalid geometric input (non-positive planes and friends)."""
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, *value: object) -> NoReturn:
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class VecV:
-    """Vector in the quadratic space, coordinates (a, b, c) as above."""
+    """Vector in the quadratic space, coordinates (a, b, c) as above: an
+    immutable value with vector arithmetic, not a tuple."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    __slots__ = ("a", "b", "c")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
+    def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike) -> None:
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "c", Fraction(c))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c))
+
+    def __repr__(self) -> str:
+        return f"VecV(a={self.a!r}, b={self.b!r}, c={self.c!r})"
 
     def __add__(self, other: "VecV") -> "VecV":
         return VecV(self.a + other.a, self.b + other.b, self.c + other.c)
@@ -171,8 +184,7 @@ def _normalize_cusp(alpha: int, beta: int) -> Tuple[int, int]:
     return alpha, beta
 
 
-@dataclass(frozen=True)
-class IsotropicLine:
+class IsotropicLine(NamedTuple):
     """Oriented rational isotropic line, tagged by its cusp [alpha : beta].
 
     The oriented generator is the primitive integral vector with matrix

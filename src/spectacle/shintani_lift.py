@@ -43,10 +43,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
-from dataclasses import dataclass, replace
+import sys
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from .exact_arith import bernoulli_number
 from .qseries import QExpansion, RationalLike, cohen_eisenstein
@@ -66,15 +65,18 @@ __all__ = [
     "plus_space_check",
 ]
 
-log = logging.getLogger("spectacle.lift")
-
 
 class LiftError(RuntimeError):
     """Internal identity of the lift failed (formula regression)."""
 
 
-@dataclass(frozen=True)
-class LiftConfig:
+class _ConfigFields(NamedTuple):
+    k: int
+    h: Fraction
+    n_max: int
+
+
+class LiftConfig(_ConfigFields):
     """Configuration: coefficient degree k, coset tag, truncation.
 
     ``h`` is the w0-multiple of the coset shift (0 or 1/2); ``n_max`` bounds
@@ -82,26 +84,25 @@ class LiftConfig:
     the unshifted coset and 4 for the half-shifted one.
     """
 
-    k: int
-    h: Fraction
-    n_max: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace refuses too
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h", Fraction(self.h))
-        if self.k < 1:
+    def __new__(cls, k: int, h: RationalLike, n_max: int) -> "LiftConfig":
+        h = Fraction(h)
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if self.h not in (Fraction(0), Fraction(1, 2)):
+        if h not in (Fraction(0), Fraction(1, 2)):
             raise ValueError("coset tag must be 0 or 1/2 (times w0)")
-        if self.n_max < 0:
+        if n_max < 0:
             raise ValueError("n_max must be >= 0")
+        return super().__new__(cls, k, h, n_max)
 
     @property
     def exp_den(self) -> int:
         return 1 if self.h == 0 else 4
 
 
-@dataclass(frozen=True)
-class SignConvention:
+class SignConvention(NamedTuple):
     """Resolved binary conventions, recorded with every report."""
 
     sigma_glob: int
@@ -254,12 +255,12 @@ def arbitrate_signs() -> SignConvention:
     if mism is not None:
         raise LiftError("interior blocks do not match after arbitration")
     conv = SignConvention(sigma, int(relative), int(incidence))
-    log.info(
-        "arbitrated signs: sigma_glob=%+d interior_relative=%+d incidence=%+d",
-        conv.sigma_glob,
-        conv.interior_relative,
-        conv.boundary_incidence,
-    )
+    if "logging" in sys.modules:  # no handler can print before logging is imported
+        import logging
+
+        logging.getLogger("spectacle.lift").info(
+            "arbitrated signs: sigma_glob=%+d interior_relative=%+d incidence=%+d", *conv
+        )
     return conv
 
 
@@ -314,8 +315,7 @@ def lift_geometric_side(cfg: LiftConfig) -> QExpansion:
 # reports
 
 
-@dataclass(frozen=True)
-class LiftReport:
+class LiftReport(NamedTuple):
     """Both coefficient tables plus the convention record and the verdict."""
 
     k: int
@@ -376,8 +376,7 @@ def main_theorem_check(cfg: LiftConfig) -> LiftReport:
     )
 
 
-@dataclass(frozen=True)
-class PlusSpaceResult:
+class PlusSpaceResult(NamedTuple):
     k: int
     lam: Optional[Fraction]
     passed: bool
@@ -409,5 +408,5 @@ def plus_space_check(k: int, n_max: int) -> PlusSpaceResult:
     passed = first_break is None and lam is not None
     if passed:
         tag = (lam, f"Cohen r = {k + 1}")
-        rep0, reph = (replace(r, proportionality=tag) for r in (rep0, reph))
+        rep0, reph = (r._replace(proportionality=tag) for r in (rep0, reph))
     return PlusSpaceResult(k, lam, passed, first_break, combined, (rep0, reph))

@@ -18,14 +18,13 @@ unipotent n(t) acts as exp(t R).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from operator import add
 from typing import Sequence, Tuple, Union
 
 from .exact_arith import clear_denominators, poly_product
-from .quad_space import VecV
+from .quad_space import VecV, _frozen
 
 RationalLike = Union[int, Fraction]
 
@@ -45,19 +44,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SymVector:
-    """Homogeneous degree-2k form; coeffs[i] multiplies e1^i e2^(2k-i)."""
+    """Homogeneous degree-2k form; coeffs[i] multiplies e1^i e2^(2k-i).  An
+    immutable value with vector arithmetic, not a tuple, like ``VecV``."""
 
-    k: int
-    coeffs: Tuple[Fraction, ...]
+    __slots__ = ("k", "coeffs")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        if self.k < 0:
+    def __init__(self, k: int, coeffs: Sequence[RationalLike]) -> None:
+        if k < 0:
             raise ValueError("k must be >= 0")
-        if len(self.coeffs) != 2 * self.k + 1:
+        if len(coeffs) != 2 * k + 1:
             raise ValueError("coefficient tuple must have length 2k+1")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.coeffs) == (other.k, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"SymVector(k={self.k!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def monomial(cls, k: int, i: int, coeff: RationalLike = 1) -> "SymVector":

@@ -25,11 +25,10 @@ whole series (both parts); nothing is hard-coded.
 from __future__ import annotations
 
 import functools
-import logging
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .exact_arith import bernoulli_number, bernoulli_poly
 from .qseries import QExpansion, eisenstein_level1
@@ -43,25 +42,28 @@ __all__ = [
     "siegel_weil_check",
 ]
 
-log = logging.getLogger("spectacle.theta11")
 
-
-@dataclass(frozen=True)
-class SplitLatticeU:
-    """Coset (M1 Z + h1) u + (M2 Z + h2) u' of a split rank-2 lattice."""
-
+class _LatticeFields(NamedTuple):
     M1: Fraction
     h1: Fraction
     M2: Fraction
     h2: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("M1", "h1", "M2", "h2"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.M1 <= 0 or self.M2 <= 0:
+
+class SplitLatticeU(_LatticeFields):
+    """Coset (M1 Z + h1) u + (M2 Z + h2) u' of a split rank-2 lattice."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace refuses too
+
+    def __new__(cls, M1: RationalLike, h1: RationalLike, M2: RationalLike, h2: RationalLike
+                ) -> "SplitLatticeU":
+        M1, h1, M2, h2 = Fraction(M1), Fraction(h1), Fraction(M2), Fraction(h2)
+        if M1 <= 0 or M2 <= 0:
             raise ValueError("progression steps must be positive")
-        if not (0 <= self.h1 < self.M1 and 0 <= self.h2 < self.M2):
+        if not (0 <= h1 < M1 and 0 <= h2 < M2):
             raise ValueError("offsets must satisfy 0 <= h < M")
+        return super().__new__(cls, M1, h1, M2, h2)
 
     @classmethod
     def unimodular(cls) -> "SplitLatticeU":
@@ -155,7 +157,10 @@ def global_sign() -> int:
             "Eisenstein expansion; formula regression"
         )
     sign = int(lam)
-    log.info("calibrated theta global sign: %+d", sign)
+    if "logging" in sys.modules:  # no handler can print before logging is imported
+        import logging
+
+        logging.getLogger("spectacle.theta11").info("calibrated theta global sign: %+d", sign)
     return sign
 
 

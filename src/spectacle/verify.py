@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from .caps import CapInput, cap_closed_form, cap_solve, spectacle_assemble
 from .exact_arith import bernoulli_number
@@ -35,8 +34,7 @@ from .theta11 import SplitLatticeU, siegel_weil_check, theta11_series
 __all__ = ["CriterionResult", "verify_all", "CRITERIA"]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     name: str
     passed: bool
     detail: str

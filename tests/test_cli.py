@@ -398,13 +398,20 @@ def test_subcommand_help_matches_the_all_commands_parser(name, registered, capsy
     assert registered[1:] == _COMMAND_NAMES
 
 
-def _fresh_process(argv):
-    """(exit code, stdout, stderr) of ``python -m spectacle argv`` in a new interpreter."""
+def _fresh_env(**environ):
+    """The test's environment with this package first on PYTHONPATH, no
+    SPECTACLE_LOG unless given, and ``environ`` added."""
     src = str(Path(spectacle.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "spectacle", *argv], env=env, capture_output=True, check=False
-    )
+    env.pop("SPECTACLE_LOG", None)
+    return dict(env, **environ)
+
+
+def _fresh_process(argv, **environ):
+    """(exit code, stdout, stderr) of ``python -m spectacle argv`` in a new
+    interpreter, with ``environ`` added to its environment."""
+    done = subprocess.run([sys.executable, "-m", "spectacle", *argv], env=_fresh_env(**environ),
+                          capture_output=True, check=False)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -435,21 +442,46 @@ def test_lvalue_at_new_heights_reuses_the_closing(capsys, monkeypatch):
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # the package has no runtime dependency: neither the CLI nor completed_L
-    # (its incomplete gamma is written with the standard library) loads scipy
-    src = str(Path(spectacle.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # (its incomplete gamma is written with the standard library) loads scipy.
+    # Nor does a CLI call's start-up (the benchmark's set-up probe, then one
+    # call) load dataclasses, logging or the acceptance matrix.
     probe = (
-        "import sys, spectacle.cli\n"
-        "def scipy_loaded(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "print(scipy_loaded())\n"
+        "import os, sys, spectacle.cli\n"
+        "from spectacle import shintani_lift, theta11\n"
+        "def loaded(): return [m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                      or m in ('dataclasses', 'logging', 'spectacle.verify')]\n"
+        "print(loaded())\n"
+        "shintani_lift.arbitrate_signs()\n"
+        "theta11.global_sign()\n"
+        "print(loaded())\n"
+        "assert spectacle.cli.main(['lift', '--k', '1', '--nmax', '4', '--out', os.devnull]) == 0\n"
+        "print(loaded())\n"
         "from spectacle.periods import HolomorphicFormSpec, completed_L\n"
         "completed_L(HolomorphicFormSpec.eisenstein(6), 2)\n"
-        "print(scipy_loaded())\n"
+        "print(loaded())\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    done = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["[]"] * 4
+
+
+def test_cli_main_leaves_the_host_root_logger_alone(tmp_path):
+    # SPECTACLE_LOG unset means error, which configures nothing: the host's
+    # root logger keeps its level and handlers, and its warnings still print
+    probe = (
+        "import logging\n"
+        "from spectacle import cli\n"
+        "root = logging.getLogger()\n"
+        "before = (root.level, list(root.handlers))\n"
+        f"argv = ['eisenstein', '--weight', '4', '--nmax', '1', '--out', {str(tmp_path / 'e.json')!r}]\n"
+        "assert cli.main(argv) == 0\n"
+        "print(root.level, root.handlers, (root.level, list(root.handlers)) == before)\n"
+        "logging.getLogger('host').warning('host warning')\n"
     )
-    assert done.stdout.splitlines() == ["[]", "[]"]
+    done = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "30 [] True\n"
+    assert done.stderr == "host warning\n"
 
 
 def test_byte_identical_output(capsys):
@@ -504,6 +536,24 @@ def test_spectacle_log_env(monkeypatch, capsys):
     monkeypatch.setenv("SPECTACLE_LOG", "info")
     code, _ = run_cli(capsys, "eisenstein", "--weight", "4", "--nmax", "2")
     assert code == 0
+
+
+_SIGN_LINES = [
+    "spectacle.theta11: calibrated theta global sign: -1",
+    "spectacle.lift: arbitrated signs: sigma_glob=-1 interior_relative=-1 incidence=+1",
+]
+
+
+@pytest.mark.parametrize("level, lines", [
+    ("error", []),
+    ("info", _SIGN_LINES),
+    ("debug", ["spectacle.cli: dispatching lift", *_SIGN_LINES]),
+])
+def test_spectacle_log_prints_exactly_its_lines(level, lines):
+    # a fresh process pins the signs itself, so each level shows all it prints
+    code, out, err = _fresh_process(["lift", "--k", "1", "--nmax", "4"], SPECTACLE_LOG=level)
+    assert code == 0 and json.loads(out)["equal_to"] == 4
+    assert err == "".join(f"{line}\n" for line in lines).encode()
 
 
 _RATIONAL_TEXT = st.one_of(

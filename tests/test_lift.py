@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -194,7 +193,7 @@ def test_plus_space_reports_are_the_direct_builds(k, N):
     tag = (res.lam, f"Cohen r = {k + 1}")
     for rep, h, n_max in zip(res.reports, (Fraction(0), Fraction(1, 2)), (N // 4, N)):
         direct = main_theorem_check(LiftConfig(k=k, h=h, n_max=n_max))
-        assert rep == dataclasses.replace(direct, proportionality=tag)
+        assert rep == direct._replace(proportionality=tag)
 
 
 def test_plus_space_rejects_even_k():
