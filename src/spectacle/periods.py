@@ -10,8 +10,8 @@ only, where its incomplete gamma function Q(s, x) is an exact finite sum
 
 Period assembly.  For a weight 2k+2 level-one form f (Fricke flip g = f),
 the pairing with the capped cycle on the imaginary axis with coefficient
-v_{2j} (|j| <= k-1) is one integral of f(z) P(z) dz over the cycle pushed
-in to heights T1, T2 > 1, a chain of four segments:
+v_{2j} (|j| <= k-1) is the integral of f(z) P(z) dz over two axis halves cut
+at heights T1, T2 > 1, closed by the two caps:
 
     i -> iT1          P = c_{k,j} (-i)^(k+1-j) z^(k-j)
     i -> iT2          P = (-1)^(k+1) c_{k,j} (-i)^(k+1+j) z^(k+j)
@@ -20,16 +20,19 @@ in to heights T1, T2 > 1, a chain of four segments:
 
 Here p_w(z) = (n(z) u'^k, w) is the boundary pairing polynomial of the cap
 at infinity, p_w' that of the zero-cusp cap in cusp-normal coordinates, and
-c_{k,j} = i (-i)^(k-j) 2^k (k!)^2 / ((k-j)! (k+j)!).  The value is exactly
-independent of (T1, T2) and equals c_{k,j} Lambda(f, k+1-j): each cap
-cancels its axis end at iT as an exact polynomial, so the chain's boundary
-lies at height 1 alone (i and 1 + i, joined by f's period), and the exact
-closing data is built once per (k, j) per process, at one probe height.
-Dropping the caps destroys the T-independence (polynomial growth in T
-survives); that uncapped control is the only period that reads a height.
+c_{k,j} = i (-i)^(k-j) 2^k (k!)^2 / ((k-j)! (k+j)!).  As f has period 1, a
+cap with G' = P adds G(z+1) - G(z) at its height, and that cancels its
+half's top term as an exact polynomial in z; ``verify`` checks this for
+every weight 4-46 and every |j| <= k-1.  So the capped period is the two
+halves' terms at i alone, exactly independent of (T1, T2), and equals
+c_{k,j} Lambda(f, k+1-j): this module reads no cap, keeps no cache and uses
+no probe height, and ``_axis_boundary`` builds the same two halves for the
+capped period (ends at i) and for the uncapped control (ends at i and at
+each top).  The control grows polynomially in T; it is the only period
+that reads a height.
 The integral is summed Fourier mode by mode in closed form, without
-quadrature, one mode sum at i; the a_0 mode is summed exactly and rounded
-once, so no float carries a T^(2k)-sized term.
+quadrature, one mode sum per call; the a_0 mode is summed exactly and
+rounded once, so no float carries a T^(2k)-sized term.
 Past weight ``MAX_PERIOD_WEIGHT`` = 46 the float modes no longer meet the
 closed form (at 48 three j miss it, at 56 by a relative 11), so a larger
 weight raises ``ValueError``.
@@ -37,13 +40,11 @@ weight raises ``ValueError``.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .caps import boundary_pairing_polynomial, cap_closed_form
 from .exact_arith import bernoulli_number, divisor_power_sum
 from .quad_space import GeometryError, VecV, inner, qform
 
@@ -148,49 +149,33 @@ def c_constant(k: int, j: int) -> complex:
     return 1j**unit * float(r)
 
 
-@functools.cache
-def _cap_polynomial(k: int, j: int) -> Tuple[Fraction, ...]:
-    """Boundary pairing polynomial of the cap at infinity for the jump v_{2j},
-    read from the Bernoulli closed form (width 1, position 0) once per
-    process.  The cap at zero solves, in cusp-normal coordinates, for
-    S v_{2j} = (-1)^(k-j) v_{-2j}; caps are linear in the jump, so its
-    polynomial is (-1)^(k-j) times ``_cap_polynomial(k, -j)``.
-    """
-    return boundary_pairing_polynomial(cap_closed_form(k, j, 0, 1))
-
-
 _TAIL_TOL = 1e-16
 _MAX_MODES = 500
-Segment = Tuple[Tuple[int, Fraction], Tuple[int, Fraction], int, Tuple[Fraction, ...]]
-Terms = Tuple[Tuple[Fraction, Tuple[int, ...]], ...]  # see _boundary_terms
+Terms = Tuple[Tuple[Fraction, Tuple[int, ...]], ...]  # see _axis_boundary
 _ONE = Fraction(1)
 
 
-def _den_deg(polys: Sequence[Tuple[Fraction, ...]]) -> Tuple[int, int]:
-    """A common denominator of the antiderivatives' coefficients, and the longest length."""
-    den = math.lcm(*(c.denominator * (m + 1) for p in polys for m, c in enumerate(p)))
-    return den, max(map(len, polys))
-
-
-def _boundary_terms(chain: Sequence[Segment], den: int, deg: int) -> Terms:
-    """Exact boundary data of int f(z) i^e P(z) dz over segments (z0, z1, e, P):
-    endpoints x + iy as exact (x, y), x an integer and y > 0 rational; P lists
-    rational coefficients, constant term first.  The integral is the boundary
-    sum of +-i^e F(z), F' = P; as f has period 1, the F(x + w) of all endpoints
-    at height y join, by an integer Taylor shift, in one polynomial in w: its
-    deg + 1 real, then imaginary, coefficients times ``den``, at each y where nonzero."""
+def _axis_boundary(
+    k: int, j: int, tops: Optional[Tuple[float, float]] = None
+) -> Tuple[int, int, Terms]:
+    """Exact boundary of the two axis halves c_{k,j} (-i)^s int_i^iT f(z)
+    z^(s-1) dz, s = k+1-j and s = k+1+j (the second times (-1)^(k+1) =
+    i^(2k+2)).  With F = z^s / s and c_{k,j} (-i)^s = r i^e, each half gives
+    -i^e r F at height 1 and, with ``tops = (T1, T2)``, +i^e r F at its own
+    top.  Returns (den, deg, terms): at each height y where the terms do not
+    cancel, the deg + 1 real, then imaginary, coefficients of their sum
+    V_y(z) (see ``_mode_sum``), constant term first, times ``den``."""
+    unit, r = _c_exact(k, j)
+    deg = k + abs(j) + 1
+    den = r.denominator * math.lcm(k - j + 1, k + j + 1)
     by_height: Dict[Fraction, List[int]] = {}
-    for z0, z1, e, p in chain:
-        anti = [0] + [c.numerator * den // (c.denominator * (m + 1)) for m, c in enumerate(p)]
-        for (x, y), unit in ((z1, e), (z0, e + 2)):
-            t = anti[:]
-            for i in range(len(t) - 1 if x else 0):
-                for m in range(len(t) - 2, i - 1, -1):
-                    t[m] += x * t[m + 1]
+    for (s, e), T in zip(((k - j + 1, 0), (k + j + 1, 2 * k + 2)), tops or (None, None)):
+        e += unit + 3 * s  # i^e r = c_{k,j} (-i)^s, times i^(2k+2) on the second half
+        term = int(r * den / s)
+        for y, u in [(_ONE, e + 2)] if T is None else [(Fraction(T), e), (_ONE, e + 2)]:
             parts = by_height.setdefault(y, [0] * (2 * deg + 2))
-            for m, c in enumerate(t, unit % 2 * (deg + 1)):  # times i^unit = 1, i, -1, -i
-                parts[m] += c if unit % 4 < 2 else -c
-    return tuple((y, tuple(parts)) for y, parts in by_height.items() if any(parts))
+            parts[u % 2 * (deg + 1) + s] += term if u % 4 < 2 else -term  # i^u = 1, i, -1, -i
+    return den, deg, tuple((y, tuple(parts)) for y, parts in by_height.items() if any(parts))
 
 
 def _mode_sum(f: HolomorphicFormSpec, terms: Terms, den: int, deg: int) -> complex:
@@ -233,49 +218,19 @@ def _mode_sum(f: HolomorphicFormSpec, terms: Terms, den: int, deg: int) -> compl
     raise RuntimeError("Fourier-mode tail did not converge")
 
 
-def _cycle_boundary(
-    k: int, j: int, tops: Tuple[Fraction, Fraction], caps: bool
-) -> Tuple[int, int, Terms]:
-    """(den, deg) and the boundary terms (see ``_boundary_terms``) of the
-    cycle pushed in to heights (T1, T2): per half, c_{k,j} (-i)^s int_i^iT
-    f(z) z^(s-1) dz (the second times (-1)^(k+1) = i^(2k+2)), then, with
-    ``caps``, each half's cap iT -> 1 + iT."""
-    unit, r = _c_exact(k, j)
-    chain = [
-        ((0, _ONE), (0, T), unit + e + 3 * s, (Fraction(0),) * (s - 1) + (r,))
-        for s, T, e in ((k - j + 1, tops[0], 0), (k + j + 1, tops[1], 2 * k + 2))
-    ]
-    if caps:
-        p_zero = tuple((-1) ** (k - j) * c for c in _cap_polynomial(k, -j))
-        chain += [((0, tops[0]), (1, tops[0]), 2, _cap_polynomial(k, j)),
-                  ((0, tops[1]), (1, tops[1]), 0, p_zero)]
-    den, deg = _den_deg([p for *_, p in chain])
-    return den, deg, _boundary_terms(chain, den, deg)
-
-
-@functools.cache
-def _closing(k: int, j: int) -> Tuple[int, int, Terms]:
-    """The capped cycle's ``_cycle_boundary``.  Each cap cancels its axis end
-    at iT as an exact polynomial, so the chain, built at one probe height,
-    keeps a boundary at height 1 only, or none where the two halves cancel:
-    the period does not depend on T.  The weight bound leaves at most 22^2
-    keys, so the cache stays small."""
-    closing = _cycle_boundary(k, j, (Fraction(2), Fraction(2)), caps=True)
-    assert all(y == _ONE for y, _ in closing[2]), f"the caps leave a top (k={k}, j={j})"
-    return closing
-
-
 def spectacle_period(
     f: HolomorphicFormSpec, k: int, j: int, tops: Optional[Tuple[float, float]] = None
 ) -> float:
-    """Capped-cycle period pairing c_{k,j} Lambda(f, k+1-j): one mode sum
-    over the boundary at i, for weights up to ``MAX_PERIOD_WEIGHT``.
+    """Capped-cycle period pairing c_{k,j} Lambda(f, k+1-j), for weights up
+    to ``MAX_PERIOD_WEIGHT``: one mode sum over the two axis halves' terms
+    at i.  The caps cancel the halves' tops exactly (checked in ``verify``),
+    so no height, cap or cache enters; the boundary is built on each call.
 
     ``tops = (T1, T2)`` asks instead for the uncapped control, the two axis
-    pieces cut at finite heights T1, T2 > 1 whose T^(2k) fits a float.  It
-    depends on T1, T2 polynomially and is real only for k - j odd, as c_{k,j}
-    is imaginary for k - j even.  Anything else raises ``ValueError`` before
-    any mode is summed."""
+    halves cut at finite heights T1, T2 > 1 whose T^(2k) fits a float, with
+    their tops kept.  It depends on T1, T2 polynomially and is real only for
+    k - j odd, as c_{k,j} is imaginary for k - j even.  Anything else raises
+    ``ValueError`` before any mode is summed."""
     if f.weight != 2 * k + 2:
         raise ValueError("form weight must equal 2k+2")
     if f.weight > MAX_PERIOD_WEIGHT:
@@ -284,9 +239,7 @@ def spectacle_period(
         )
     if abs(j) > k - 1:
         raise ValueError("cap equation unsolvable at one cusp: need |j| <= k-1")
-    if tops is None:
-        den, deg, terms = _closing(k, j)
-    else:
+    if tops is not None:
         if not all(1 < T < math.inf for T in tops):
             raise ValueError("truncation heights must be finite and exceed 1")
         for T in tops:
@@ -296,7 +249,7 @@ def spectacle_period(
                 raise ValueError(f"height {T} too large: T^{2 * k} overflows a float") from None
         if (k - j) % 2 == 0:
             raise ValueError("the uncapped control is real only for k - j odd")
-        den, deg, terms = _cycle_boundary(k, j, (Fraction(tops[0]), Fraction(tops[1])), False)
+    den, deg, terms = _axis_boundary(k, j, tops)
     total = _mode_sum(f, terms, den, deg)
     if abs(total.imag) > 1e-7 * (1.0 + abs(total.real)):
         raise ArithmeticError(f"period pairing unexpectedly non-real: {total} (k={k}, j={j})")

@@ -10,12 +10,24 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 from typing import Callable, List, NamedTuple, Optional
 
-from .caps import CapInput, cap_closed_form, cap_solve, spectacle_assemble
+from .caps import (
+    CapInput,
+    boundary_pairing_polynomial,
+    cap_closed_form,
+    cap_solve,
+    spectacle_assemble,
+)
 from .exact_arith import bernoulli_number
-from .periods import HolomorphicFormSpec, geodesic_intersection_numeric, spectacle_period
+from .periods import (
+    MAX_PERIOD_WEIGHT,
+    HolomorphicFormSpec,
+    _axis_boundary,
+    geodesic_intersection_numeric,
+    spectacle_period,
+)
 from .qseries import cohen_bernoulli, cohen_eisenstein
 from .quad_space import U_VEC, UPRIME_VEC, VecV, W0_VEC, epsilon_sign, inner, qform
 from .shintani_lift import LiftConfig, main_theorem_check, plus_space_check
@@ -154,7 +166,30 @@ def criterion_lvalue_periods() -> CriterionResult:
         bare = [spectacle_period(e4, 1, 0, (T, T)) for T in (3.0, 10.0)]
         drop = abs(bare[0] - bare[1])
         assert drop > 1e-2, f"negative control too small: {drop}"
-        return "periods -5/3 and -2/15 to 1e-8, T-independent; no-caps control breaks"
+        # each cap, G' = its boundary polynomial, adds G(z+1) - G(z) at its
+        # half's top and cancels the top there exactly: the capped period is
+        # the halves' terms at i alone
+        closed = 0
+        for k in range(1, MAX_PERIOD_WEIGHT // 2):
+            for j in range(-(k - 1), k):
+                den, deg, terms = _axis_boundary(k, j, (2, 3))
+                tops = dict(terms)
+                for T, i, unit in ((2, j, -1), (3, -j, (-1) ** (k - j))):
+                    p = boundary_pairing_polynomial(cap_closed_form(k, i, 0, 1))
+                    scale = lcm(den, *(c.denominator * (m + 1) for m, c in enumerate(p)))
+                    G = [0] + [int(unit * c * scale / (m + 1)) for m, c in enumerate(p)]
+                    top = tops.get(T, (0,) * (2 * deg + 2))
+                    left = [  # G(z+1) - G(z) plus the top, times scale
+                        sum(G[m] * comb(m, n) for m in range(n + 1, len(G)))
+                        + (top[n] * (scale // den) if n <= deg else 0)
+                        for n in range(len(G))
+                    ]
+                    assert not any([*left, *top[deg + 1 :]]), f"a cap leaves a top (k={k}, j={j})"
+                closed += 1
+        return (
+            "periods -5/3 and -2/15 to 1e-8; the caps cancel both tops exactly for all "
+            f"{closed} (k, j) of weights 4-{MAX_PERIOD_WEIGHT}; no-caps control breaks"
+        )
 
     return _run("completed L-value periods", 10.0, body)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectacle
-from spectacle import cli, periods, shintani_lift
+from spectacle import cli, shintani_lift
 from spectacle.cli import build_parser, main
 
 
@@ -421,23 +421,31 @@ def test_module_entry_point_prints_what_main_prints(capsys):
     assert _fresh_process(argv) == (code, out.encode(), b"")
 
 
-def test_lvalue_at_new_heights_reuses_the_closing(capsys, monkeypatch):
-    calls = {"_boundary_terms": 0, "_mode_sum": 0}
-    for name in calls:
-
-        def counted(*args, _name=name, _run=getattr(periods, name)):
-            calls[_name] += 1
-            return _run(*args)
-
-        monkeypatch.setattr(periods, name, counted)
-    periods._closing.cache_clear()
-    assert run_cli(capsys, "lvalue", "--weight", "12", "--j=2", "--T", "1.5,3")[0] == 0
-    assert calls == {"_boundary_terms": 1, "_mode_sum": 1}  # one capped chain
+def test_lvalue_reads_no_cap(capsys):
+    # with every cap formula refusing, before any module reads it, lvalue
+    # prints the same bytes: the float layer sums the axis halves alone
     argv = ["lvalue", "--weight", "12", "--j=2", "--T", "2,4,7.1"]
     code, out = run_cli(capsys, *argv)
-    # the closing is read from the first call; each call sums its own modes
-    assert calls == {"_boundary_terms": 1, "_mode_sum": 2}
     assert _fresh_process(argv) == (code, out.encode(), b"")
+    probe = (
+        "import sys\n"
+        "from spectacle import caps\n"
+        "def refuse(*args): raise AssertionError('a cap was read')\n"
+        "caps.cap_closed_form = caps.cap_solve = refuse\n"
+        "from spectacle import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=_fresh_env(),
+                          capture_output=True, check=False)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), b"")
+
+
+def test_periods_import_leaves_caps_unloaded():
+    # the float layer reads no cap: the caps' cancellation is checked in verify
+    probe = "import sys, spectacle.periods; print('spectacle.caps' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

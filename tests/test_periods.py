@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from spectacle import cli, periods
-from spectacle.caps import CapInput, boundary_pairing_polynomial, cap_solve
+from spectacle.caps import CapInput, boundary_pairing_polynomial, cap_closed_form, cap_solve
 from spectacle.exact_arith import bernoulli_number
 from spectacle.periods import (
     HolomorphicFormSpec,
@@ -190,10 +190,55 @@ def _quadrature_axis_integral(f: HolomorphicFormSpec, s: int, T: float) -> float
     return value
 
 
+def _den_deg(polys) -> tuple:
+    """A common denominator of the antiderivatives' coefficients, and the longest length."""
+    den = math.lcm(*(c.denominator * (m + 1) for p in polys for m, c in enumerate(p)))
+    return den, max(map(len, polys))
+
+
+def _boundary_terms(chain, den: int, deg: int) -> tuple:
+    """Exact boundary data of int f(z) i^e P(z) dz over segments (z0, z1, e, P),
+    in the form ``periods._mode_sum`` reads: endpoints x + iy as exact (x, y),
+    x an integer and y > 0 rational, P rational coefficients, constant term
+    first.  The integral is the boundary sum of +-i^e F(z), F' = P; as f has
+    period 1, the F(x + w) of all endpoints at height y join, by an integer
+    Taylor shift, in one polynomial in w: its deg + 1 real, then imaginary,
+    coefficients times ``den``, at each y where nonzero."""
+    by_height = {}
+    for z0, z1, e, p in chain:
+        anti = [0] + [c.numerator * den // (c.denominator * (m + 1)) for m, c in enumerate(p)]
+        for (x, y), unit in ((z1, e), (z0, e + 2)):
+            t = anti[:]
+            for i in range(len(t) - 1 if x else 0):
+                for m in range(len(t) - 2, i - 1, -1):
+                    t[m] += x * t[m + 1]
+            parts = by_height.setdefault(y, [0] * (2 * deg + 2))
+            for m, c in enumerate(t, unit % 2 * (deg + 1)):  # times i^unit = 1, i, -1, -i
+                parts[m] += c if unit % 4 < 2 else -c
+    return tuple((y, tuple(parts)) for y, parts in by_height.items() if any(parts))
+
+
+def _cap_polynomial(k: int, j: int) -> tuple:
+    """Boundary pairing polynomial of the cap at infinity for the jump v_{2j},
+    from the Bernoulli closed form (width 1, position 0).  The cap at zero
+    solves, in cusp-normal coordinates, for S v_{2j} = (-1)^(k-j) v_{-2j};
+    caps are linear in the jump, so its polynomial is (-1)^(k-j) times
+    ``_cap_polynomial(k, -j)``."""
+    return boundary_pairing_polynomial(cap_closed_form(k, j, 0, 1))
+
+
 def _cycle_integral(f: HolomorphicFormSpec, chain) -> complex:
     """Sum of int_{z0}^{z1} f(z) i^e P(z) dz over straight segments (z0, z1, e, P)."""
-    den, deg = periods._den_deg([p for *_, p in chain])
-    return periods._mode_sum(f, periods._boundary_terms(chain, den, deg), den, deg)
+    den, deg = _den_deg([p for *_, p in chain])
+    return periods._mode_sum(f, _boundary_terms(chain, den, deg), den, deg)
+
+
+def _rationals(den: int, deg: int, terms) -> dict:
+    """Boundary terms as exact rationals: height -> {(0 real or 1 imaginary, power): value}."""
+    return {
+        y: {divmod(n, deg + 1): Fraction(c, den) for n, c in enumerate(parts) if c}
+        for y, parts in terms
+    }
 
 
 @pytest.mark.parametrize("weight", [4, 6, 8, 10, 12, 14, 16])
@@ -217,9 +262,9 @@ def _oracle_chain(k: int, j: int, t1: Fraction, t2: Fraction, include_caps: bool
         for s, t, e in ((k - j + 1, t1, 0), (k + j + 1, t2, 2 * k + 2))
     ]
     if include_caps:
-        p_zero = tuple((-1) ** (k - j) * c for c in periods._cap_polynomial(k, -j))
+        p_zero = tuple((-1) ** (k - j) * c for c in _cap_polynomial(k, -j))
         chain += [
-            ((0, t1), (1, t1), 2, periods._cap_polynomial(k, j)),
+            ((0, t1), (1, t1), 2, _cap_polynomial(k, j)),
             ((0, t2), (1, t2), 0, p_zero),
         ]
     return chain
@@ -228,8 +273,8 @@ def _oracle_chain(k: int, j: int, t1: Fraction, t2: Fraction, include_caps: bool
 def pairwise_period(
     f: HolomorphicFormSpec, k: int, j: int, T1: float, T2: float, include_caps: bool = True
 ) -> float:
-    """Test oracle for the period at one (T1, T2): the whole chain through
-    ``_cycle_integral``, built at those heights, with nothing cached."""
+    """Test oracle for the period at one (T1, T2): the whole chain, caps
+    included, through ``_cycle_integral``, built at those heights."""
     total = _cycle_integral(f, _oracle_chain(k, j, Fraction(T1), Fraction(T2), include_caps))
     assert abs(total.imag) <= 1e-7 * (1.0 + abs(total.real)), total
     return total.real
@@ -261,8 +306,8 @@ def test_grid_route_equals_pairwise_route_bit_for_bit(weight):
     assert compared
 
 
-def test_one_mode_sum_per_capped_grid(monkeypatch, capsys):
-    calls = {"_boundary_terms": 0, "_mode_sum": 0}
+def test_one_axis_boundary_and_one_mode_sum_per_call(monkeypatch, capsys):
+    calls = {"_axis_boundary": 0, "_mode_sum": 0}
     for name in calls:
 
         def counted(*args, _name=name, _run=getattr(periods, name)):
@@ -270,16 +315,15 @@ def test_one_mode_sum_per_capped_grid(monkeypatch, capsys):
             return _run(*args)
 
         monkeypatch.setattr(periods, name, counted)
-    periods._closing.cache_clear()
-    for n, heights in enumerate(("1.5,3,10", "2,2", "1e300,3"), 1):
+    for n, heights in enumerate(("1.5,3,10", "2,2", "1e300,3", "1.5,3,10"), 1):
         assert cli.main(["lvalue", "--weight", "16", "--j=3", "--T", heights]) == 0
         assert "value" in capsys.readouterr().out
-        # one capped chain per (k, j), one mode sum per call whatever the heights
-        assert calls == {"_boundary_terms": 1, "_mode_sum": n}
-    # the uncapped control builds its chain on every call
+        # nothing is cached: each call builds its boundary and sums it once,
+        # whatever the heights
+        assert calls == {"_axis_boundary": n, "_mode_sum": n}
     for n in (1, 2):
         spectacle_period(HolomorphicFormSpec.eisenstein(4), 1, 0, (3.0, 5.0))
-        assert calls == {"_boundary_terms": 1 + n, "_mode_sum": 3 + n}
+        assert calls == {"_axis_boundary": 4 + n, "_mode_sum": 4 + n}
 
 
 def test_uncapped_control_with_k_minus_j_even_fails_up_front(monkeypatch):
@@ -294,45 +338,53 @@ def test_uncapped_control_with_k_minus_j_even_fails_up_front(monkeypatch):
 
 
 def test_caps_close_the_cycle_exactly():
-    # the boundary at iT, axis end plus cap, is zero as an exact polynomial:
-    # the T-independence of the capped period, with no float in between
+    # the oracle's whole capped chain leaves exactly the axis halves' terms
+    # at i: each cap cancels its half's top as an exact polynomial, the
+    # T-independence of the capped period with no float in between
     tops = (Fraction(2), Fraction(3))
     for weight in range(4, periods.MAX_PERIOD_WEIGHT + 1, 2):
         k = weight // 2 - 1
         for j in range(-(k - 1), k):
-            _, _, terms = periods._closing(k, j)
-            assert all(y == 1 for y, _ in terms), (weight, j)
+            capped = _oracle_chain(k, j, *tops, include_caps=True)
+            den, deg = _den_deg([p for *_, p in capped])
+            want = _rationals(*periods._axis_boundary(k, j))
+            assert _rationals(den, deg, _boundary_terms(capped, den, deg)) == want, (weight, j)
+            assert all(y == 1 for y in want), (weight, j)
             # without the caps each half keeps its own top
             bare = _oracle_chain(k, j, *tops, include_caps=False)
-            den, deg = periods._den_deg([p for *_, p in bare])
-            heights = dict(periods._boundary_terms(bare, den, deg))
+            den, deg = _den_deg([p for *_, p in bare])
+            heights = dict(_boundary_terms(bare, den, deg))
             assert all(T in heights for T in tops), (weight, j)
 
 
 def test_zero_cusp_cap_is_the_s_symmetric_cap_at_infinity():
-    # the chain's zero-cusp polynomial (-1)^(k-j) _cap_polynomial(k, -j) is the
-    # cap that cap_solve gives for the jump v_{2j} moved into the zero cusp's
-    # normal form by sigma_0^(-1)
+    # the oracle chain's zero-cusp polynomial (-1)^(k-j) _cap_polynomial(k, -j)
+    # is the cap that cap_solve gives for the jump v_{2j} moved into the zero
+    # cusp's normal form by sigma_0^(-1)
     sig = sigma_matrix(LINE_ZERO)
     inv = (sig[3], -sig[1], -sig[2], sig[0])
     for k in range(1, 13):
         for j in range(-(k - 1), k):
             jump = act(inv, weight_vector(k, j))
             solved = cap_solve(CapInput(k=k, width=1, position=0, jump=jump))
-            shortcut = tuple((-1) ** (k - j) * c for c in periods._cap_polynomial(k, -j))
+            shortcut = tuple((-1) ** (k - j) * c for c in _cap_polynomial(k, -j))
             assert shortcut == boundary_pairing_polynomial(solved), (k, j)
 
 
 def test_closing_is_the_boundary_at_every_height():
-    # the cached terms, built at one probe height, are what the capped chain
-    # gives at every (T1, T2); without the caps the tops stay
+    # the axis halves' terms at i are what the oracle's capped chain gives at
+    # every (T1, T2); without the caps the tops stay, as the uncapped
+    # control builds them
     k, j = 5, 2
-    den, deg, terms = periods._closing(k, j)
-    assert terms
+    want = _rationals(*periods._axis_boundary(k, j))
+    assert want
     for t1, t2 in ((Fraction(3, 2), Fraction(7)), (Fraction(7), Fraction(7)), (Fraction(10**10), 3)):
-        assert periods._boundary_terms(_oracle_chain(k, j, t1, t2, True), den, deg) == terms
-        bare = periods._boundary_terms(_oracle_chain(k, j, t1, t2, False), den, deg)
+        capped = _oracle_chain(k, j, t1, t2, True)
+        den, deg = _den_deg([p for *_, p in capped])
+        assert _rationals(den, deg, _boundary_terms(capped, den, deg)) == want, (t1, t2)
+        bare = _boundary_terms(_oracle_chain(k, j, t1, t2, False), den, deg)
         assert [y for y, _ in bare] == list(dict.fromkeys((t1, 1, t2))), (t1, t2)
+        assert _rationals(den, deg, bare) == _rationals(*periods._axis_boundary(k, j, (t1, t2)))
 
 
 @dataclass
