@@ -275,18 +275,6 @@ def _geodesic_params(x: VecV) -> Tuple[float, float, float]:
     return a, b, c
 
 
-def _ambient_vector(v: VecV, z: complex) -> Tuple[float, float]:
-    """Tangent vector at z corresponding to v in z-perp (inverse frame map),
-    normal to the geodesic of v at z.
-
-    dY = sqrt2 Y^2 a,  dX = sqrt2 Y (X a - b); scale factors do not matter
-    for orientation checks.
-    """
-    a, b, _ = _geodesic_params(v)
-    X, Y = z.real, z.imag
-    return (Y * (X * a - b), Y * Y * a)
-
-
 def geodesic_intersection_numeric(x: VecV, y: VecV) -> Tuple[complex, int]:
     """Intersection point and orientation sign of the geodesics of x and y.
 
@@ -317,9 +305,12 @@ def geodesic_intersection_numeric(x: VecV, y: VecV) -> Tuple[complex, int]:
     if Y2 <= 0:
         raise GeometryError("geodesics do not cross in the upper half-plane")
     z = complex(X + 0.0, math.sqrt(Y2))  # + 0.0: a real part of -0.0 would print as "-0"
-    # each oriented tangent is its ambient normal turned by -90 degrees, and
+    # the ambient normal of (a, b, c) at z = X + iY is (Y (X a - b), Y^2 a) up
+    # to sqrt2; each oriented tangent is its normal turned by -90 degrees, and
     # turning both leaves their determinant unchanged
-    nx, ny = _ambient_vector(x, z), _ambient_vector(y, z)
+    X, Y = z.real, z.imag
+    nx = (Y * (X * ax - bx), Y * Y * ax)
+    ny = (Y * (X * ay - by), Y * Y * ay)
     det = nx[0] * ny[1] - nx[1] * ny[0]
     if det == 0.0:
         raise GeometryError("tangent directions degenerate at the crossing")
