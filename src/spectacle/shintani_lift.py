@@ -151,12 +151,18 @@ def _interior_geometric(cfg: LiftConfig) -> Dict[int, int]:
     (-2 m2, t, 2 m1), and the exponent numerator is -m1 m2 d + t^2 d/4 with
     d = exp_den (t is even when d = 1).
 
-    On y = w0 the sign is constant: ``epsilon_sign_int(x, w0)`` is
-    sgn(x_a + x_c), and every walked vector has a = -2 m2 > 0 and
-    c = 2 m1 > 0, so it returns +1 for (a, t, c) and -1 for (-a, t, -c)
-    (pinned by ``test_interior_epsilon_routes_agree_vectorwise``).  The call
-    stays because it is the geometric side's only contact with the
-    orientation.
+    The sign is taken once per (m1, m2) row, at t = t_first, and the row's
+    value is added along the t-walk t = t_first, t_first + 2, ..., once at
+    t = 0 and twice (for the points +-t) at t > 0.  This is exact: on
+    y = w0 = (0, 1, 0) the kernel's plane test reads q(x) = t^2 + a c > 0
+    and 4 q(x) q(w0) - (x, w0)^2 = 4 a c > 0, so it reduces to a c > 0, and
+    its sign is sgn(x_a + x_c); neither depends on x_b = t.  Every walked
+    row has a = -2 m2 > 0 and c = 2 m1 > 0, so the test passes on the whole
+    row, and the row's two calls give the sign of every vector in it: +1
+    for (a, t, c) and -1 for (-a, t, -c) (pinned vector by vector, on both
+    cosets, by ``test_interior_epsilon_routes_agree_vectorwise``).  The
+    per-vector walk is the test oracle ``per_vector_interior`` in
+    ``tests/test_lift.py``.
     """
     d, k, n_max = cfg.exp_den, cfg.k, cfg.n_max
     t_first = int(2 * cfg.h)
@@ -165,16 +171,19 @@ def _interior_geometric(cfg: LiftConfig) -> Dict[int, int]:
         w_pos, w_neg = (-m1) ** k, m1**k  # (x_U, u')^k at (m1, m2) and (-m1, -m2)
         for m2 in range(-(n_max // (d * m1)), 0):
             a, c = -2 * m2, 2 * m1
+            value = (
+                epsilon_sign_int((a, t_first, c), _W0_INT) * w_pos
+                + epsilon_sign_int((-a, t_first, -c), _W0_INT) * w_neg
+            )
             base = -m1 * m2 * d
             t = t_first
+            if t == 0:  # the one point t = 0 of the h = 0 coset
+                out[base] = out.get(base, 0) + value
+                t = 2
+            value *= 2  # the two points +-t
             num = base + t * t * d // 4
             while num <= n_max:
-                for tt in (t, -t) if t else (t,):
-                    out[num] = (
-                        out.get(num, 0)
-                        + epsilon_sign_int((a, tt, c), _W0_INT) * w_pos
-                        + epsilon_sign_int((-a, tt, -c), _W0_INT) * w_neg
-                    )
+                out[num] = out.get(num, 0) + value
                 t += 2
                 num = base + t * t * d // 4
     return out

@@ -93,20 +93,94 @@ def test_main_theorem_equality(k, h):
 
 def test_interior_epsilon_routes_agree_vectorwise():
     # sgn(m1) shortcut vs cross-product sign, vector by vector, over the
-    # interior vectors m1 u + m2 u' + m w0 (m1 m2 < 0, m in Z + 1/2) of a
-    # small window; the integer kernel on doubled coordinates agrees too
+    # interior vectors m1 u + m2 u' + m w0 (m1 m2 < 0, m in Z + 1/2 for odd
+    # t = 2m, m in Z for even t, t = 0 included) of a small window, so both
+    # cosets; the integer kernel on doubled coordinates agrees too
     seen = 0
     for m1 in range(-8, 9):
         for m2 in range(-8, 9):
             if m1 * m2 >= 0:
                 continue
-            for t in range(-7, 8, 2):
+            for t in range(-7, 8):
                 x = VecV(-m2, Fraction(t, 2), m1)
                 want = 1 if m1 > 0 else -1
                 assert epsilon_sign(x, W0_VEC) == want
                 assert epsilon_sign_int((-2 * m2, t, 2 * m1), (0, 1, 0)) == want
                 seen += 1
     assert seen > 50
+
+
+def per_vector_interior(cfg):
+    # the geometric interior with the orientation taken on every lattice
+    # vector, both signs of t: the oracle for _interior_geometric, which
+    # takes it once per (m1, m2) row
+    from spectacle.shintani_lift import _W0_INT
+
+    d, k, n_max = cfg.exp_den, cfg.k, cfg.n_max
+    t_first = int(2 * cfg.h)
+    out = {}
+    for m1 in range(1, n_max // d + 1):
+        w_pos, w_neg = (-m1) ** k, m1**k  # (x_U, u')^k at (m1, m2) and (-m1, -m2)
+        for m2 in range(-(n_max // (d * m1)), 0):
+            a, c = -2 * m2, 2 * m1
+            base = -m1 * m2 * d
+            t = t_first
+            num = base + t * t * d // 4
+            while num <= n_max:
+                for tt in (t, -t) if t else (t,):
+                    out[num] = (
+                        out.get(num, 0)
+                        + epsilon_sign_int((a, tt, c), _W0_INT) * w_pos
+                        + epsilon_sign_int((-a, tt, -c), _W0_INT) * w_neg
+                    )
+                t += 2
+                num = base + t * t * d // 4
+    return out
+
+
+@pytest.mark.parametrize("n_max", [60, 960])
+@pytest.mark.parametrize("h", [Fraction(0), Fraction(1, 2)])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_interior_row_sign_equals_per_vector_sign(k, h, n_max):
+    from spectacle.shintani_lift import _interior_geometric
+
+    cfg = LiftConfig(k=k, h=h, n_max=n_max)
+    assert _interior_geometric(cfg) == per_vector_interior(cfg)
+
+
+def test_interior_takes_two_orientation_calls_per_row(monkeypatch):
+    # one call for (a, t_first, c) and one for (-a, t_first, -c) per (m1, m2)
+    # row with -m1 m2 d <= n_max; a return to per-vector calls would count
+    # every t of the walk as well
+    from spectacle import shintani_lift
+
+    cfg = LiftConfig(k=3, h=Fraction(1, 2), n_max=960)
+    d = cfg.exp_den
+    rows = sum(cfg.n_max // (d * m1) for m1 in range(1, cfg.n_max // d + 1))
+    calls = []
+
+    def counted(x, y):
+        calls.append(x)
+        return epsilon_sign_int(x, y)
+
+    monkeypatch.setattr(shintani_lift, "epsilon_sign_int", counted)
+    shintani_lift._interior_geometric(cfg)
+    assert len(calls) == 2 * rows
+
+
+def test_flipped_orientation_breaks_the_identity(monkeypatch):
+    # the kernel's sign reaches the geometric table: with the conventions
+    # pinned on the true kernel, a kernel returning the opposite sign negates
+    # the interior and the two sides disagree
+    from spectacle import shintani_lift
+
+    cfg = LiftConfig(k=3, h=Fraction(1, 2), n_max=60)
+    arbitrate_signs()
+    assert main_theorem_check(cfg).equal
+    true_interior = shintani_lift._interior_geometric(cfg)
+    monkeypatch.setattr(shintani_lift, "epsilon_sign_int", lambda x, y: -epsilon_sign_int(x, y))
+    assert shintani_lift._interior_geometric(cfg) == {n: -v for n, v in true_interior.items()}
+    assert not main_theorem_check(cfg).equal
 
 
 @pytest.mark.parametrize("k,h", [(1, Fraction(0)), (2, Fraction(1, 2)), (3, Fraction(0))])
