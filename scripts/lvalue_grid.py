@@ -24,14 +24,14 @@ def main() -> int:
         lam = completed_L(form, float(k + 1))
         print(f"\nweight {weight}: Lambda(k+1) = {lam:.12g}")
         want = c_constant(k, 0) * lam
-        capped = spectacle_period(form, k, 0)
+        capped = spectacle_period(form, 0)
         print(f"  capped pairing {capped:+.12f}")
         if abs(capped - want) > 1e-8:
             failed.append(f"weight {weight}: {capped:.12g} != c Lambda = {want:.12g}")
         print("  T1    T2    uncapped")
         uncapped = []
         for t1, t2 in itertools.product(grid, repeat=2):
-            uncapped.append(spectacle_period(form, k, 0, (t1, t2)))
+            uncapped.append(spectacle_period(form, 0, (t1, t2)))
             print(f"  {t1:<5} {t2:<5} {uncapped[-1]:+.3f}")
         if max(uncapped) - min(uncapped) <= 1e-2:
             failed.append(f"weight {weight}: the uncapped integrals do not depend on T")

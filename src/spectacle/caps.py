@@ -19,6 +19,8 @@ Bernoulli-polynomial closed formula
 
 for jump value n(r) v_{2i}.  ``cap_solve`` (the nilpotent triangular system
 plus the exact polynomial integral) is its oracle in verify-all and the tests.
+``spectacle_assemble(x, k, level)`` caps the cycle whose coefficient is
+v = embed_power(x, k); its record keeps x and k, which fix v, and not v.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import comb
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple
 
-from .exact_arith import bernoulli_poly
+from .exact_arith import RationalLike, bernoulli_poly
 from .quad_space import (
     GeometryError,
     IsotropicLine,
@@ -39,9 +41,7 @@ from .quad_space import (
     qform,
     sigma_matrix,
 )
-from .sym_rep import SymVector, act, embed_power, weight_normalizer
-
-RationalLike = Union[int, Fraction]
+from .sym_rep import SymVector, act, weight_normalizer
 
 __all__ = [
     "CapInput",
@@ -179,7 +179,8 @@ def gamma0_width(N: int) -> Callable[[IsotropicLine], Fraction]:
 
 
 class SpectacleCycle(NamedTuple):
-    """Full capped-cycle data for a spacelike vector x.
+    """Full capped-cycle data for a spacelike vector x, with coefficient
+    embed_power(x, k).
 
     For split x (q(x) a positive rational square) the geodesic runs from the
     second cusp to the first one, and ``cap_first``/``cap_second`` are the
@@ -191,7 +192,6 @@ class SpectacleCycle(NamedTuple):
 
     x: VecV
     k: int
-    coefficient: SymVector
     first: Optional[Tuple[IsotropicLine, Fraction]]
     second: Optional[Tuple[IsotropicLine, Fraction]]
     cap_first: Optional[SymVector]
@@ -221,11 +221,10 @@ def spectacle_assemble(x: VecV, k: int, level: int = 1) -> SpectacleCycle:
         raise GeometryError("x must be spacelike (q(x) > 0)")
     if k < 1:
         raise ValueError("coefficient degree k must be >= 1 to cap off")
-    coeff = embed_power(x, k)
     if not is_rational_square(q):
         # closed geodesic: nothing to cap
-        return SpectacleCycle(x, k, coeff, None, None, None, None)
+        return SpectacleCycle(x, k, None, None, None, None)
     l1, l2 = isotropic_lines_of(x)
     r1, w1 = _cusp_cap(l1, x, k, width(l1))
     r2, w2 = _cusp_cap(l2, x, k, width(l2))
-    return SpectacleCycle(x, k, coeff, (l1, r1), (l2, r2), w1, w2)
+    return SpectacleCycle(x, k, (l1, r1), (l2, r2), w1, w2)

@@ -85,14 +85,12 @@ def _emit(
 def _series_table(series: QExpansion, label: str) -> str:
     lines = [f"# {label}", f"# exponent denominator {series.exp_den}"]
     width = max((len(str(n)) for n in series.coeffs), default=1)
-    for n in sorted(series.coeffs):
-        e = f"{n}/{series.exp_den}" if series.exp_den > 1 else str(n)
-        lines.append(f"q^{e:<{width + 4}} {series.coeffs[n]}")
-    if series.nonholo:
-        lines.append("# 1/(pi v) part")
-        for n in sorted(series.nonholo):
+    for head, table in ((None, series.coeffs), ("# 1/(pi v) part", series.nonholo or {})):
+        if head and table:
+            lines.append(head)
+        for n in sorted(table):
             e = f"{n}/{series.exp_den}" if series.exp_den > 1 else str(n)
-            lines.append(f"q^{e:<{width + 4}} {series.nonholo[n]}")
+            lines.append(f"q^{e:<{width + 4}} {table[n]}")
     return "\n".join(lines) + "\n"
 
 
@@ -198,7 +196,7 @@ def cmd_lvalue(args: argparse.Namespace) -> int:
     form = HolomorphicFormSpec.eisenstein(args.weight)
     if not all(1 < T < math.inf for T in heights):
         raise ValueError("truncation heights must be finite and exceed 1")
-    value = spectacle_period(form, form.k, args.j)
+    value = spectacle_period(form, args.j)
     payload = {
         "weight": args.weight,
         "j": args.j,
@@ -333,7 +331,11 @@ def _parser(command: Optional[str]) -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    parser = build_parser(argv)
+    args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        if isinstance(value, list):  # Python 3.11 parses "--x=--" as [], not "--"
+            parser.error(f"argument --{dest}: expected one argument")
     try:
         _configure_logging(args.command)
         return args.func(args)

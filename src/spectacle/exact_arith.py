@@ -8,8 +8,8 @@ floating point appears in this module.
 
 Conventions
 -----------
-* ``Rational`` is ``fractions.Fraction`` (always lowest terms, positive
-  denominator).
+* ``RationalLike`` (an ``int`` or a ``fractions.Fraction``) is the one
+  alias for an exact rational argument in the package.
 * Bernoulli numbers use B_1 = -1/2, so that B_n = B_n(0) with
   B_n(x) = sum_j C(n, j) B_j x^(n-j).  The shifted-argument cap formulas only
   come out right in this convention.
@@ -23,10 +23,10 @@ from math import comb, isqrt, lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-Rational = Fraction
+RationalLike = Union[int, Fraction]
 
 __all__ = [
-    "Rational",
+    "RationalLike",
     "bernoulli_number",
     "bernoulli_poly",
     "kronecker_symbol",
@@ -56,7 +56,7 @@ def bernoulli_number(n: int) -> Fraction:
     return -sum(Fraction(comb(n + 1, j)) * bernoulli_number(j) for j in range(n)) / (n + 1)
 
 
-def bernoulli_poly(n: int, x: Rational) -> Fraction:
+def bernoulli_poly(n: int, x: RationalLike) -> Fraction:
     """Bernoulli polynomial B_n(x) = sum_j C(n, j) B_j x^(n-j).
 
     For an int or Fraction x = p/q, with L the lcm of the denominators of
@@ -278,7 +278,7 @@ def fundamental_discriminant_split(delta: int) -> Tuple[int, int]:
     return 4 * s, t // 2
 
 
-def clear_denominators(x: Sequence[Union[int, Fraction]]) -> Tuple[int, List[int]]:
+def clear_denominators(x: Sequence[RationalLike]) -> Tuple[int, List[int]]:
     """(d, [d c for c in x]) with d >= 1 the least common denominator of x."""
     d = lcm(*(c.denominator for c in x))
     return d, [c.numerator * (d // c.denominator) for c in x]
@@ -294,8 +294,8 @@ def _packed(nums: List[int], width: int, bias: int) -> int:
 
 
 def poly_product(
-    x: Sequence[Union[int, Fraction]], y: Sequence[Union[int, Fraction]], n: int
-) -> List[Union[int, Fraction]]:
+    x: Sequence[RationalLike], y: Sequence[RationalLike], n: int
+) -> List[RationalLike]:
     """Coefficients 0..n of the product of the polynomials with coefficient
     lists x and y (constant term first), each an int when it is integral and
     a Fraction otherwise: with a common denominator d != 1, a slot c that d

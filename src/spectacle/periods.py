@@ -29,7 +29,8 @@ c_{k,j} Lambda(f, k+1-j): this module reads no cap, keeps no cache and uses
 no probe height, and ``_axis_boundary`` builds the same two halves for the
 capped period (ends at i) and for the uncapped control (ends at i and at
 each top).  The control grows polynomially in T; it is the only period
-that reads a height.
+that reads a height.  The form alone fixes k, so ``spectacle_period(f, j)``
+reads it as ``f.k``.
 The integral is summed Fourier mode by mode in closed form, without
 quadrature, one mode sum per call; the a_0 mode is summed exactly and
 rounded once, so no float carries a T^(2k)-sized term.
@@ -219,20 +220,21 @@ def _mode_sum(f: HolomorphicFormSpec, terms: Terms, den: int, deg: int) -> compl
 
 
 def spectacle_period(
-    f: HolomorphicFormSpec, k: int, j: int, tops: Optional[Tuple[float, float]] = None
+    f: HolomorphicFormSpec, j: int, tops: Optional[Tuple[float, float]] = None
 ) -> float:
-    """Capped-cycle period pairing c_{k,j} Lambda(f, k+1-j), for weights up
-    to ``MAX_PERIOD_WEIGHT``: one mode sum over the two axis halves' terms
-    at i.  The caps cancel the halves' tops exactly (checked in ``verify``),
-    so no height, cap or cache enters; the boundary is built on each call.
+    """Capped-cycle period pairing c_{k,j} Lambda(f, k+1-j), k = ``f.k``, for
+    weights up to ``MAX_PERIOD_WEIGHT``: one mode sum over the two axis
+    halves' terms at i.  The caps cancel the halves' tops exactly (checked in
+    ``verify``), so no height, cap or cache enters; the boundary is built on
+    each call.
 
     ``tops = (T1, T2)`` asks instead for the uncapped control, the two axis
     halves cut at finite heights T1, T2 > 1 whose T^(2k) fits a float, with
     their tops kept.  It depends on T1, T2 polynomially and is real only for
-    k - j odd, as c_{k,j} is imaginary for k - j even.  Anything else raises
-    ``ValueError`` before any mode is summed."""
-    if f.weight != 2 * k + 2:
-        raise ValueError("form weight must equal 2k+2")
+    k - j odd, as c_{k,j} is imaginary for k - j even.  Anything else,
+    ``tops`` of any other length included, raises ``ValueError`` before any
+    mode is summed."""
+    k = f.k
     if f.weight > MAX_PERIOD_WEIGHT:
         raise ValueError(
             f"weight {f.weight} exceeds {MAX_PERIOD_WEIGHT}, the largest with accurate periods"
@@ -240,6 +242,8 @@ def spectacle_period(
     if abs(j) > k - 1:
         raise ValueError("cap equation unsolvable at one cusp: need |j| <= k-1")
     if tops is not None:
+        if len(tops) != 2:
+            raise ValueError(f"the uncapped control takes two heights (T1, T2), got {len(tops)}")
         if not all(1 < T < math.inf for T in tops):
             raise ValueError("truncation heights must be finite and exceed 1")
         for T in tops:

@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .exact_arith import (
+    RationalLike,
     _generalized_bernoulli,
     bernoulli_number,
     clear_denominators,
@@ -45,8 +46,6 @@ from .exact_arith import (
     poly_product,
 )
 
-RationalLike = Union[int, Fraction]
-ExponentLike = Union[int, Fraction]
 Table = Dict[int, RationalLike]  # exponent numerator -> coefficient
 
 __all__ = [
@@ -125,7 +124,7 @@ class QExpansion:
         """Largest exponent this expansion is reliable up to."""
         return Fraction(self.n_max, self.exp_den)
 
-    def _lookup(self, table: Optional[Table], e: ExponentLike) -> Fraction:
+    def _lookup(self, table: Optional[Table], e: RationalLike) -> Fraction:
         e = Fraction(e)
         if e < 0 or e > self.exponent_bound:
             raise TruncationError(f"exponent {e} outside [0, {self.exponent_bound}]")
@@ -134,11 +133,11 @@ class QExpansion:
             return Fraction(0)
         return Fraction(table.get(num.numerator, 0))
 
-    def coefficient(self, e: ExponentLike) -> Fraction:
+    def coefficient(self, e: RationalLike) -> Fraction:
         """Coefficient of q^e; exact zero off the grid, error past n_max."""
         return self._lookup(self.coeffs, e)
 
-    def nonholo_coefficient(self, e: ExponentLike) -> Fraction:
+    def nonholo_coefficient(self, e: RationalLike) -> Fraction:
         return self._lookup(self.nonholo, e)
 
     # -- arithmetic ----------------------------------------------------------
@@ -258,9 +257,6 @@ class QExpansion:
         first = min((n for n in (*a, *b) if n <= top), default=None)
         lam = Fraction(a.get(first, 0)) / b[first] if first in b else None
         return lam, self.first_mismatch(other if lam is None else lam * other)
-
-    def equals_to(self, other: "QExpansion") -> bool:
-        return self.first_mismatch(other) is None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QExpansion):

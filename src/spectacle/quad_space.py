@@ -26,11 +26,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, NoReturn, Sequence, Tuple, Union
+from typing import NamedTuple, NoReturn, Sequence, Tuple
 
-from .exact_arith import clear_denominators
-
-RationalLike = Union[int, Fraction]
+from .exact_arith import RationalLike, clear_denominators
 
 __all__ = [
     "VecV",

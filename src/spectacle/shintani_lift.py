@@ -47,8 +47,8 @@ import sys
 from fractions import Fraction
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
-from .exact_arith import bernoulli_number
-from .qseries import QExpansion, RationalLike, cohen_eisenstein
+from .exact_arith import RationalLike, bernoulli_number
+from .qseries import QExpansion, cohen_eisenstein
 from .quad_space import epsilon_sign_int
 from . import theta11
 

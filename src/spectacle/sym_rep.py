@@ -21,12 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 from operator import add
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
-from .exact_arith import clear_denominators, poly_product
+from .exact_arith import RationalLike, clear_denominators, poly_product
 from .quad_space import VecV, _frozen
-
-RationalLike = Union[int, Fraction]
 
 __all__ = [
     "SymVector",

@@ -28,12 +28,10 @@ import functools
 import sys
 from fractions import Fraction
 from math import lcm
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from .exact_arith import bernoulli_number, bernoulli_poly
+from .exact_arith import RationalLike, bernoulli_number, bernoulli_poly
 from .qseries import QExpansion, eisenstein_level1
-
-RationalLike = Union[int, Fraction]
 
 __all__ = [
     "SplitLatticeU",
@@ -95,8 +93,6 @@ def _literal_series(
         const += -(lat.M2**k) * bernoulli_poly(k + 1, lat.h2 / lat.M2) / (k + 1) * (
             w_u * (-1) ** k
         )
-    if const:
-        coeffs[0] = const
     # m1 = i/D1 and m2 = j/D2 with i, j on the integer progressions
     # o + s Z; -m1 m2 <= n_max/den  <=>  |i j| den <= n_max D1 D2.
     D1 = lcm(lat.M1.denominator, lat.h1.denominator)
@@ -107,27 +103,29 @@ def _literal_series(
     cap = n_max * scale // den
     j_min = min(o2, s2 - o2) if o2 else s2  # smallest nonzero |j|
     i_max = cap // j_min
-    sum_u: Dict[int, int] = {}  # sum of sgn (-j)^k per exponent numerator
-    sum_up: Dict[int, int] = {}  # sum of sgn (-i)^k
+    # w_u (-m2)^k = (w_u / D2^k) (-j)^k and w_up (-m1)^k = (w_up / D1^k) (-i)^k;
+    # both scales are ints a_u, a_up over one denominator q, so each point adds
+    # an int (q = 1 on an integral progression with integral weights)
+    scales = [Fraction(w, D**k) for w, D in ((w_u, D2), (w_up, D1))]
+    q = lcm(*(a.denominator for a in scales))
+    a_u, a_up = (a.numerator * (q // a.denominator) for a in scales)
     for i in range(-i_max + (o1 + i_max) % s1, i_max + 1, s1):
         if i == 0:
             continue
         sgn = 1 if i > 0 else -1
         j_max = cap // abs(i)
         lo, hi = (-j_max, -1) if i > 0 else (1, j_max)
-        pow_i = sgn * (-i) ** k
+        # the point adds q sgn(m1) [w_up (-m1)^k + w_u (-m2)^k] at its exponent
+        up_term, u_scale = a_up * sgn * (-i) ** k, a_u * sgn
         for j in range(lo + (o2 - lo) % s2, hi + 1, s2):
             key, rem = divmod(-i * j * den, scale)
             assert rem == 0
-            sum_u[key] = sum_u.get(key, 0) + sgn * (-j) ** k
-            sum_up[key] = sum_up.get(key, 0) + pow_i
-    # w_u (-m2)^k = (w_u / D2^k) (-j)^k and w_up (-m1)^k = (w_up / D1^k) (-i)^k;
-    # on an integral progression with integral weights both scales are ints
-    a_u, a_up = (Fraction(w, D**k) for w, D in ((w_u, D2), (w_up, D1)))
-    if a_u.denominator == a_up.denominator == 1:
-        a_u, a_up = a_u.numerator, a_up.numerator
-    for key in sum_u:
-        coeffs[key] = a_u * sum_u[key] + a_up * sum_up[key]
+            coeffs[key] = coeffs.get(key, 0) + up_term + u_scale * (-j) ** k
+    if q > 1:
+        for key, c in coeffs.items():
+            coeffs[key] = Fraction(c, q)
+    if const:
+        coeffs[0] = const
     nonholo: Optional[Dict[int, Fraction]] = None
     if k == 1:
         nh = Fraction(0)
@@ -137,6 +135,11 @@ def _literal_series(
             nh += -w_u / (4 * lat.M1)  # (w, u') = -w_u
         nonholo = {0: nh} if nh else {}
     return QExpansion(den, n_max, coeffs, nonholo)
+
+
+def _eisenstein_target(k: int, n_max: int) -> QExpansion:
+    """(-B_{k+1}/(k+1)) E_{k+1} to q^n_max: the level-one series for w = u'^k."""
+    return (-bernoulli_number(k + 1) / (k + 1)) * eisenstein_level1(k + 1, n_max)
 
 
 @functools.cache
@@ -149,8 +152,7 @@ def global_sign() -> int:
     k = 3
     probe = 8
     literal = _literal_series(SplitLatticeU.unimodular(), k, Fraction(0), Fraction(1), probe)
-    target = (-bernoulli_number(k + 1) / (k + 1)) * eisenstein_level1(k + 1, probe)
-    lam, mism = target.multiple_of(literal)
+    lam, mism = _eisenstein_target(k, probe).multiple_of(literal)
     if lam not in (1, -1) or mism is not None:
         raise RuntimeError(
             "neither sign of the split theta series matches the classical "
@@ -192,5 +194,4 @@ def siegel_weil_check(k: int, n_max: int) -> Optional[Tuple[Fraction, Fraction, 
     if k < 3 or k % 2 == 0:
         raise ValueError(f"the Siegel-Weil comparison needs odd k >= 3, got k = {k}")
     series = theta11_series(SplitLatticeU.unimodular(), k, 0, 1, n_max)
-    target = (-bernoulli_number(k + 1) / (k + 1)) * eisenstein_level1(k + 1, n_max)
-    return series.first_mismatch(target)
+    return series.first_mismatch(_eisenstein_target(k, n_max))

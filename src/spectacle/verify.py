@@ -173,10 +173,10 @@ def criterion_plus_space() -> str:
 @_criterion("completed L-value periods", budget=10.0)
 def criterion_lvalue_periods() -> str:
     for weight, want in ((4, -5 / 3), (8, -2 / 15)):
-        v = spectacle_period(HolomorphicFormSpec.eisenstein(weight), weight // 2 - 1, 0)
+        v = spectacle_period(HolomorphicFormSpec.eisenstein(weight), 0)
         assert abs(v - want) < 1e-8, f"E{weight} period {v}"
     e4 = HolomorphicFormSpec.eisenstein(4)
-    bare = [spectacle_period(e4, 1, 0, (T, T)) for T in (3.0, 10.0)]
+    bare = [spectacle_period(e4, 0, (T, T)) for T in (3.0, 10.0)]
     drop = abs(bare[0] - bare[1])
     assert drop > 1e-2, f"negative control too small: {drop}"
     # each cap, G' = its boundary polynomial, adds G(z+1) - G(z) at its

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
-from spectacle.exact_arith import bernoulli_poly
+from spectacle.exact_arith import RationalLike, bernoulli_poly
 from spectacle.qseries import QExpansion
 from spectacle.quad_space import (
-    RationalLike,
     VecV,
     is_rational_square,
     qform,

@@ -185,27 +185,33 @@ def test_spectacle_assemble_closed_cycle():
 
 
 def test_spectacle_assemble_jump_in_global_coordinates():
-    # (gamma_ell^{-1} - Id) w = v for the actual stabilizer generator
+    # (gamma_ell^{-1} - Id) w = v for the actual stabilizer generator of
+    # Gamma_0(level) at each cusp, v = x^k the cycle's coefficient
     rng = random.Random(31)
+    levels = set()
     found = 0
-    while found < 25:
+    while found < 60:
         x = VecV(rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-6, 6))
         if qform(x) <= 0:
             continue
+        level = rng.randint(1, 5)
         try:
-            cyc = spectacle_assemble(x, rng.randint(1, 3))
+            cyc = spectacle_assemble(x, rng.randint(1, 3), level)
         except GeometryError:
             continue
         if cyc.cap_first is None:
             continue
         found += 1
+        levels.add(level)
+        v = embed_power(cyc.x, cyc.k)
         for (line, _pos), w in ((cyc.first, cyc.cap_first), (cyc.second, cyc.cap_second)):
             a, b, c, d = sigma_matrix(line)
-            # gamma = sigma n(M) sigma^(-1) with width M = 1
-            n1 = (1, 1, 0, 1)
-            gamma = _mat_mul(_mat_mul((a, b, c, d), n1), (d, -b, -c, a))
+            # gamma = sigma n(M) sigma^(-1), M the cusp's width in Gamma_0(level)
+            nM = (1, gamma0_width(level)(line), 0, 1)
+            gamma = _mat_mul(_mat_mul((a, b, c, d), nM), (d, -b, -c, a))
             gamma_inv = (gamma[3], -gamma[1], -gamma[2], gamma[0])
-            assert act(gamma_inv, w) - w == cyc.coefficient
+            assert act(gamma_inv, w) - w == v, (x, cyc.k, level)
+    assert levels == {1, 2, 3, 4, 5}
 
 
 def _mat_mul(u, v):

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectacle
@@ -611,6 +611,8 @@ _ARGV = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(argv=_ARGV)
+@example(argv=["caps", "--k", "1", "--x=--"])  # Python 3.11 parses a "--" value as []
+@example(argv=["lift", "--k=--", "--nmax", "4"])
 def test_fuzzed_rational_argv_never_tracebacks(argv):
     # an exception escaping main() is the traceback a shell user would see
     err = io.StringIO()

@@ -247,10 +247,13 @@ def test_axis_integral_matches_quadrature(weight):
     for s in range(2, 2 * form.k + 1):
         for T in (1.5, 3.0, 10.0):
             want = _quadrature_axis_integral(form, s, T)
-            # int_1^T f(iy) y^(s-1) dy = (-i)^s int_i^iT f(z) z^(s-1) dz, (-i)^s = i^(3s)
-            axis = ((0, Fraction(1)), (0, Fraction(T)), 3 * s, (0,) * (s - 1) + (1,))
-            got = _cycle_integral(form, [axis])
-            assert abs(got - want) <= 1e-12 * abs(want), (weight, s, T, got, want)
+            # int_1^T f(iy) y^(s-1) dy = (-i)^s int_i^iT f(z) z^(s-1) dz, (-i)^s = i^(3s);
+            # turned by i, the exact a_0 term is imaginary, and at T = 3/2 it is
+            # read on the grid y = N/D with D = 2
+            for turn, unit in ((0, 1), (1, 1j)):
+                axis = ((0, Fraction(1)), (0, Fraction(T)), 3 * s + turn, (0,) * (s - 1) + (1,))
+                got = _cycle_integral(form, [axis])
+                assert abs(got - unit * want) <= 1e-12 * abs(want), (weight, s, T, turn, got, want)
 
 
 def _oracle_chain(k: int, j: int, t1: Fraction, t2: Fraction, include_caps: bool) -> list:
@@ -289,7 +292,7 @@ def test_grid_route_equals_pairwise_route_bit_for_bit(weight):
     k = form.k
     compared = 0
     for j in range(-(k - 1), k):
-        value = spectacle_period(form, k, j).hex()
+        value = spectacle_period(form, j).hex()
         for heights in ((1.5, 3.0), (2.0, 2.0), (2.3, 7.1, 1e10), (3.0,)):
             for t1, t2 in itertools.product(heights, repeat=2):
                 assert pairwise_period(form, k, j, t1, t2).hex() == value, (weight, j, t1, t2)
@@ -298,12 +301,26 @@ def test_grid_route_equals_pairwise_route_bit_for_bit(weight):
                     continue
                 if 2 * k * math.log10(max(t1, t2)) > 308:  # 1e10 at weight 46: refused
                     with pytest.raises(ValueError, match="overflows"):
-                        spectacle_period(form, k, j, (t1, t2))
+                        spectacle_period(form, j, (t1, t2))
                     continue
-                bare = spectacle_period(form, k, j, (t1, t2))
+                bare = spectacle_period(form, j, (t1, t2))
                 assert bare.hex() == pairwise_period(form, k, j, t1, t2, False).hex(), (j, t1, t2)
                 compared += 1
     assert compared
+
+
+def test_mode_sum_stops_at_the_first_quiet_mode_from_n_3():
+    # a form with a_n = 0 for every n >= 1: each mode is quiet, and the tail
+    # rule reads a_1, a_2 and a_3 before it stops, never a_4
+    read = []
+
+    def a(n: int) -> Fraction:
+        read.append(n)
+        return Fraction(1 if n == 0 else 0)
+
+    den, deg, terms = periods._axis_boundary(1, 0)
+    total = periods._mode_sum(HolomorphicFormSpec(4, a), terms, den, deg)
+    assert total != 0 and max(read) == 3
 
 
 def test_one_axis_boundary_and_one_mode_sum_per_call(monkeypatch, capsys):
@@ -322,7 +339,7 @@ def test_one_axis_boundary_and_one_mode_sum_per_call(monkeypatch, capsys):
         # whatever the heights
         assert calls == {"_axis_boundary": n, "_mode_sum": n}
     for n in (1, 2):
-        spectacle_period(HolomorphicFormSpec.eisenstein(4), 1, 0, (3.0, 5.0))
+        spectacle_period(HolomorphicFormSpec.eisenstein(4), 0, (3.0, 5.0))
         assert calls == {"_axis_boundary": 4 + n, "_mode_sum": 4 + n}
 
 
@@ -333,7 +350,7 @@ def test_uncapped_control_with_k_minus_j_even_fails_up_front(monkeypatch):
     monkeypatch.setattr(periods, "_mode_sum", lambda *args: calls.append(args))
     for j in (-5, -1, 1, 3):
         with pytest.raises(ValueError, match="real only for k - j odd"):
-            spectacle_period(HolomorphicFormSpec.eisenstein(16), 7, j, (2.3, 3.7))
+            spectacle_period(HolomorphicFormSpec.eisenstein(16), j, (2.3, 3.7))
     assert calls == []
 
 
@@ -402,8 +419,8 @@ def test_period_takes_an_unhashable_coefficient_callable():
     stream = HolomorphicFormSpec(12, _Coefficients(form))
     with pytest.raises(TypeError):
         hash(stream)
-    assert spectacle_period(stream, 5, 2) == spectacle_period(form, 5, 2)
-    assert spectacle_period(stream, 5, 2, (1.5, 3.0)) == spectacle_period(form, 5, 2, (1.5, 3.0))
+    assert spectacle_period(stream, 2) == spectacle_period(form, 2)
+    assert spectacle_period(stream, 2, (1.5, 3.0)) == spectacle_period(form, 2, (1.5, 3.0))
 
 
 # the truncation heights of the benchmark's lvalue ops, and three far heights
@@ -421,7 +438,7 @@ def test_spectacle_period_matches_closed_form_on_height_grid(weight, capsys):
     misses = []
     for j in range(-(k - 1), k):
         want = c_constant(k, j).real * closed_form_lambda(weight, k + 1 - j)
-        got = spectacle_period(form, k, j)
+        got = spectacle_period(form, j)
         if abs(got - want) > 1e-9 + 1e-6 * abs(want):
             misses.append((j, got, want))
         for t1, t2 in pairs:
@@ -441,7 +458,7 @@ def test_max_period_weight_is_the_last_weight_every_j_meets(monkeypatch):
         k = form.k
         for j in range(-(k - 1), k):
             want = c_constant(k, j).real * closed_form_lambda(weight, k + 1 - j)
-            got = spectacle_period(form, k, j)
+            got = spectacle_period(form, j)
             if abs(got - want) > 1e-9 + 1e-6 * abs(want):
                 failing.append(weight)
                 break
@@ -451,46 +468,49 @@ def test_max_period_weight_is_the_last_weight_every_j_meets(monkeypatch):
 def test_spectacle_period_values():
     e4 = HolomorphicFormSpec.eisenstein(4)
     e8 = HolomorphicFormSpec.eisenstein(8)
-    assert abs(spectacle_period(e4, 1, 0) + 5 / 3) < 1e-8
-    assert abs(spectacle_period(e8, 3, 0) + 2 / 15) < 1e-8
+    assert abs(spectacle_period(e4, 0) + 5 / 3) < 1e-8
+    assert abs(spectacle_period(e8, 0) + 2 / 15) < 1e-8
     # against the exact oracle through c_{k,j} Lambda
     want = float(c_constant(3, 2).real * exact_lambda(8, 2))
-    assert abs(spectacle_period(e8, 3, 2) - want) < 1e-8
+    assert abs(spectacle_period(e8, 2) - want) < 1e-8
 
 
 def test_spectacle_period_negative_index():
     # j and -j land on reflected critical points; for these forms the values agree
     e8 = HolomorphicFormSpec.eisenstein(8)
-    assert abs(spectacle_period(e8, 3, 2) + 4 / 21) < 1e-8
-    assert abs(spectacle_period(e8, 3, -2) + 4 / 21) < 1e-8
+    assert abs(spectacle_period(e8, 2) + 4 / 21) < 1e-8
+    assert abs(spectacle_period(e8, -2) + 4 / 21) < 1e-8
 
 
 def test_spectacle_period_t_independence():
     # the oracle, cut at each height pair, meets the one value
     e4 = HolomorphicFormSpec.eisenstein(4)
-    value = spectacle_period(e4, 1, 0)
+    value = spectacle_period(e4, 0)
     for t1, t2 in itertools.product((3, 5, 10), repeat=2):
         assert abs(pairwise_period(e4, 1, 0, t1, t2) - value) < 1e-8, (t1, t2)
 
 
 def test_dropping_caps_breaks_t_independence():
     e4 = HolomorphicFormSpec.eisenstein(4)
-    a, b = (spectacle_period(e4, 1, 0, (T, T)) for T in (3.0, 10.0))
+    a, b = (spectacle_period(e4, 0, (T, T)) for T in (3.0, 10.0))
     assert abs(a - b) > 1e-2
 
 
 def test_spectacle_period_validation():
     e4 = HolomorphicFormSpec.eisenstein(4)
     with pytest.raises(ValueError):
-        spectacle_period(e4, 3, 0)  # weight mismatch
-    with pytest.raises(ValueError):
-        spectacle_period(e4, 1, 1)  # j = k rejected
+        spectacle_period(e4, 1)  # j = k rejected
     for tops in ((1.0, 3.0), (3.0, math.inf), (math.nan, 3.0)):
         with pytest.raises(ValueError, match="finite and exceed 1"):
-            spectacle_period(e4, 1, 0, tops)
+            spectacle_period(e4, 0, tops)
+    # the uncapped control takes exactly two heights: one would drop the
+    # second half, a third would be ignored and none would give the capped value
+    for tops in ((3.0,), (3.0, 5.0, 7.0), ()):
+        with pytest.raises(ValueError, match="two heights"):
+            spectacle_period(e4, 0, tops)
     for weight in (periods.MAX_PERIOD_WEIGHT + 2, 60):  # above the accurate range
         with pytest.raises(ValueError, match="exceeds"):
-            spectacle_period(HolomorphicFormSpec.eisenstein(weight), weight // 2 - 1, 1)
+            spectacle_period(HolomorphicFormSpec.eisenstein(weight), 1)
 
 
 def test_geodesic_intersection_example():

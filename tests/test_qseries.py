@@ -241,7 +241,7 @@ def test_truncation_stability():
 def test_add_scale_identities():
     f = eisenstein_level1(4, 15)
     zero = 0 * f
-    assert (f + zero).equals_to(f)
+    assert (f + zero).first_mismatch(f) is None
     assert all(c == 0 for c in zero.coeffs.values())
 
 
@@ -308,7 +308,7 @@ def test_mul_refuses_nonholo_squared():
 def test_equality_beyond_truncation_is_error():
     a = QExpansion(1, 8, {0: 1})
     b = QExpansion(1, 5, {0: 1})
-    assert a.equals_to(b)  # common range
+    assert a.first_mismatch(b) is None  # common range
     with pytest.raises(TruncationError):
         a.coefficient(9)
 
@@ -334,7 +334,7 @@ def test_nonholo_kept_separate():
     assert a.first_mismatch(b) == (Fraction(0), Fraction(1, 4), Fraction(0), "nonholo")
     c = QExpansion(1, 5, {1: 2}, None)
     # absent and identically-zero non-holomorphic parts compare equal
-    assert b.equals_to(c)
+    assert b.first_mismatch(c) is None
 
 
 def grid_walk_first_mismatch(a, b):

@@ -38,8 +38,8 @@ RECORDS = {
     "CapInput": (CapInput, dict(k=1, width=2, position=Fraction(1, 3),
                                 jump=SymVector(1, (0, 1, 0))), ("width", "position"), True),
     "SpectacleCycle": (SpectacleCycle, dict(
-        x=VecV(0, 1, 0), k=1, coefficient=SymVector(1, (0, 1, 0)), first=None, second=None,
-        cap_first=None, cap_second=None), (), True),
+        x=VecV(0, 1, 0), k=1, first=None, second=None, cap_first=None, cap_second=None),
+        (), True),
     "HolomorphicFormSpec": (HolomorphicFormSpec, dict(weight=4, a=_one), (), True),
     "SplitLatticeU": (SplitLatticeU, dict(M1=1, h1=0, M2=2, h2=Fraction(1, 2)),
                       ("M1", "h1", "M2", "h2"), True),
