@@ -36,7 +36,7 @@ quadrature, one mode sum per call; the a_0 mode is summed exactly and
 rounded once, so no float carries a T^(2k)-sized term.
 Past weight ``MAX_PERIOD_WEIGHT`` = 46 the float modes no longer meet the
 closed form (at 48 three j miss it, at 56 by a relative 11), so a larger
-weight raises ``ValueError``.
+weight raises ``ValueError`` before E_w's first a_n (n > 0) reads B_w.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .exact_arith import bernoulli_number, divisor_power_sum
+from .exact_arith import divisor_power_sum
+from .qseries import eisenstein_scale
 from .quad_space import GeometryError, VecV, inner, qform
 
 __all__ = [
@@ -86,9 +87,8 @@ class HolomorphicFormSpec(_FormFields):
     @classmethod
     def eisenstein(cls, weight: int) -> "HolomorphicFormSpec":
         """E_weight: a_0 = 1, a_n = -(2 weight / B_weight) sigma_{weight-1}(n) on demand."""
-        form = cls(weight, lambda n: scale * divisor_power_sum(n, weight - 1) if n else Fraction(1))
-        scale = -Fraction(2 * weight) / bernoulli_number(weight)  # once cls checked weight: B_5 = 0
-        return form
+        return cls(weight, lambda n: (
+            eisenstein_scale(weight) * divisor_power_sum(n, weight - 1) if n else Fraction(1)))
 
     @property
     def k(self) -> int:

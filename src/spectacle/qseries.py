@@ -29,6 +29,7 @@ them separately.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -52,6 +53,7 @@ __all__ = [
     "QExpansion",
     "TruncationError",
     "eisenstein_level1",
+    "eisenstein_scale",
     "cohen_eisenstein",
     "cohen_bernoulli",
 ]
@@ -299,11 +301,19 @@ class QExpansion:
         )
 
 
+@functools.cache
+def eisenstein_scale(m: int) -> Fraction:
+    """-2m/B_m, the factor of sigma_{m-1}(n) in E_m's q^n coefficient (n > 0)."""
+    return -Fraction(2 * m) / bernoulli_number(m)
+
+
 def eisenstein_level1(m: int, n_max: int) -> QExpansion:
     """Classical level-one Eisenstein series E_m = 1 - (2m/B_m) sum sigma_{m-1}(n) q^n."""
     if m < 4 or m % 2:
         raise ValueError("weight must be even and >= 4")
-    scale = -Fraction(2 * m) / bernoulli_number(m)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    scale = eisenstein_scale(m)
     coeffs: Table = {0: 1}
     for n in range(1, n_max + 1):
         coeffs[n] = scale * divisor_power_sum(n, m - 1)

@@ -245,18 +245,16 @@ def arbitrate_signs() -> SignConvention:
     sigma = theta11.global_sign()
     probe = LiftConfig(k=1, h=Fraction(0), n_max=6)
     split = _split_series(probe)
-    theta_w = _theta_w(probe)
-    const_block = split.coefficient(0) * theta_w
-
-    # the geometric constant before the incidence sign is applied
-    incidence = const_block.coefficient(0) / _bernoulli_block_scalar(probe.k)
+    # theta_W(0) = 1 on the probe's h = 0 coset, so the q^0 term is the split
+    # constant: the geometric constant before the incidence sign is applied
+    incidence = split.coefficient(0) / _bernoulli_block_scalar(probe.k)
     if incidence not in (1, -1):
         raise LiftError(f"boundary incidence {incidence} at q^0 is not a sign")
 
-    # the interior blocks, holomorphic parts only: the probe's 1/(pi v) part
-    # cancels against the zero-cusp cap term, not against the interior
-    interior = split * theta_w - const_block
-    t_int = sigma * QExpansion(interior.exp_den, interior.n_max, interior.coeffs)
+    # the interior blocks, holomorphic parts only (the probe's 1/(pi v) part
+    # cancels against the zero-cusp cap term): the split q^n, n > 0, times theta_W
+    interior = QExpansion(1, split.n_max, {n: c for n, c in split.coeffs.items() if n})
+    t_int = sigma * (interior * _theta_w(probe))
     g_int = QExpansion(probe.exp_den, probe.n_max, _interior_geometric(probe))
     relative, mism = g_int.multiple_of(t_int)
     if relative not in (1, -1):

@@ -13,6 +13,8 @@ w = w_u u^k + w_u' u'^k has
   sgn(m1) * [w_u (-m2)^k + w_u' (-m1)^k];
 * for k = 1 a non-holomorphic constant
   [delta(h1=0)(w, u)/(4 M2) + delta(h2=0)(w, u')/(4 M1)] / (pi v).
+Each delta is one isotropic line: the coset meets the line of u iff h2 = 0
+and that of u' iff h1 = 0, and each line it meets adds both terms.
 
 The literal formula above and the classical normalization disagree by one
 global sign: at level one with w = u'^k the series must equal
@@ -84,15 +86,15 @@ def _literal_series(
     """The series exactly as displayed, before the global sign is applied."""
     den = lat.exp_den()
     coeffs: Dict[int, RationalLike] = {}
-    const = Fraction(0)
-    if lat.h2 == 0:
-        const += -(lat.M1**k) * bernoulli_poly(k + 1, lat.h1 / lat.M1) / (k + 1) * (
-            w_up * (-1) ** k
-        )
-    if lat.h1 == 0:
-        const += -(lat.M2**k) * bernoulli_poly(k + 1, lat.h2 / lat.M2) / (k + 1) * (
-            w_u * (-1) ** k
-        )
+    # the line of u, then that of u' (step, offset along, offset across): the
+    # constant reads (w, u^k) = (-1)^k w_u' (resp. (w, u'^k) = (-1)^k w_u) and
+    # the k = 1 term (w, u') = -w_u (resp. (w, u) = -w_u')
+    const = nh = Fraction(0)
+    lines = ((lat.M1, lat.h1, lat.h2, w_up, w_u), (lat.M2, lat.h2, lat.h1, w_u, w_up))
+    for M, h, off, w_pair, w_nh in lines:
+        if off == 0:
+            const += -(M**k) * bernoulli_poly(k + 1, h / M) / (k + 1) * (w_pair * (-1) ** k)
+            nh += -w_nh / (4 * M)
     # m1 = i/D1 and m2 = j/D2 with i, j on the integer progressions
     # o + s Z; -m1 m2 <= n_max/den  <=>  |i j| den <= n_max D1 D2.
     D1 = lcm(lat.M1.denominator, lat.h1.denominator)
@@ -118,22 +120,14 @@ def _literal_series(
         # the point adds q sgn(m1) [w_up (-m1)^k + w_u (-m2)^k] at its exponent
         up_term, u_scale = a_up * sgn * (-i) ** k, a_u * sgn
         for j in range(lo + (o2 - lo) % s2, hi + 1, s2):
-            key, rem = divmod(-i * j * den, scale)
-            assert rem == 0
+            key = -i * j * den // scale  # exact: den * m1 m2 is an int, as exp_den says
             coeffs[key] = coeffs.get(key, 0) + up_term + u_scale * (-j) ** k
     if q > 1:
         for key, c in coeffs.items():
             coeffs[key] = Fraction(c, q)
     if const:
         coeffs[0] = const
-    nonholo: Optional[Dict[int, Fraction]] = None
-    if k == 1:
-        nh = Fraction(0)
-        if lat.h1 == 0:
-            nh += -w_up / (4 * lat.M2)  # (w, u) = -w_u'
-        if lat.h2 == 0:
-            nh += -w_u / (4 * lat.M1)  # (w, u') = -w_u
-        nonholo = {0: nh} if nh else {}
+    nonholo: Optional[Dict[int, Fraction]] = ({0: nh} if nh else {}) if k == 1 else None
     return QExpansion(den, n_max, coeffs, nonholo)
 
 
@@ -180,6 +174,8 @@ def theta11_series(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if n_max < 0:  # before the constant term reads B_{k+1}
+        raise ValueError("n_max must be >= 0")
     literal = _literal_series(lat, k, Fraction(w_u), Fraction(w_up), n_max)
     return global_sign() * literal
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectacle
-from spectacle import cli, shintani_lift
+from spectacle import cli, exact_arith, periods, qseries, shintani_lift, theta11
 from spectacle.cli import build_parser, main
 
 
@@ -609,7 +609,7 @@ _ARGV = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=_ARGV)
 @example(argv=["caps", "--k", "1", "--x=--"])  # Python 3.11 parses a "--" value as []
 @example(argv=["lift", "--k=--", "--nmax", "4"])
@@ -631,3 +631,26 @@ def test_cohen_negative_nmax_has_one_message_for_every_route(r, capsys):
     # the ring route (r = 2..5) and the Bernoulli route (r = 1, 6) fail alike
     assert main(["cohen", "--r", str(r), "--nmax=-3"]) == 2
     assert capsys.readouterr() == ("", "spectacle: error: n_max must be >= 0\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lvalue", "--weight", "100000"], "weight 100000 exceeds 46, the largest with accurate periods"),
+        (["eisenstein", "--weight", "1600", "--nmax", "-1"], "n_max must be >= 0"),
+        (["theta11", "--k", "1600", "--nmax", "-1"], "n_max must be >= 0"),
+    ],
+    ids=["lvalue", "eisenstein", "theta11"],
+)
+def test_refusal_comes_before_any_bernoulli_number(argv, message, monkeypatch, capsys):
+    # B_w of a large weight takes minutes, so bad input must be refused first:
+    # every module-level name through which a command reaches B_n raises
+    def boom(*args):
+        raise AssertionError(f"Bernoulli number computed before the refusal: {args}")
+
+    for mod in (exact_arith, qseries, theta11, periods):
+        for name in ("bernoulli_number", "bernoulli_poly"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, boom)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"spectacle: error: {message}\n")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from spectacle import cli, periods
+from spectacle import cli, exact_arith, periods, qseries
 from spectacle.caps import CapInput, boundary_pairing_polynomial, cap_closed_form, cap_solve
 from spectacle.exact_arith import bernoulli_number
 from spectacle.periods import (
@@ -560,6 +560,20 @@ def test_eisenstein_coefficients_match_the_exact_series():
         form = HolomorphicFormSpec.eisenstein(weight)
         series = eisenstein_level1(weight, 60)
         assert all(form.a(n) == series.coefficient(n) for n in range(61)), weight
+
+
+def test_eisenstein_form_reads_b_weight_at_its_first_a_n(monkeypatch):
+    # building E_w and reading a_0 compute nothing; B_w is first read with a_1
+    def boom(m):
+        raise LookupError(m)
+
+    for mod in (exact_arith, qseries, periods):
+        if hasattr(mod, "bernoulli_number"):
+            monkeypatch.setattr(mod, "bernoulli_number", boom)
+    form = HolomorphicFormSpec.eisenstein(100002)
+    assert form.a(0) == 1
+    with pytest.raises(LookupError):
+        form.a(1)
 
 
 def test_geodesic_intersection_rejects_coordinates_outside_float_range():
