@@ -2,8 +2,9 @@
 
 Subcommands: theta11, lift, caps, cohen, eisenstein, lvalue, intersect,
 verify-all.  Each is declared once, in the table ``_COMMANDS`` (name -> help,
-arguments, handler).  The first call of a subcommand in a process builds only
-that subcommand's parser, and later calls reuse it; help, an empty argv or an
+arguments, handler).  A call parses its argv once, after the subcommand's
+name, with that subcommand's parser alone; the first call of a subcommand in
+a process builds it, and later calls reuse it.  Help, an empty argv or an
 unknown name share one parser of them all.  Exact series
 serialize rationals as "p/q" strings; a period prints 12 significant
 digits.  The capped period is one mode sum at i whatever the heights of
@@ -29,7 +30,7 @@ import os
 import stat
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Tuple
 
 from .caps import cap_closed_form, spectacle_assemble
 from .periods import (
@@ -304,35 +305,39 @@ _COMMANDS: Dict[str, Tuple[str, List[Tuple[str, dict]], Callable[..., int]]] = {
 }
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser for ``argv``.  When ``argv[0]`` names a subcommand, only that
-    subcommand is registered; otherwise (help, no argv, an unknown name) all
-    are, so top-level help and the invalid-choice error list every one.  Each
-    parser is built on its first request in a process and shared by every later
-    one: parse with it, never mutate it."""
-    return _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``parser`` the arguments and handler of subcommand ``name``."""
+    _, arguments, handler = _COMMANDS[name]
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(func=handler, command=name)
+    return parser
 
 
 @functools.cache
 def _parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The parser of subcommand ``command`` alone, which parses the argv after
+    its name; or, for ``None`` (help, no argv, an unknown name), the parser of
+    them all, so top-level help and the invalid-choice error list every one.
+    Each is built on its first request in a process and shared by every later
+    one: parse with it, never mutate it."""
+    if command is not None:
+        return _fill(_Parser(prog=f"spectacle {command}"), command)
     parser = _Parser(
         prog="spectacle",
         description="Exact capped-cycle data on the modular curve and its modular-form identities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS if command is None else [command]:
-        help_text, arguments, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-        p.set_defaults(func=handler)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _parser(command)
+    args = parser.parse_args(argv if command is None else argv[1:])
     for dest, value in vars(args).items():
         if isinstance(value, list):  # Python 3.11 parses "--x=--" as [], not "--"
             parser.error(f"argument --{dest}: expected one argument")

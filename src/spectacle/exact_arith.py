@@ -42,18 +42,39 @@ __all__ = [
 ]
 
 @functools.cache
+def _tangent_numbers(m: int) -> Tuple[int, ...]:
+    """The tangent numbers T_1..T_m (1, 2, 16, 272, ...), in integers, by the
+    m(m-1)/2 steps of the Brent-Harvey triangle with multipliers below m + 2."""
+    t = [0, 1]  # t[i] = (i-1)! here, T_i once the passes below are done
+    for i in range(2, m + 1):
+        t.append((i - 1) * t[i - 1])
+    for p in range(2, m + 1):
+        for i in range(p, m + 1):
+            t[i] = (i - p) * t[i - 1] + (i - p + 2) * t[i]
+    return tuple(t[1:])
+
+
+@functools.cache
 def bernoulli_number(n: int) -> Fraction:
     """Bernoulli number B_n (convention B_1 = -1/2), as an exact Fraction.
 
-    Uses the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1.  The
-    memo is filled for j < n in increasing order, so a cold call recurses
-    at most two deep.
+    B_0 = 1, B_1 = -1/2, B_n = 0 for odd n >= 3, and for n = 2m
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) with T_m the m-th tangent
+    number.  T_m is read from the cached triangle of the least power of two
+    M >= m, so no B_n reads another, a cold B_2m takes under 2 m^2 integer
+    steps, and filling B_0..B_2m (as ``bernoulli_poly`` does) about
+    (2/3) M^2 in all, where one triangle per m would take m^3 / 6.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    if n == 0:
-        return Fraction(1)
-    return -sum(Fraction(comb(n + 1, j)) * bernoulli_number(j) for j in range(n)) / (n + 1)
+    if n < 2:
+        return Fraction(-1, 2) if n else Fraction(1)
+    if n % 2:
+        return Fraction(0)
+    m = n // 2
+    four = 4**m
+    tangent = _tangent_numbers(1 << (m - 1).bit_length())[m - 1]
+    return Fraction((-1) ** (m - 1) * n * tangent, four * (four - 1))
 
 
 def bernoulli_poly(n: int, x: RationalLike) -> Fraction:

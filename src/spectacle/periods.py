@@ -168,11 +168,12 @@ def _axis_boundary(
     V_y(z) (see ``_mode_sum``), constant term first, times ``den``."""
     unit, r = _c_exact(k, j)
     deg = k + abs(j) + 1
-    den = r.denominator * math.lcm(k - j + 1, k + j + 1)
+    lcm = math.lcm(k - j + 1, k + j + 1)
+    den = r.denominator * lcm
     by_height: Dict[Fraction, List[int]] = {}
     for (s, e), T in zip(((k - j + 1, 0), (k + j + 1, 2 * k + 2)), tops or (None, None)):
         e += unit + 3 * s  # i^e r = c_{k,j} (-i)^s, times i^(2k+2) on the second half
-        term = int(r * den / s)
+        term = r.numerator * lcm // s  # r den / s, exact: s divides lcm
         for y, u in [(_ONE, e + 2)] if T is None else [(Fraction(T), e), (_ONE, e + 2)]:
             parts = by_height.setdefault(y, [0] * (2 * deg + 2))
             parts[u % 2 * (deg + 1) + s] += term if u % 4 < 2 else -term  # i^u = 1, i, -1, -i

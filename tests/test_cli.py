@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import spectacle
 from spectacle import cli, exact_arith, periods, qseries, shintani_lift, theta11
-from spectacle.cli import build_parser, main
+from spectacle.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -346,17 +346,17 @@ _COMMAND_NAMES = [
 
 @pytest.fixture
 def registered(monkeypatch):
-    """Names of the subcommand parsers each call registers, starting from an
+    """Names of the subcommand parsers each call builds, starting from an
     empty parser cache, as in a fresh process."""
     cli._parser.cache_clear()
     names = []
-    add_parser = argparse._SubParsersAction.add_parser
+    fill = cli._fill
 
-    def counting(self, name, **kwargs):
+    def counting(parser, name):
         names.append(name)
-        return add_parser(self, name, **kwargs)
+        return fill(parser, name)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(cli, "_fill", counting)
     return names
 
 
@@ -373,6 +373,7 @@ def test_known_subcommand_registers_only_its_parser(argv, registered, capsys):
 def test_repeat_call_builds_no_parser(registered, capsys):
     assert main(_LVALUE_4) == 0
     first = capsys.readouterr().out
+    assert registered == ["lvalue"]
     registered.clear()
     assert main(_LVALUE_4) == 0
     assert capsys.readouterr().out == first
@@ -393,9 +394,70 @@ def test_subcommand_help_matches_the_all_commands_parser(name, registered, capsy
     alone = capsys.readouterr().out
     assert registered == [name]
     with pytest.raises(SystemExit):
-        build_parser().parse_args([name, "--help"])
+        cli._parser(None).parse_args([name, "--help"])
     assert capsys.readouterr().out == alone
     assert registered[1:] == _COMMAND_NAMES
+
+
+# one argv per subcommand; verify-all runs with an empty criteria list
+_ONE_ARGV = [
+    ["theta11", "--k", "1", "--nmax", "2"],
+    ["lift", "--k", "1", "--nmax", "2"],
+    ["caps", "--k", "1", "--i", "0"],
+    ["cohen", "--r", "1", "--nmax", "2"],
+    ["eisenstein", "--weight", "4", "--nmax", "2"],
+    _LVALUE_4,
+    ["intersect", "--x", "1,0,1", "--y", "0,1,0"],
+    ["verify-all"],
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_ARGV, ids=" ".join)
+def test_a_call_parses_its_argv_once(argv, monkeypatch, capsys):
+    from spectacle import verify
+
+    monkeypatch.setattr(verify, "CRITERIA", [])
+    parses = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main(argv) == 0
+    assert parses == [f"spectacle {argv[0]}"]
+
+
+def _readme_commands():
+    """The argv of every ``spectacle ...`` line in README's "Command line" block."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("\n```\n", 1)[0]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines()
+            if line.startswith("spectacle ")]
+
+
+_README_ARGV = _readme_commands()
+
+
+# one argv of each op kind the benchmark's workloads generate, in their spelling
+_BENCHMARK_ARGV = [
+    ["lift", "--k", "3", "--h", "half", "--nmax", "40", "--check"],
+    ["theta11", "--k", "2", "--nmax", "30"],
+    ["cohen", "--r", "2", "--nmax", "200"],
+    ["caps", "--k", "3", "--x=1,-2,5", "--level", "4"],
+    ["caps", "--k", "5", "--i=-2", "--r=-7/3", "--M=11/8"],
+    ["intersect", "--x=1,0,1", "--y=0,1,0"],
+    ["eisenstein", "--weight", "10", "--nmax", "62"],
+    ["lvalue", "--weight", "12", "--j=-3", "--T", "3,10"],
+]
+
+
+@pytest.mark.parametrize("argv", _README_ARGV + _BENCHMARK_ARGV, ids=" ".join)
+def test_standalone_parse_equals_the_all_commands_parse(argv):
+    assert len(_README_ARGV) >= 10  # the README block was found
+    alone = cli._parser(argv[0]).parse_args(argv[1:])
+    assert vars(alone) == vars(cli._parser(None).parse_args(argv))
 
 
 def _fresh_env(**environ):

@@ -212,6 +212,18 @@ def test_fundamental_discriminant_split(delta, want):
     assert D * f * f == delta
 
 
+def _bernoulli_recurrence(n_max):
+    """B_0..B_n_max from sum_{j=0}^{m} C(m+1, j) B_j = 0 (m >= 1), in Fractions."""
+    B = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        B.append(-sum(comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    return B
+
+
+def test_bernoulli_number_equals_the_recurrence():
+    assert [bernoulli_number(n) for n in range(301)] == _bernoulli_recurrence(300)
+
+
 def test_bernoulli_memo_concurrent_fill():
     import threading
 
@@ -231,8 +243,7 @@ def test_bernoulli_memo_concurrent_fill():
 
 def test_cold_bernoulli_memo_recurses_shallowly():
     # B_300 from a cold memo under a recursion limit of 40, in a fresh
-    # interpreter: the memo fills B_j in increasing j, so no call chain
-    # grows with the index
+    # interpreter: no B_n reads another, so no call chain grows with the index
     src = str(Path(exact_arith.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
@@ -246,10 +257,7 @@ def test_cold_bernoulli_memo_recurses_shallowly():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=False
     )
     assert done.returncode == 0, done.stderr
-    B = [Fraction(1)]
-    for m in range(1, 301):
-        B.append(-sum(comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
-    assert Fraction(done.stdout.strip()) == B[300]
+    assert Fraction(done.stdout.strip()) == _bernoulli_recurrence(300)[300]
 
 
 def test_import_loads_no_other_package_module():

@@ -343,6 +343,30 @@ def test_one_axis_boundary_and_one_mode_sum_per_call(monkeypatch, capsys):
         assert calls == {"_axis_boundary": 4 + n, "_mode_sum": 4 + n}
 
 
+def _fraction_boundary(k, j, tops=None):
+    """``periods._axis_boundary`` with each half's term formed in Fractions,
+    int(r den / s), as the reference for its integer form."""
+    unit, r = periods._c_exact(k, j)
+    deg = k + abs(j) + 1
+    den = r.denominator * math.lcm(k - j + 1, k + j + 1)
+    by_height = {}
+    for (s, e), T in zip(((k - j + 1, 0), (k + j + 1, 2 * k + 2)), tops or (None, None)):
+        e += unit + 3 * s
+        term = int(r * den / s)
+        for y, u in ([] if T is None else [(Fraction(T), e)]) + [(Fraction(1), e + 2)]:
+            parts = by_height.setdefault(y, [0] * (2 * deg + 2))
+            parts[u % 2 * (deg + 1) + s] += (1, 1, -1, -1)[u % 4] * term
+    return den, deg, tuple((y, tuple(parts)) for y, parts in by_height.items() if any(parts))
+
+
+def test_axis_boundary_terms_equal_their_fraction_form():
+    for k in range(1, 23):
+        for j in range(-(k - 1), k):
+            for tops in (None, (2.0, 3.0), (3.0, 3.0), (1.5, 1e10)):
+                want = _fraction_boundary(k, j, tops)
+                assert periods._axis_boundary(k, j, tops) == want, (k, j, tops)
+
+
 def test_uncapped_control_with_k_minus_j_even_fails_up_front(monkeypatch):
     # c_{k,j} is imaginary for k - j even, so the uncapped control is refused
     # before its mode sums run, not after them as a non-real pairing
