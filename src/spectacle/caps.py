@@ -45,6 +45,7 @@ from .sym_rep import SymVector, act, weight_normalizer
 
 __all__ = [
     "CapInput",
+    "CuspCap",
     "SpectacleCycle",
     "CapJumpError",
     "cap_solve",
@@ -178,29 +179,34 @@ def gamma0_width(N: int) -> Callable[[IsotropicLine], Fraction]:
     return width
 
 
+class CuspCap(NamedTuple):
+    """The cap of a split cycle at one of its cusps: the isotropic line, the
+    boundary position r in the cusp's normal form, and the cap vector (in
+    global coordinates)."""
+
+    line: IsotropicLine
+    position: Fraction
+    vector: SymVector
+
+
 class SpectacleCycle(NamedTuple):
     """Full capped-cycle data for a spacelike vector x, with coefficient
     embed_power(x, k).
 
     For split x (q(x) a positive rational square) the geodesic runs from the
-    second cusp to the first one, and ``cap_first``/``cap_second`` are the
-    cap vectors there (in global coordinates); the capped cycle is
-    geodesic - (chain at first cusp) (x) cap_first
-             + (chain at second cusp) (x) cap_second.
-    For non-split x the geodesic is closed and both caps are None.
+    second cusp to the first one, and ``caps`` is the pair (first, second) of
+    its ``CuspCap``s; the capped cycle is
+    geodesic - (chain at first cusp) (x) caps[0].vector
+             + (chain at second cusp) (x) caps[1].vector.
+    For non-split x the geodesic is closed and ``caps`` is None.
     """
 
     x: VecV
     k: int
-    first: Optional[Tuple[IsotropicLine, Fraction]]
-    second: Optional[Tuple[IsotropicLine, Fraction]]
-    cap_first: Optional[SymVector]
-    cap_second: Optional[SymVector]
+    caps: Optional[Tuple[CuspCap, CuspCap]]
 
 
-def _cusp_cap(
-    line: IsotropicLine, x: VecV, k: int, width: Fraction
-) -> Tuple[Fraction, SymVector]:
+def _cusp_cap(line: IsotropicLine, x: VecV, k: int, width: Fraction) -> CuspCap:
     """Closed-form cap at one cusp, moved back from normal form, where x is
     (0, b, c) = b n(r) w0 with r = -c/(2b): the jump x^k is b^k n(r) v_0, and
     caps are linear in the jump."""
@@ -209,7 +215,7 @@ def _cusp_cap(
     if xt.a != 0:
         raise GeometryError("transported geodesic is not vertical")
     r = -xt.c / (2 * xt.b)
-    return r, act(sig, xt.b**k * cap_closed_form(k, 0, r, width))
+    return CuspCap(line, r, act(sig, xt.b**k * cap_closed_form(k, 0, r, width)))
 
 
 def spectacle_assemble(x: VecV, k: int, level: int = 1) -> SpectacleCycle:
@@ -222,9 +228,6 @@ def spectacle_assemble(x: VecV, k: int, level: int = 1) -> SpectacleCycle:
     if k < 1:
         raise ValueError("coefficient degree k must be >= 1 to cap off")
     if not is_rational_square(q):
-        # closed geodesic: nothing to cap
-        return SpectacleCycle(x, k, None, None, None, None)
-    l1, l2 = isotropic_lines_of(x)
-    r1, w1 = _cusp_cap(l1, x, k, width(l1))
-    r2, w2 = _cusp_cap(l2, x, k, width(l2))
-    return SpectacleCycle(x, k, (l1, r1), (l2, r2), w1, w2)
+        return SpectacleCycle(x, k, None)  # closed geodesic: nothing to cap
+    caps = tuple(_cusp_cap(line, x, k, width(line)) for line in isotropic_lines_of(x))
+    return SpectacleCycle(x, k, caps)

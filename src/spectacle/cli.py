@@ -151,22 +151,15 @@ def cmd_caps(args: argparse.Namespace) -> int:
     if args.x is not None:
         x = _parse_vec(args.x)
         cyc = spectacle_assemble(x, args.k, args.level)
-        payload = {
-            "x": [str(x.a), str(x.b), str(x.c)],
-            "k": args.k,
-            "closed": cyc.cap_first is None,
-            "caps": None
-            if cyc.cap_first is None
-            else {
-                "first_cusp": list(cyc.first[0].cusp),
-                "first_position": str(cyc.first[1]),
-                "cap_first": [str(c) for c in cyc.cap_first.coeffs],
-                "second_cusp": list(cyc.second[0].cusp),
-                "second_position": str(cyc.second[1]),
-                "cap_second": [str(c) for c in cyc.cap_second.coeffs],
-            },
-        }
-        _emit(args, payload)
+        caps = None
+        if cyc.caps is not None:
+            caps = {}
+            for side, cap in zip(("first", "second"), cyc.caps):
+                caps[f"{side}_cusp"] = list(cap.line.cusp)
+                caps[f"{side}_position"] = str(cap.position)
+                caps[f"cap_{side}"] = [str(c) for c in cap.vector.coeffs]
+        x_text = [str(x.a), str(x.b), str(x.c)]
+        _emit(args, {"x": x_text, "k": args.k, "closed": caps is None, "caps": caps})
         return 0
     w = cap_closed_form(args.k, args.i, _rational(args.r), _rational(args.M))
     payload = {

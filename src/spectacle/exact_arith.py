@@ -64,6 +64,11 @@ def bernoulli_number(n: int) -> Fraction:
     M >= m, so no B_n reads another, a cold B_2m takes under 2 m^2 integer
     steps, and filling B_0..B_2m (as ``bernoulli_poly`` does) about
     (2/3) M^2 in all, where one triangle per m would take m^3 / 6.
+
+    An even index above 2048, the largest whose triangle is that of 1024, is
+    refused with ``ValueError`` before any triangle is built: the cost grows
+    about as n^3 (B_2050 takes seconds, B_6400 most of a minute), and every
+    route reads B_n here.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
@@ -71,6 +76,8 @@ def bernoulli_number(n: int) -> Fraction:
         return Fraction(-1, 2) if n else Fraction(1)
     if n % 2:
         return Fraction(0)
+    if n > 2048:
+        raise ValueError(f"Bernoulli index {n} exceeds 2048, the largest computed")
     m = n // 2
     four = 4**m
     tangent = _tangent_numbers(1 << (m - 1).bit_length())[m - 1]
@@ -89,6 +96,7 @@ def bernoulli_poly(n: int, x: RationalLike) -> Fraction:
         raise ValueError("Bernoulli index must be >= 0")
     if x == 0:
         return bernoulli_number(n)
+    bernoulli_number(n - n % 2)  # the largest even index first, so a refusal comes at once
     p, q = x.numerator, x.denominator
     ratios = [bernoulli_number(j).as_integer_ratio() for j in range(n + 1)]
     L = lcm(*(d for _, d in ratios))
@@ -258,6 +266,7 @@ def _generalized_bernoulli(n: int, D: int) -> Fraction:
     reflect = 1 + (1 if D > 0 else -1) * (-1) ** n  # 0 or 2
     if not reflect:
         return Fraction(0)
+    bernoulli_number(n - n % 2)  # the largest even index first, so a refusal comes at once
     m = abs(D)
     chi = _character_table(D, (m - 1) // 2)
     # S'_i = (sum of a^i over chi_D(a) = 1) - (sum of a^i over chi_D(a) = -1)

@@ -39,12 +39,10 @@ __all__ = [
     "inner",
     "qform",
     "triple",
-    "cross",
     "epsilon_sign",
     "epsilon_sign_int",
     "IsotropicLine",
     "LINE_INFINITY",
-    "LINE_ZERO",
     "sigma_matrix",
     "conjugate_vec",
     "isotropic_lines_of",
@@ -129,15 +127,6 @@ def triple(x: VecV, y: VecV, z: VecV) -> Fraction:
     )
 
 
-def cross(x: VecV, y: VecV) -> VecV:
-    """Minkowski cross product: the unique p with (p, z) = triple(x, y, z)."""
-    return VecV(
-        x.a * y.b - y.a * x.b,
-        (y.a * x.c - x.a * y.c) / 2,
-        x.b * y.c - y.b * x.c,
-    )
-
-
 def epsilon_sign(x: VecV, y: VecV) -> int:
     """Intersection multiplicity (+1/-1) of the oriented geodesics of x and y.
 
@@ -183,24 +172,26 @@ def _normalize_cusp(alpha: int, beta: int) -> Tuple[int, int]:
 
 
 class IsotropicLine(NamedTuple):
-    """Oriented rational isotropic line, tagged by its cusp [alpha : beta].
+    """Oriented rational isotropic line, given by its cusp [alpha : beta] alone,
+    in lowest terms with beta > 0, or [1 : 0] (``from_cusp`` normalises).
 
-    The oriented generator is the primitive integral vector with matrix
-    [[-alpha*beta, alpha^2], [-beta^2, alpha*beta]].
+    The cusp fixes the oriented generator, the primitive integral vector with
+    matrix [[-alpha*beta, alpha^2], [-beta^2, alpha*beta]].
     """
 
-    generator: VecV
     cusp: Tuple[int, int]
+
+    @property
+    def generator(self) -> VecV:
+        alpha, beta = self.cusp
+        return VecV(-beta * beta, -alpha * beta, alpha * alpha)
 
     @classmethod
     def from_cusp(cls, alpha: int, beta: int) -> "IsotropicLine":
-        alpha, beta = _normalize_cusp(alpha, beta)
-        gen = VecV(-beta * beta, -alpha * beta, alpha * alpha)
-        return cls(gen, (alpha, beta))
+        return cls(_normalize_cusp(alpha, beta))
 
 
 LINE_INFINITY = IsotropicLine.from_cusp(1, 0)
-LINE_ZERO = IsotropicLine.from_cusp(0, 1)
 
 
 def sigma_matrix(line: IsotropicLine) -> Tuple[int, int, int, int]:

@@ -323,32 +323,30 @@ def lift_geometric_side(cfg: LiftConfig) -> QExpansion:
 
 
 class LiftReport(NamedTuple):
-    """Both coefficient tables plus the convention record and the verdict."""
+    """Both coefficient tables for ``cfg``, the convention record and the
+    verdict: the sides are equal when they have no first mismatch."""
 
-    k: int
-    h: Fraction
-    n_max: int
+    cfg: LiftConfig
     theta_side: QExpansion
     geometric_side: QExpansion
     sign_convention: SignConvention
-    equal_to: Optional[int]
     first_mismatch: Optional[Tuple[Fraction, Fraction, Fraction, str]]
     proportionality: Optional[Tuple[Fraction, str]] = None
 
     @property
     def equal(self) -> bool:
-        return self.equal_to is not None
+        return self.first_mismatch is None
 
     def to_json_dict(self) -> dict:
         return {
-            "k": self.k,
-            "h": str(self.h),
-            "n_max": self.n_max,
+            "k": self.cfg.k,
+            "h": str(self.cfg.h),
+            "n_max": self.cfg.n_max,
             "exp_den": self.theta_side.exp_den,
             "theta_side": self.theta_side.to_json_dict(),
             "geometric_side": self.geometric_side.to_json_dict(),
             "sign_convention": self.sign_convention.to_json_dict(),
-            "equal_to": self.equal_to,
+            "equal_to": self.cfg.n_max if self.equal else None,
             "first_mismatch": None
             if self.first_mismatch is None
             else {
@@ -370,26 +368,19 @@ def main_theorem_check(cfg: LiftConfig) -> LiftReport:
     """Compute both sides and compare exactly on all exponents <= the bound."""
     ts = lift_theta_side(cfg)
     gs = lift_geometric_side(cfg)
-    mism = ts.first_mismatch(gs)
-    return LiftReport(
-        k=cfg.k,
-        h=cfg.h,
-        n_max=cfg.n_max,
-        theta_side=ts,
-        geometric_side=gs,
-        sign_convention=arbitrate_signs(),
-        equal_to=cfg.n_max if mism is None else None,
-        first_mismatch=mism,
-    )
+    return LiftReport(cfg, ts, gs, arbitrate_signs(), ts.first_mismatch(gs))
 
 
 class PlusSpaceResult(NamedTuple):
     k: int
     lam: Optional[Fraction]
-    passed: bool
     first_break: Optional[Tuple[int, Fraction, Fraction]]
     combined: QExpansion
     reports: Tuple[LiftReport, LiftReport]  # the h = 0 and h = 1/2 components
+
+    @property
+    def passed(self) -> bool:
+        return self.first_break is None and self.lam is not None
 
 
 def plus_space_check(k: int, n_max: int) -> PlusSpaceResult:
@@ -412,8 +403,8 @@ def plus_space_check(k: int, n_max: int) -> PlusSpaceResult:
     lam, mism = combined.multiple_of(cohen_eisenstein(k + 1, n_max))
     # both tables sit on exp_den 1, so numerators are the N themselves
     first_break = None if mism is None else (mism[0].numerator, mism[1], mism[2])
-    passed = first_break is None and lam is not None
-    if passed:
-        tag = (lam, f"Cohen r = {k + 1}")
-        rep0, reph = (r._replace(proportionality=tag) for r in (rep0, reph))
-    return PlusSpaceResult(k, lam, passed, first_break, combined, (rep0, reph))
+    result = PlusSpaceResult(k, lam, first_break, combined, (rep0, reph))
+    if not result.passed:
+        return result
+    tag = (lam, f"Cohen r = {k + 1}")
+    return result._replace(reports=tuple(r._replace(proportionality=tag) for r in (rep0, reph)))

@@ -122,8 +122,8 @@ def criterion_worked_cap_example() -> str:
         want_second = embed_vector(
             -Fraction(1, N) * U_VEC - half * W0_VEC - Fraction(N, 6) * UPRIME_VEC
         )
-        assert cyc.cap_first == want_first, f"N={N} cap at infinity"
-        assert cyc.cap_second == want_second, f"N={N} cap at zero"
+        assert cyc.caps[0].vector == want_first, f"N={N} cap at infinity"
+        assert cyc.caps[1].vector == want_second, f"N={N} cap at zero"
     return "caps u' - x/2 + u/6 and -u/N - x/2 - N u'/6 exact for N in {1,2,3,5}"
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from spectacle.caps import (
     CapInput,
     CapJumpError,
+    CuspCap,
     boundary_pairing_polynomial,
     cap_closed_form,
     cap_solve,
@@ -127,12 +129,13 @@ def test_boundary_term_at_lowest_admissible_index():
 def test_spectacle_assemble_worked_example():
     for N in (1, 2, 3, 5):
         cyc = spectacle_assemble(W0_VEC, 1, N)
-        assert cyc.first[0].cusp == (1, 0)
-        assert cyc.second[0].cusp == (0, 1)
-        assert cyc.cap_first == embed_vector(
+        first, second = cyc.caps
+        assert first.line.cusp == (1, 0)
+        assert second.line.cusp == (0, 1)
+        assert first.vector == embed_vector(
             UPRIME_VEC - Fraction(1, 2) * W0_VEC + Fraction(1, 6) * U_VEC
         )
-        assert cyc.cap_second == embed_vector(
+        assert second.vector == embed_vector(
             Fraction(-1, N) * U_VEC - Fraction(1, 2) * W0_VEC - Fraction(N, 6) * UPRIME_VEC
         )
 
@@ -145,7 +148,7 @@ def _solved_cusp_cap(line, x, k, width):
     xt = conjugate_vec(inv, x)
     r = -xt.c / (2 * xt.b)
     jump = act(inv, embed_power(x, k))
-    return r, act(sig, cap_solve(CapInput(k=k, width=width, position=r, jump=jump)))
+    return CuspCap(line, r, act(sig, cap_solve(CapInput(k=k, width=width, position=r, jump=jump))))
 
 
 def test_spectacle_assemble_equals_the_cap_solve_route():
@@ -162,26 +165,41 @@ def test_spectacle_assemble_equals_the_cap_solve_route():
             continue
         k, level = rng.randint(1, 6), rng.randint(1, 6)
         width = gamma0_width(level)
-        l1, l2 = isotropic_lines_of(x)
-        (r1, w1), (r2, w2) = (_solved_cusp_cap(line, x, k, width(line)) for line in (l1, l2))
-        cyc = spectacle_assemble(x, k, level)
-        got = (cyc.first, cyc.second, cyc.cap_first, cyc.cap_second)
-        assert got == ((l1, r1), (l2, r2), w1, w2), (x, k, level)
+        want = tuple(_solved_cusp_cap(line, x, k, width(line)) for line in isotropic_lines_of(x))
+        assert spectacle_assemble(x, k, level).caps == want, (x, k, level)
         found += 1
 
 
 def test_spectacle_assemble_orientation_swap():
     c1 = spectacle_assemble(W0_VEC, 1)
     c2 = spectacle_assemble(-W0_VEC, 1)
-    assert c1.first[0] == c2.second[0]
-    assert c1.second[0] == c2.first[0]
+    assert c1.caps[0].line == c2.caps[1].line
+    assert c1.caps[1].line == c2.caps[0].line
 
 
 def test_spectacle_assemble_closed_cycle():
     cyc = spectacle_assemble(VecV(2, 0, 1), 1)
-    assert cyc.cap_first is None and cyc.cap_second is None
+    assert cyc.caps is None
     with pytest.raises(GeometryError):
         spectacle_assemble(VecV(0, 0, 1), 1)
+
+
+def test_caps_absent_exactly_when_q_is_not_a_square():
+    # every spacelike integral vector of a small box, so q(x) is an integer
+    closed = split = 0
+    span = range(-3, 4)
+    for a, b, c in ((a, b, c) for a in span for b in span for c in span):
+        q = b * b + a * c
+        if q <= 0:
+            continue
+        cyc = spectacle_assemble(VecV(a, b, c), 1 + (a + b + c) % 3)
+        square = math.isqrt(q) ** 2 == q
+        assert (cyc.caps is None) == (not square), (a, b, c)
+        if square:
+            assert len(cyc.caps) == 2 and all(isinstance(cap, CuspCap) for cap in cyc.caps)
+        closed += not square
+        split += square
+    assert closed > 50 and split > 50
 
 
 def test_spectacle_assemble_jump_in_global_coordinates():
@@ -199,12 +217,12 @@ def test_spectacle_assemble_jump_in_global_coordinates():
             cyc = spectacle_assemble(x, rng.randint(1, 3), level)
         except GeometryError:
             continue
-        if cyc.cap_first is None:
+        if cyc.caps is None:
             continue
         found += 1
         levels.add(level)
         v = embed_power(cyc.x, cyc.k)
-        for (line, _pos), w in ((cyc.first, cyc.cap_first), (cyc.second, cyc.cap_second)):
+        for line, _pos, w in cyc.caps:
             a, b, c, d = sigma_matrix(line)
             # gamma = sigma n(M) sigma^(-1), M the cusp's width in Gamma_0(level)
             nM = (1, gamma0_width(level)(line), 0, 1)

@@ -696,6 +696,37 @@ def test_cohen_negative_nmax_has_one_message_for_every_route(r, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, index",
+    [
+        (["eisenstein", "--weight", "100000", "--nmax", "1"], 100000),
+        (["cohen", "--r", "100000", "--nmax", "1"], 200000),
+        (["theta11", "--k", "99999", "--nmax", "1"], 100000),
+        (["lift", "--k", "99999", "--nmax", "1"], 100000),
+        (["theta11", "--k", "99999", "--h1", "1/2", "--nmax", "1"], 100000),
+    ],
+    ids=["eisenstein", "cohen", "theta11", "lift", "theta11-h1"],
+)
+def test_huge_valid_request_is_refused_before_its_triangle(argv, index, monkeypatch, capsys):
+    # B_n past 2048 takes seconds to hours; the refusal must come before any
+    # tangent triangle, also where B_0..B_n are filled (B_n(1/2) with --h1 1/2).
+    # The sign convention is a fixed small-weight probe, cached before the patch.
+    shintani_lift.arbitrate_signs()
+
+    def boom(m):
+        raise AssertionError(f"tangent triangle of {m} built")
+
+    monkeypatch.setattr(exact_arith, "_tangent_numbers", boom)
+    assert main(argv) == 2
+    message = f"Bernoulli index {index} exceeds 2048, the largest computed"
+    assert capsys.readouterr() == ("", f"spectacle: error: {message}\n")
+
+
+def test_huge_odd_bernoulli_index_is_zero_at_once(capsys):
+    assert main(["theta11", "--k", "100000", "--nmax", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["coeffs"] == []
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["lvalue", "--weight", "100000"], "weight 100000 exceeds 46, the largest with accurate periods"),

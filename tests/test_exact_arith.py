@@ -224,6 +224,23 @@ def test_bernoulli_number_equals_the_recurrence():
     assert [bernoulli_number(n) for n in range(301)] == _bernoulli_recurrence(300)
 
 
+def test_bernoulli_index_bound(monkeypatch):
+    # B_2048 is the largest even index computed; von Staudt-Clausen: B_2048 plus
+    # 1/p over the primes with p - 1 | 2048 (2, 3, 5, 17, 257) is an integer
+    b = bernoulli_number(2048)
+    assert b < 0 and (b + sum(Fraction(1, p) for p in (2, 3, 5, 17, 257))).denominator == 1
+    assert bernoulli_number(2049) == 0 and bernoulli_number(100001) == 0
+
+    def boom(m):
+        raise AssertionError(f"tangent triangle of {m} built")
+
+    monkeypatch.setattr(exact_arith, "_tangent_numbers", boom)
+    for n in (2050, 100000):
+        message = f"Bernoulli index {n} exceeds 2048, the largest computed"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bernoulli_number(n)
+
+
 def test_bernoulli_memo_concurrent_fill():
     import threading
 

@@ -11,6 +11,7 @@ from spectacle.quad_space import VecV, W0_VEC, epsilon_sign, epsilon_sign_int
 from spectacle.shintani_lift import (
     LiftConfig,
     LiftError,
+    LiftReport,
     arbitrate_signs,
     lift_geometric_side,
     lift_theta_side,
@@ -89,6 +90,20 @@ def test_main_theorem_equality(k, h):
     assert rep.equal, rep.first_mismatch
     assert rep.theta_side.exp_den == (1 if h == 0 else 4)
     assert rep.to_json_dict()["equal_to"] == 60
+
+
+def test_report_of_unequal_sides_names_the_first_mismatch():
+    cfg = LiftConfig(k=3, h=Fraction(1, 2), n_max=20)
+    ts = lift_theta_side(cfg)
+    gs = ts + QExpansion(4, 20, {min(ts.coeffs): Fraction(5, 7)})
+    rep = LiftReport(cfg, ts, gs, arbitrate_signs(), ts.first_mismatch(gs))
+    exponent, theta, geometric, part = (str(v) for v in rep.first_mismatch)
+    assert len({exponent, theta, geometric}) == 3  # so each key names its own entry
+    d = rep.to_json_dict()
+    assert not rep.equal and d["equal_to"] is None and d["n_max"] == 20
+    assert d["first_mismatch"] == {
+        "exponent": exponent, "theta": theta, "geometric": geometric, "part": part
+    }
 
 
 def test_interior_epsilon_routes_agree_vectorwise():

@@ -20,8 +20,8 @@ from spectacle.periods import (
 )
 from spectacle.qseries import eisenstein_level1
 from spectacle.quad_space import (
-    LINE_ZERO,
     GeometryError,
+    IsotropicLine,
     VecV,
     W0_VEC,
     epsilon_sign,
@@ -402,7 +402,7 @@ def test_zero_cusp_cap_is_the_s_symmetric_cap_at_infinity():
     # the oracle chain's zero-cusp polynomial (-1)^(k-j) _cap_polynomial(k, -j)
     # is the cap that cap_solve gives for the jump v_{2j} moved into the zero
     # cusp's normal form by sigma_0^(-1)
-    sig = sigma_matrix(LINE_ZERO)
+    sig = sigma_matrix(IsotropicLine.from_cusp(0, 1))
     inv = (sig[3], -sig[1], -sig[2], sig[0])
     for k in range(1, 13):
         for j in range(-(k - 1), k):

@@ -10,7 +10,6 @@ from coset_oracle import (
 )
 from spectacle.quad_space import (
     LINE_INFINITY,
-    LINE_ZERO,
     GeometryError,
     IsotropicLine,
     U_VEC,
@@ -18,7 +17,6 @@ from spectacle.quad_space import (
     VecV,
     W0_VEC,
     conjugate_vec,
-    cross,
     epsilon_sign,
     epsilon_sign_int,
     inner,
@@ -27,6 +25,19 @@ from spectacle.quad_space import (
     sigma_matrix,
     triple,
 )
+
+
+LINE_ZERO = IsotropicLine.from_cusp(0, 1)
+
+
+def cross(x, y):
+    """Minkowski cross product: the unique p with (p, z) = triple(x, y, z), the
+    orientation reference that ``epsilon_sign`` is checked against."""
+    return VecV(
+        x.a * y.b - y.a * x.b,
+        (y.a * x.c - x.a * y.c) / 2,
+        x.b * y.c - y.b * x.c,
+    )
 
 
 def rand_vec(rng, span=9):
@@ -146,6 +157,17 @@ def test_integer_sign_kernel_against_fraction_reference():
         epsilon_sign_int((1, 0, 1), (2, 0, 2))
 
 
+@pytest.mark.parametrize("alpha, beta", [(1, 0), (0, 1), (3, 5), (-2, 7), (1, 1), (-1, 1)])
+def test_generator_is_the_primitive_vector_of_the_cusp(alpha, beta):
+    want = ((-alpha * beta, alpha * alpha), (-beta * beta, alpha * beta))
+    for scale in (1, -1, 3, -4):  # from_cusp normalises any multiple to (alpha, beta)
+        line = IsotropicLine.from_cusp(scale * alpha, scale * beta)
+        assert line.cusp == (alpha, beta)
+        assert line.generator.as_matrix() == want
+    g = line.generator
+    assert math.gcd(int(g.a), int(g.b), int(g.c)) == 1 and qform(g) == 0
+
+
 def test_isotropic_lines_of_w0():
     l1, l2 = isotropic_lines_of(W0_VEC)
     assert (l1, l2) == (LINE_INFINITY, LINE_ZERO)
@@ -174,6 +196,9 @@ def test_isotropic_lines_exact_properties():
             assert inner(line.generator, x) == 0
             assert line.generator != VecV(0, 0, 0)
         assert triple(l1.generator, x, l2.generator) > 0
+        # a positive multiple has the same oriented pair, also where the
+        # triple product falls below 1
+        assert isotropic_lines_of(Fraction(1, 12) * x) == (l1, l2)
 
 
 def test_isotropic_lines_nonsplit_rejected():

@@ -11,10 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from spectacle.caps import CapInput, SpectacleCycle
+from spectacle import quad_space
+from spectacle.caps import CapInput, CuspCap, SpectacleCycle
 from spectacle.periods import HolomorphicFormSpec
 from spectacle.qseries import QExpansion
-from spectacle.quad_space import IsotropicLine, VecV
+from spectacle.quad_space import LINE_INFINITY, IsotropicLine, VecV
 from spectacle.shintani_lift import LiftConfig, LiftReport, PlusSpaceResult, SignConvention
 from spectacle.sym_rep import SymVector
 from spectacle.theta11 import SplitLatticeU
@@ -27,19 +28,19 @@ def _one(n):
 
 _SERIES = QExpansion(1, 2, {0: 1, 2: Fraction(1, 2)})
 _CONVENTION = SignConvention(sigma_glob=-1, interior_relative=-1, boundary_incidence=1)
-_REPORT = LiftReport(k=1, h=Fraction(0), n_max=2, theta_side=_SERIES, geometric_side=_SERIES,
-                     sign_convention=_CONVENTION, equal_to=2, first_mismatch=None)
+_REPORT = LiftReport(cfg=LiftConfig(1, 0, 2), theta_side=_SERIES, geometric_side=_SERIES,
+                     sign_convention=_CONVENTION, first_mismatch=None)
+_CAP = CuspCap(line=LINE_INFINITY, position=Fraction(1, 2), vector=SymVector(1, (0, 1, 0)))
 
 # name -> (type, keyword arguments, fields coerced to Fraction, hashable?)
 RECORDS = {
     "VecV": (VecV, dict(a=1, b=Fraction(1, 2), c=-3), ("a", "b", "c"), True),
     "SymVector": (SymVector, dict(k=1, coeffs=[1, 0, Fraction(1, 2)]), (), True),
-    "IsotropicLine": (IsotropicLine, dict(generator=VecV(0, 0, 1), cusp=(1, 0)), (), True),
+    "IsotropicLine": (IsotropicLine, dict(cusp=(1, 0)), (), True),
     "CapInput": (CapInput, dict(k=1, width=2, position=Fraction(1, 3),
                                 jump=SymVector(1, (0, 1, 0))), ("width", "position"), True),
-    "SpectacleCycle": (SpectacleCycle, dict(
-        x=VecV(0, 1, 0), k=1, first=None, second=None, cap_first=None, cap_second=None),
-        (), True),
+    "CuspCap": (CuspCap, _CAP._asdict(), (), True),
+    "SpectacleCycle": (SpectacleCycle, dict(x=VecV(0, 1, 0), k=1, caps=(_CAP, _CAP)), (), True),
     "HolomorphicFormSpec": (HolomorphicFormSpec, dict(weight=4, a=_one), (), True),
     "SplitLatticeU": (SplitLatticeU, dict(M1=1, h1=0, M2=2, h2=Fraction(1, 2)),
                       ("M1", "h1", "M2", "h2"), True),
@@ -48,7 +49,7 @@ RECORDS = {
     # a QExpansion has value equality and no hash, so neither has a record holding one
     "LiftReport": (LiftReport, _REPORT._asdict(), (), False),
     "PlusSpaceResult": (PlusSpaceResult, dict(
-        k=1, lam=Fraction(3), passed=True, first_break=None, combined=_SERIES,
+        k=1, lam=Fraction(3), first_break=None, combined=_SERIES,
         reports=(_REPORT, _REPORT)), (), False),
     "CriterionResult": (CriterionResult, dict(name="c", passed=True, detail="d", seconds=0.5),
                         (), True),
@@ -78,6 +79,34 @@ def test_record_is_an_immutable_value(name):
         else:
             assert got is value
     assert repr(first).startswith(f"{name}(")
+
+
+def test_each_fact_is_one_field():
+    assert SpectacleCycle._fields == ("x", "k", "caps")
+    assert CuspCap._fields == ("line", "position", "vector")
+    assert IsotropicLine._fields == ("cusp",)
+    assert LiftReport._fields[0] == "cfg"
+    assert not {"k", "h", "n_max", "equal_to"} & set(LiftReport._fields)
+    assert "passed" not in PlusSpaceResult._fields
+    assert not hasattr(quad_space, "cross") and not hasattr(quad_space, "LINE_ZERO")
+
+
+@pytest.mark.parametrize(
+    "name, stale, value, read",
+    [
+        ("LiftReport", "equal_to", 2, lambda r: r.to_json_dict()["equal_to"]),
+        ("PlusSpaceResult", "passed", True, lambda r: r.passed),
+        ("SpectacleCycle", "cap_first", _CAP.vector, lambda r: r.caps[0].vector),
+        ("IsotropicLine", "generator", VecV(0, 0, 1), lambda r: r.generator),
+    ],
+)
+def test_derived_value_is_not_a_constructor_argument(name, stale, value, read):
+    # each is read from the record's other fields, so it cannot be passed in
+    # to disagree with them
+    cls, kwargs, _, _ = RECORDS[name]
+    with pytest.raises(TypeError):
+        cls(**kwargs, **{stale: value})
+    assert read(cls(**kwargs)) == value
 
 
 def test_vectors_are_not_tuples():
