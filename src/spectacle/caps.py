@@ -17,8 +17,14 @@ Bernoulli-polynomial closed formula
 
     w = sum_{j=i-1}^{k} (-M)^(j-i) C(k+j, j+1-i) B_{j+1-i}(-r/M)/(k+i) v_{2j}
 
-for jump value n(r) v_{2i}.  ``cap_solve`` (the nilpotent triangular system
-plus the exact polynomial integral) is its oracle in verify-all and the tests.
+for jump value n(r) v_{2i}, evaluated in one integer pass: with x = -r/M =
+p/q and L B_0, ..., L B_K (K = k+1-i) the integers of
+``exact_arith.bernoulli_cleared``, each A_m = L q^m B_m(x) is an integer
+Horner in p, and each coefficient is one Fraction.  B_(K - K mod 2) is read
+first, so a K past the Bernoulli bound is refused at once.  ``cap_solve``
+(the nilpotent triangular system plus the exact polynomial integral) is its
+oracle in verify-all and the tests, which also keep the term-by-term
+``bernoulli_poly`` form as a second one.
 ``spectacle_assemble(x, k, level)`` caps the cycle whose coefficient is
 v = embed_power(x, k); its record keeps x and k, which fix v, and not v.
 """
@@ -27,10 +33,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Callable, NamedTuple, Optional, Tuple
 
-from .exact_arith import RationalLike, bernoulli_poly
+from .exact_arith import RationalLike, bernoulli_cleared
 from .quad_space import (
     GeometryError,
     IsotropicLine,
@@ -41,7 +47,7 @@ from .quad_space import (
     qform,
     sigma_matrix,
 )
-from .sym_rep import SymVector, act, weight_normalizer
+from .sym_rep import SymVector, act
 
 __all__ = [
     "CapInput",
@@ -142,7 +148,8 @@ def cap_closed_form(
     """Bernoulli closed form of the cap for jump value n(r) v_{2i}.
 
     Valid for -k+1 <= i <= k; the sum starts at j = i-1 and that first term
-    is genuinely nonzero (its binomial is C(k+i-1, 0) = 1).
+    is genuinely nonzero (its binomial is C(k+i-1, 0) = 1).  A k + 1 - i past
+    the Bernoulli bound raises ``ValueError`` at once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -152,17 +159,27 @@ def cap_closed_form(
     M = Fraction(M)
     if M <= 0:
         raise ValueError("width must be positive")
+    # term m = j + 1 - i: with M = a/b, A_m = L q^m B_m(x) =
+    # sum_l C(m, l) (L B_l) p^(m-l) q^l and C(k+j, m) times the weight
+    # normalizer (-2)^k (k!)^2 / ((k+j)! (k-j)!), coefficient k + j is
+    # (-1)^(m-1) (-2)^k (k!)^2 A_m a^(m-1) / (b^(m-1) L q^m (k+i)! m! (K-m)!).
+    K = k + 1 - i
+    L, cleared = bernoulli_cleared(K)
+    x = -r / M
+    p, q = x.numerator, x.denominator
+    a, b = M.numerator, M.denominator
+    scaled = [c * q**l for l, c in enumerate(cleared)]  # L B_l q^l
+    top = (-2) ** k * factorial(k) ** 2 * b
+    bottom = a * L * factorial(k + i)
     out = [Fraction(0)] * (2 * k + 1)
-    for j in range(i - 1, k + 1):
-        # (-M)^(j-i); the j = i-1 term carries the negative power 1/(-M).
-        sign = -1 if (j - i) % 2 else 1
-        out[k + j] = (
-            sign
-            * M ** (j - i)
-            * comb(k + j, j + 1 - i)
-            * bernoulli_poly(j + 1 - i, -r / M)
-            / (k + i)
-            * weight_normalizer(k, j)
+    for m in range(K + 1):
+        # Horner in p; at p = 0 every term but l = m vanishes, so skip them
+        A = 0
+        for l in range(0 if p else m, m + 1):
+            A = A * p + comb(m, l) * scaled[l]
+        out[k + i - 1 + m] = Fraction(
+            (top if m % 2 else -top) * A * a**m,
+            bottom * (b * q) ** m * factorial(m) * factorial(K - m),
         )
     return SymVector(k, tuple(out))
 

@@ -29,6 +29,7 @@ __all__ = [
     "RationalLike",
     "bernoulli_number",
     "bernoulli_poly",
+    "bernoulli_cleared",
     "kronecker_symbol",
     "generalized_bernoulli",
     "divisor_power_sum",
@@ -88,23 +89,31 @@ def bernoulli_poly(n: int, x: RationalLike) -> Fraction:
     """Bernoulli polynomial B_n(x) = sum_j C(n, j) B_j x^(n-j).
 
     For an int or Fraction x = p/q, with L the lcm of the denominators of
-    B_0..B_n, L q^n B_n(x) = sum_j C(n, j) (L B_j) p^(n-j) q^j is an
-    integer, so the Horner loop runs on integers and one Fraction is built
-    at the end.  B_n(0) is B_n, read without the loop.
+    B_0..B_n (``bernoulli_cleared``), L q^n B_n(x) = sum_j C(n, j) (L B_j)
+    p^(n-j) q^j is an integer, so the Horner loop runs on integers and one
+    Fraction is built at the end.  B_n(0) is B_n, read without the loop.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
     if x == 0:
         return bernoulli_number(n)
-    bernoulli_number(n - n % 2)  # the largest even index first, so a refusal comes at once
     p, q = x.numerator, x.denominator
-    ratios = [bernoulli_number(j).as_integer_ratio() for j in range(n + 1)]
-    L = lcm(*(d for _, d in ratios))
+    L, cleared = bernoulli_cleared(n)
     acc, q_j = 0, 1
-    for j, (a, d) in enumerate(ratios):
-        acc = acc * p + comb(n, j) * a * (L // d) * q_j
+    for j, c in enumerate(cleared):
+        acc = acc * p + comb(n, j) * c * q_j
         q_j *= q
     return Fraction(acc, L * q**n)
+
+
+def bernoulli_cleared(n: int) -> Tuple[int, List[int]]:
+    """(L, [L B_0, ..., L B_n]) with L the lcm of the denominators of
+    B_0..B_n, so every entry is an integer.  B_(n - n mod 2) is read first,
+    so an index past the bound is refused before any other is computed."""
+    bernoulli_number(n - n % 2)
+    ratios = [bernoulli_number(j).as_integer_ratio() for j in range(n + 1)]
+    L = lcm(*(d for _, d in ratios))
+    return L, [a * (L // d) for a, d in ratios]
 
 
 def factorize(n: int) -> Dict[int, int]:

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from spectacle.sym_rep import (
     pairing,
     u_power,
     uprime_power,
+    weight_normalizer,
     weight_vector,
 )
 
@@ -61,6 +64,32 @@ def test_closed_form_examples():
     assert cap_closed_form(1, 1, 0, 1) == Fraction(-1, 2) * weight_vector(1, 0) + Fraction(
         -1, 2
     ) * weight_vector(1, 1)
+
+
+def _per_j_closed_form(k, i, r, M):
+    """The closed form term by term, one ``bernoulli_poly`` per j."""
+    r, M = Fraction(r), Fraction(M)
+    out = [Fraction(0)] * (2 * k + 1)
+    for j in range(i - 1, k + 1):
+        out[k + j] = (
+            (-M) ** (j - i)
+            * comb(k + j, j + 1 - i)
+            * bernoulli_poly(j + 1 - i, -r / M)
+            / (k + i)
+            * weight_normalizer(k, j)
+        )
+    return out
+
+
+# negative, zero and non-integer positions and widths, integral and not
+_POSITIONS = (Fraction(0), Fraction(-3), Fraction(5), Fraction(-7, 3), Fraction(11, 6))
+_WIDTHS = (Fraction(1), Fraction(4), Fraction(2, 5), Fraction(9, 4))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_closed_form_equals_the_per_j_bernoulli_form(k):
+    for i, r, M in itertools.product(range(1 - k, k + 1), _POSITIONS, _WIDTHS):
+        assert list(cap_closed_form(k, i, r, M).coeffs) == _per_j_closed_form(k, i, r, M), (i, r, M)
 
 
 @pytest.mark.parametrize("k", range(1, 6))

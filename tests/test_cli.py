@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -458,6 +459,71 @@ def test_standalone_parse_equals_the_all_commands_parse(argv):
     assert len(_README_ARGV) >= 10  # the README block was found
     alone = cli._parser(argv[0]).parse_args(argv[1:])
     assert vars(alone) == vars(cli._parser(None).parse_args(argv))
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", _README_ARGV + _BENCHMARK_ARGV, ids=" ".join)
+def test_json_writer_equals_json_dumps_on_the_payload(argv, monkeypatch, capsys):
+    payloads = []
+    emit = cli._emit
+
+    def recording(args, payload, table=None):
+        payloads.append(payload)
+        emit(args, payload, table)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    (payload,) = payloads
+    assert cli._json_text(payload) == _dumps(payload)
+    if "table" not in argv:
+        assert out == _dumps(payload) + "\n"
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+_EDGE_VALUES = [
+    {}, [], (), "", {"a": {}}, {"a": []}, [[]], [{}], [[], {}, [[], {"b": {}}]],
+    {"\u00e9t\u00e9": "\u2713 \U0001d11e \u2028", "q\"uote": "back\\slash\n\ttab\x00\x1f\x7f"},
+    -0.0, 0.0, 1e300, -1e-300, 1.5, float("inf"), float("-inf"), float("nan"),
+    True, False, 1, 0, -1, 10**40, None,
+    [True, 1, False, 0, None], {"one": 1, "true": True, "zero": 0, "false": False},
+    {"b": [1.0, -0.0, (2, "x")], "a": None, "B": "", "": 3},
+    [_Str("sub\u00e9"), _Int(7)], {_Str("key"): _Int(-2)},
+]
+
+
+@pytest.mark.parametrize("value", _EDGE_VALUES, ids=repr)
+def test_json_writer_equals_json_dumps_on_edge_values(value):
+    assert cli._json_text(value) == _dumps(value)
+
+
+def test_json_writer_refuses_what_it_cannot_encode():
+    for value in (Fraction(1, 2), {1: "int key"}, {"a": {2, 3}}):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(value=_JSON_VALUES)
+def test_json_writer_equals_json_dumps(value):
+    assert cli._json_text(value) == _dumps(value)
 
 
 def _fresh_env(**environ):

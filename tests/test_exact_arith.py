@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ import cohen_oracle
 from spectacle import exact_arith
 from spectacle.exact_arith import (
     _character_table,
+    bernoulli_cleared,
     bernoulli_number,
     bernoulli_poly,
     divisor_power_sum,
@@ -239,6 +241,24 @@ def test_bernoulli_index_bound(monkeypatch):
         message = f"Bernoulli index {n} exceeds 2048, the largest computed"
         with pytest.raises(ValueError, match=f"^{message}$"):
             bernoulli_number(n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 12, 30])
+def test_bernoulli_cleared_is_the_integers_over_the_common_denominator(n):
+    L, cleared = bernoulli_cleared(n)
+    assert L == math.lcm(*(bernoulli_number(j).denominator for j in range(n + 1)))
+    assert cleared == [bernoulli_number(j) * L for j in range(n + 1)]
+    assert all(type(c) is int for c in cleared)
+
+
+def test_bernoulli_cleared_refuses_its_largest_index_first(monkeypatch):
+    def boom(m):
+        raise AssertionError(f"tangent triangle of {m} built")
+
+    monkeypatch.setattr(exact_arith, "_tangent_numbers", boom)
+    for n in (3000, 3001):
+        with pytest.raises(ValueError, match="^Bernoulli index 3000 exceeds 2048"):
+            bernoulli_cleared(n)
 
 
 def test_bernoulli_memo_concurrent_fill():
