@@ -25,15 +25,14 @@ cap with G' = P adds G(z+1) - G(z) at its height, and that cancels its
 half's top term as an exact polynomial in z; ``verify`` checks this for
 every weight 4-46 and every |j| <= k-1.  So the capped period is the two
 halves' terms at i alone, exactly independent of (T1, T2), and equals
-c_{k,j} Lambda(f, k+1-j): this module reads no cap, keeps no cache and uses
-no probe height, and ``_axis_boundary`` builds the same two halves for the
-capped period (ends at i) and for the uncapped control (ends at i and at
-each top).  The control grows polynomially in T; it is the only period
-that reads a height.  The form alone fixes k, so ``spectacle_period(f, j)``
-reads it as ``f.k``.
+c_{k,j} Lambda(f, k+1-j): ``_axis_boundary`` builds those terms, and this
+module reads no cap, keeps no cache and takes no height.  There is no
+uncapped period in the API; the tests sum the uncapped chain, which grows
+polynomially in T, with their own mode sum over several heights.  The form
+alone fixes k, so ``spectacle_period(f, j)`` reads it as ``f.k``.
 The integral is summed Fourier mode by mode in closed form, without
-quadrature, one mode sum per call; the a_0 mode is summed exactly and
-rounded once, so no float carries a T^(2k)-sized term.
+quadrature, one mode sum at height 1 per call; the a_0 mode is summed
+exactly and rounded once.
 Past weight ``MAX_PERIOD_WEIGHT`` = 46 the float modes no longer meet the
 closed form (at 48 three j miss it, at 56 by a relative 11), so a larger
 weight raises ``ValueError`` before E_w's first a_n (n > 0) reads B_w.
@@ -44,7 +43,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 from .exact_arith import divisor_power_sum
 from .qseries import eisenstein_scale
@@ -152,67 +151,47 @@ def c_constant(k: int, j: int) -> complex:
 
 _TAIL_TOL = 1e-16
 _MAX_MODES = 500
-Terms = Tuple[Tuple[Fraction, Tuple[int, ...]], ...]  # see _axis_boundary
-_ONE = Fraction(1)
 
 
-def _axis_boundary(
-    k: int, j: int, tops: Optional[Tuple[float, float]] = None
-) -> Tuple[int, int, Terms]:
-    """Exact boundary of the two axis halves c_{k,j} (-i)^s int_i^iT f(z)
+def _axis_boundary(k: int, j: int) -> Tuple[int, int, Tuple[int, ...]]:
+    """Exact terms at i of the two axis halves c_{k,j} (-i)^s int_i^iT f(z)
     z^(s-1) dz, s = k+1-j and s = k+1+j (the second times (-1)^(k+1) =
     i^(2k+2)).  With F = z^s / s and c_{k,j} (-i)^s = r i^e, each half gives
-    -i^e r F at height 1 and, with ``tops = (T1, T2)``, +i^e r F at its own
-    top.  Returns (den, deg, terms): at each height y where the terms do not
-    cancel, the deg + 1 real, then imaginary, coefficients of their sum
-    V_y(z) (see ``_mode_sum``), constant term first, times ``den``."""
+    -i^e r F at i; its top, +i^e r F at iT, is cancelled by its cap.  Returns
+    (den, deg, parts): the deg + 1 real, then imaginary, coefficients of the
+    halves' sum V(z) (see ``_mode_sum``), constant term first, times ``den``."""
     unit, r = _c_exact(k, j)
     deg = k + abs(j) + 1
     lcm = math.lcm(k - j + 1, k + j + 1)
-    den = r.denominator * lcm
-    by_height: Dict[Fraction, List[int]] = {}
-    for (s, e), T in zip(((k - j + 1, 0), (k + j + 1, 2 * k + 2)), tops or (None, None)):
-        e += unit + 3 * s  # i^e r = c_{k,j} (-i)^s, times i^(2k+2) on the second half
+    parts = [0] * (2 * deg + 2)
+    for s, e in ((k - j + 1, 0), (k + j + 1, 2 * k + 2)):
+        u = e + unit + 3 * s + 2  # i^u r = -c_{k,j} (-i)^s, times i^(2k+2) on the second half
         term = r.numerator * lcm // s  # r den / s, exact: s divides lcm
-        for y, u in [(_ONE, e + 2)] if T is None else [(Fraction(T), e), (_ONE, e + 2)]:
-            parts = by_height.setdefault(y, [0] * (2 * deg + 2))
-            parts[u % 2 * (deg + 1) + s] += term if u % 4 < 2 else -term  # i^u = 1, i, -1, -i
-    return den, deg, tuple((y, tuple(parts)) for y, parts in by_height.items() if any(parts))
+        parts[u % 2 * (deg + 1) + s] += term if u % 4 < 2 else -term  # i^u = 1, i, -1, -i
+    return r.denominator * lcm, deg, tuple(parts)
 
 
-def _mode_sum(f: HolomorphicFormSpec, terms: Terms, den: int, deg: int) -> complex:
-    """Sum of f against ``terms`` mode by mode; at y = N/D they are V_y(w) =
-    sum_r t_r (w - iy)^r.  The mode a_n e^(2 pi i n z) gives a_0 t_0 for n = 0,
-    summed exactly over all heights and rounded once, and for n >= 1
-    a_n e^(-2 pi n y) Q_n(iy), Q_n' + 2 pi i n Q_n = V_y' solved by
-    back-substitution in closed form: Q_n(iy) = -sum_{r>=1} r! t_r mu^r,
-    mu = i/(2 pi n).  Summation stops at the first n >= 3 whose mode is
+def _mode_sum(f: HolomorphicFormSpec, den: int, deg: int, parts: Tuple[int, ...]) -> complex:
+    """Sum of f against the terms at i, V(w) = sum_r t_r (w - i)^r.  The mode
+    a_n e^(2 pi i n z) gives a_0 t_0 for n = 0, summed exactly and rounded
+    once, and for n >= 1 a_n e^(-2 pi n) Q_n(i), Q_n' + 2 pi i n Q_n = V'
+    solved by back-substitution in closed form: Q_n(i) = -sum_{r>=1} r! t_r
+    mu^r, mu = i/(2 pi n).  Summation ends at the first n >= 3 whose mode is
     below _TAIL_TOL times the largest so far."""
-    exact, heights = [Fraction(0), Fraction(0)], []
-    for y, parts in terms:
-        # homogenised in y = N/D: g_m D^(deg-m), Taylor-shifted by iN
-        N, D = y.numerator, y.denominator
-        re = [c * D ** (deg - m) for m, c in enumerate(parts[: deg + 1])]
-        im = [c * D ** (deg - m) for m, c in enumerate(parts[deg + 1 :])]
-        for i in range(deg):
-            for m in range(deg - 1, i - 1, -1):
-                re[m], im[m] = re[m] - N * im[m + 1], im[m] + N * re[m + 1]
-        q = [den * D ** (deg - r) for r in range(deg + 1)]  # t_r = (re[r] + i im[r]) / q[r]
-        exact = [exact[0] + Fraction(re[0], q[0]), exact[1] + Fraction(im[0], q[0])]
-        heights.append((N / D, [complex(re[r] / q[r], im[r] / q[r]) for r in range(1, deg + 1)]))
-    total = complex(f.a(0) * exact[0], f.a(0) * exact[1])
+    re, im = list(parts[: deg + 1]), list(parts[deg + 1 :])
+    for i in range(deg):  # Taylor shift by i: t_r = (re[r] + i im[r]) / den
+        for m in range(deg - 1, i - 1, -1):
+            re[m], im[m] = re[m] - im[m + 1], im[m] + re[m + 1]
+    a0 = f.a(0)
+    total = complex(a0 * Fraction(re[0], den), a0 * Fraction(im[0], den))
+    taylor = [complex(re[r] / den, im[r] / den) for r in range(1, deg + 1)]
     scale = abs(total)
     for n in range(1, _MAX_MODES + 1):
         mu = 1j / (2 * math.pi * n)
-        mode = 0j
-        for y, taylor in heights:
-            decay = math.exp(-2 * math.pi * n * y)
-            if decay:  # 0.0 once e^(-2 pi n y) underflows: the height drops out
-                acc = 0j  # -Q_n(iy) = sum_r r! t_r mu^r by Horner
-                for r in range(len(taylor), 0, -1):
-                    acc = (acc + taylor[r - 1]) * r * mu
-                mode -= decay * acc
-        mode *= float(f.a(n))
+        acc = 0j  # -Q_n(i) = sum_r r! t_r mu^r by Horner
+        for r in range(deg, 0, -1):
+            acc = (acc + taylor[r - 1]) * r * mu
+        mode = -math.exp(-2 * math.pi * n) * acc * float(f.a(n))
         total += mode
         scale = max(scale, abs(mode))
         if n >= 3 and abs(mode) <= _TAIL_TOL * scale:
@@ -220,21 +199,12 @@ def _mode_sum(f: HolomorphicFormSpec, terms: Terms, den: int, deg: int) -> compl
     raise RuntimeError("Fourier-mode tail did not converge")
 
 
-def spectacle_period(
-    f: HolomorphicFormSpec, j: int, tops: Optional[Tuple[float, float]] = None
-) -> float:
+def spectacle_period(f: HolomorphicFormSpec, j: int) -> float:
     """Capped-cycle period pairing c_{k,j} Lambda(f, k+1-j), k = ``f.k``, for
     weights up to ``MAX_PERIOD_WEIGHT``: one mode sum over the two axis
-    halves' terms at i.  The caps cancel the halves' tops exactly (checked in
-    ``verify``), so no height, cap or cache enters; the boundary is built on
-    each call.
-
-    ``tops = (T1, T2)`` asks instead for the uncapped control, the two axis
-    halves cut at finite heights T1, T2 > 1 whose T^(2k) fits a float, with
-    their tops kept.  It depends on T1, T2 polynomially and is real only for
-    k - j odd, as c_{k,j} is imaginary for k - j even.  Anything else,
-    ``tops`` of any other length included, raises ``ValueError`` before any
-    mode is summed."""
+    halves' terms at i.  The caps cancel the halves' top terms exactly
+    (checked in ``verify``), so no height, cap or cache enters; the boundary
+    is built on each call."""
     k = f.k
     if f.weight > MAX_PERIOD_WEIGHT:
         raise ValueError(
@@ -242,20 +212,7 @@ def spectacle_period(
         )
     if abs(j) > k - 1:
         raise ValueError("cap equation unsolvable at one cusp: need |j| <= k-1")
-    if tops is not None:
-        if len(tops) != 2:
-            raise ValueError(f"the uncapped control takes two heights (T1, T2), got {len(tops)}")
-        if not all(1 < T < math.inf for T in tops):
-            raise ValueError("truncation heights must be finite and exceed 1")
-        for T in tops:
-            try:
-                T ** (2 * k)
-            except OverflowError:
-                raise ValueError(f"height {T} too large: T^{2 * k} overflows a float") from None
-        if (k - j) % 2 == 0:
-            raise ValueError("the uncapped control is real only for k - j odd")
-    den, deg, terms = _axis_boundary(k, j, tops)
-    total = _mode_sum(f, terms, den, deg)
+    total = _mode_sum(f, *_axis_boundary(k, j))
     if abs(total.imag) > 1e-7 * (1.0 + abs(total.real)):
         raise ArithmeticError(f"period pairing unexpectedly non-real: {total} (k={k}, j={j})")
     return total.real

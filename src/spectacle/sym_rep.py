@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from operator import add
 from typing import Sequence, Tuple
 
 from .exact_arith import RationalLike, clear_denominators, poly_product
@@ -108,18 +107,17 @@ def _entries(g: Sequence[RationalLike]) -> Tuple[Fraction, Fraction, Fraction, F
 
 def act(g: Sequence[RationalLike], v: SymVector) -> SymVector:
     """Substitution action of a determinant-1 matrix: the sum over i of
-    v_i (a e1 + c e2)^i (b e1 + d e2)^(2k-i), each product of two binomial
-    expansions taken by ``poly_product``.  The matrix and v are cleared to
-    integers first, so the sum runs in integers and is divided once."""
+    v_i X^i Y^(2k-i), X = a e1 + c e2, Y = b e1 + d e2, by Horner in X from
+    i = 2k down, H <- H X + v_i Y^(2k-i), each power of Y one factor past the
+    last.  The matrix and v are cleared to integers first, so the sum runs in
+    integers and is divided once."""
     gden, (a, b, c, d) = clear_denominators(_entries(g))
     vden, nums = clear_denominators(v.coeffs)
     n = 2 * v.k
-    out = [0] * (n + 1)
-    for i, coeff in enumerate(nums):
-        if coeff:
-            first = [coeff * comb(i, t) * a**t * c ** (i - t) for t in range(i + 1)]
-            second = [comb(n - i, t) * b**t * d ** (n - i - t) for t in range(n - i + 1)]
-            out = list(map(add, out, poly_product(first, second, n)))
+    out, y_pow = [nums[n]], [1]  # coefficients of e1^t e2^(deg - t), t = 0..deg
+    for coeff in reversed(nums[:n]):
+        y_pow = [b * lo + d * hi for lo, hi in zip([0, *y_pow], [*y_pow, 0])]
+        out = [a * lo + c * hi + coeff * y for lo, hi, y in zip([0, *out], [*out, 0], y_pow)]
     den = vden * gden**n
     return SymVector(v.k, tuple(Fraction(t, den) for t in out))
 

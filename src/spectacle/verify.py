@@ -30,7 +30,7 @@ from .exact_arith import bernoulli_number
 from .periods import (
     MAX_PERIOD_WEIGHT,
     HolomorphicFormSpec,
-    _axis_boundary,
+    _c_exact,
     geodesic_intersection_numeric,
     spectacle_period,
 )
@@ -175,33 +175,31 @@ def criterion_lvalue_periods() -> str:
     for weight, want in ((4, -5 / 3), (8, -2 / 15)):
         v = spectacle_period(HolomorphicFormSpec.eisenstein(weight), 0)
         assert abs(v - want) < 1e-8, f"E{weight} period {v}"
-    e4 = HolomorphicFormSpec.eisenstein(4)
-    bare = [spectacle_period(e4, 0, (T, T)) for T in (3.0, 10.0)]
-    drop = abs(bare[0] - bare[1])
-    assert drop > 1e-2, f"negative control too small: {drop}"
-    # each cap, G' = its boundary polynomial, adds G(z+1) - G(z) at its
-    # half's top and cancels the top there exactly: the capped period is
-    # the halves' terms at i alone
+    # each half's top, +c_{k,j} (-i)^s z^s / s at its height (times i^(2k+2)
+    # on the second half), is a real monomial; its cap, G' = the cap's
+    # boundary polynomial, adds G(z+1) - G(z) at that height and cancels the
+    # top exactly: the capped period is the halves' terms at i alone
     closed = 0
     for k in range(1, MAX_PERIOD_WEIGHT // 2):
         for j in range(-(k - 1), k):
-            den, deg, terms = _axis_boundary(k, j, (2, 3))
-            tops = dict(terms)
-            for T, i, unit in ((2, j, -1), (3, -j, (-1) ** (k - j))):
+            unit, r = _c_exact(k, j)
+            halves = ((k - j + 1, 0, j, -1), (k + j + 1, 2 * k + 2, -j, (-1) ** (k - j)))
+            for s, e, i, sign in halves:  # exponent, i^e, the cap's weight index and sign
+                u = unit + 3 * s + e  # the top is i^u r z^s / s
+                assert u % 2 == 0, f"a top is not real (k={k}, j={j})"
                 p = boundary_pairing_polynomial(cap_closed_form(k, i, 0, 1))
-                scale = lcm(den, *(c.denominator * (m + 1) for m, c in enumerate(p)))
-                G = [0] + [int(unit * c * scale / (m + 1)) for m, c in enumerate(p)]
-                top = tops.get(T, (0,) * (2 * deg + 2))
+                scale = lcm(r.denominator * s, *(c.denominator * (m + 1) for m, c in enumerate(p)))
+                G = [0] + [int(sign * c * scale / (m + 1)) for m, c in enumerate(p)]
+                top = (1 - u % 4) * r.numerator * (scale // (r.denominator * s))  # i^u = +-1
                 left = [  # G(z+1) - G(z) plus the top, times scale
-                    sum(G[m] * comb(m, n) for m in range(n + 1, len(G)))
-                    + (top[n] * (scale // den) if n <= deg else 0)
-                    for n in range(len(G))
+                    sum(G[m] * comb(m, n) for m in range(n + 1, len(G))) + (top if n == s else 0)
+                    for n in range(max(len(G), s + 1))
                 ]
-                assert not any([*left, *top[deg + 1 :]]), f"a cap leaves a top (k={k}, j={j})"
+                assert not any(left), f"a cap leaves a top (k={k}, j={j})"
             closed += 1
     return (
-        "periods -5/3 and -2/15 to 1e-8; the caps cancel both tops exactly for all "
-        f"{closed} (k, j) of weights 4-{MAX_PERIOD_WEIGHT}; no-caps control breaks"
+        "periods -5/3 and -2/15 to 1e-8; the caps cancel both top terms exactly for all "
+        f"{closed} (k, j) of weights 4-{MAX_PERIOD_WEIGHT}"
     )
 
 

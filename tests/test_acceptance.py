@@ -15,7 +15,7 @@ import pytest
 import spectacle
 import spectacle.verify
 from spectacle.cli import main
-from spectacle.verify import CRITERIA, criterion_plus_space
+from spectacle.verify import CRITERIA, criterion_lvalue_periods, criterion_plus_space
 
 # (function, printed name) of every criterion, in the order verify-all runs them
 MATRIX = [
@@ -41,6 +41,11 @@ def test_acceptance(criterion, capsys):
 
 def test_plus_space_detail_prints_lambda_as_rationals():
     assert criterion_plus_space().detail.endswith("lambda = 1: 10, 3: -2")
+
+
+def test_periods_detail_counts_each_closed_pair_once():
+    # every |j| <= k-1 of weights 4-46 is one (k, j), its two caps checked
+    assert criterion_lvalue_periods().detail.endswith("all 484 (k, j) of weights 4-46")
 
 
 def _result_lines(out):

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from operator import add
 
 import pytest
 
+from spectacle.exact_arith import clear_denominators, poly_product
 from spectacle.quad_space import U_VEC, VecV, W0_VEC, conjugate_vec, inner
 from spectacle.sym_rep import (
     SymVector,
@@ -43,6 +45,38 @@ def _rand_sym(rng, k):
     return SymVector(
         k, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2 * k + 1))
     )
+
+
+def _per_coefficient_act(g, v):
+    """``act`` coefficient by coefficient, as its reference: each v_i (a e1 +
+    c e2)^i (b e1 + d e2)^(2k-i) from two binomial rows and their
+    ``poly_product``, in integers over one denominator."""
+    gden, (a, b, c, d) = clear_denominators([Fraction(t) for t in g])
+    vden, nums = clear_denominators(v.coeffs)
+    n = 2 * v.k
+    out = [0] * (n + 1)
+    for i, coeff in enumerate(nums):
+        if coeff:
+            first = [coeff * comb(i, t) * a**t * c ** (i - t) for t in range(i + 1)]
+            second = [comb(n - i, t) * b**t * d ** (n - i - t) for t in range(n - i + 1)]
+            out = list(map(add, out, poly_product(first, second, n)))
+    den = vden * gden**n
+    return SymVector(v.k, tuple(Fraction(t, den) for t in out))
+
+
+def test_act_equals_the_per_coefficient_form():
+    # S, U and a matrix with four non-integer entries, against random
+    # rational vectors with some zero coefficients, for every k <= 12
+    rng = random.Random(20261020)
+    rational = (Fraction(2, 3), Fraction(1, 4), Fraction(-4, 5), Fraction(6, 5))
+    mats = ((0, -1, 1, 0), (1, 1, 0, 1), rational)
+    for k in range(13):
+        for g in mats:
+            for _ in range(3):
+                coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) * rng.randint(0, 1)
+                          for _ in range(2 * k + 1)]
+                v = SymVector(k, coeffs)
+                assert act(g, v) == _per_coefficient_act(g, v), (k, g, coeffs)
 
 
 def test_act_validates_determinant():
