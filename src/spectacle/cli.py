@@ -2,16 +2,19 @@
 
 Subcommands: theta11, lift, caps, cohen, eisenstein, lvalue, intersect,
 verify-all.  Each is declared once, in the table ``_COMMANDS`` (name -> help,
-arguments, handler).  A call parses its argv once, after the subcommand's
-name, with that subcommand's parser alone; the first call of a subcommand in
-a process builds it, and later calls reuse it.  Help, an empty argv or an
-unknown name share one parser of them all.  Exact series
-serialize rationals as "p/q" strings; a period prints 12 significant
-digits.  The capped period is one mode sum at i whatever the heights of
-``--T`` (checked, echoed, never summed), so t_spread is the constant 0 and
-abs_err_bound the constant 1e-11, while the true error reaches 3.0e-10 at
-weight 44, j = 0.  Output is deterministic (all maps are
-sorted before serialization): identical invocations produce identical bytes.
+arguments, handler).  A call reads its argv once, after the subcommand's
+name, in one left-to-right walk over that subcommand's option strings (a
+dict built from ``_COMMANDS`` on the first call of the subcommand in a
+process), as argparse reads it: unique prefixes, ``--f=v``, the last of a
+repeated option, and argparse's one-line usage errors with exit 2.  argparse
+itself only prints help, and parses an empty argv or an unknown name with
+one parser of them all.  Exact series serialize rationals as "p/q"
+strings; a period prints 12 significant digits.  The capped period is one
+mode sum at i whatever the heights of ``--T`` (checked, echoed, never
+summed), so t_spread is the constant 0 and abs_err_bound the constant
+1e-11, while the true error reaches 3.0e-10 at weight 44, j = 0.  Output is
+deterministic (all maps are sorted before serialization): identical
+invocations produce identical bytes.
 
 JSON is written by ``_json_text``, a small recursive writer whose text is
 exactly ``json.dumps(payload, indent=2, sort_keys=True)``, the oracle the
@@ -21,22 +24,23 @@ to its pure-Python encoder.
 Environment: SPECTACLE_LOG in {error, info, debug} controls log verbosity.
 Only info and debug import ``logging`` and give its root logger a stderr
 handler; error, the default, leaves the host's logging untouched.  Start-up
-imports neither ``logging`` nor ``dataclasses``, and only verify-all loads
-``spectacle.verify``.
+imports none of ``argparse``, ``logging`` and ``dataclasses``, and only
+verify-all loads ``spectacle.verify``.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import os
+import re
 import stat
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, List, NoReturn, Optional, Tuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional, Tuple
 
 from .caps import cap_closed_form, spectacle_assemble
 from .periods import (
@@ -46,6 +50,9 @@ from .qseries import QExpansion, cohen_eisenstein, eisenstein_level1
 from .quad_space import VecV, epsilon_sign
 from .shintani_lift import LiftConfig, main_theorem_check, plus_space_check
 from .theta11 import SplitLatticeU, theta11_series
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _configure_logging(command: str) -> None:
@@ -85,7 +92,7 @@ def _json_text(obj: object, pad: str = "\n") -> str:
 
 
 def _emit(
-    args: argparse.Namespace, payload: dict, table: Optional[Callable[[], str]] = None
+    args: SimpleNamespace, payload: dict, table: Optional[Callable[[], str]] = None
 ) -> None:
     """Write ``payload`` as JSON, or ``table()`` (rendered only then) under
     ``--format table``; a subcommand without a table takes no ``--format``.
@@ -142,14 +149,14 @@ def _h_fraction(tag: str) -> Fraction:
     return Fraction(0) if tag == "0" else Fraction(1, 2)
 
 
-def cmd_theta11(args: argparse.Namespace) -> int:
+def cmd_theta11(args: SimpleNamespace) -> int:
     lat = SplitLatticeU(*(_rational(t) for t in (args.m1, args.h1, args.m2, args.h2)))
     series = theta11_series(lat, args.k, _rational(args.wu), _rational(args.wup), args.nmax)
     _emit(args, series.to_json_dict(), lambda: _series_table(series, f"theta series, k={args.k}"))
     return 0
 
 
-def cmd_lift(args: argparse.Namespace) -> int:
+def cmd_lift(args: SimpleNamespace) -> int:
     cfg = LiftConfig(k=args.k, h=_h_fraction(args.h), n_max=args.nmax)
     if args.cohen and cfg.k % 2:
         # this coset is one component of the plus-space pair; read its report
@@ -176,7 +183,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_caps(args: argparse.Namespace) -> int:
+def cmd_caps(args: SimpleNamespace) -> int:
     if args.x is not None:
         x = _parse_vec(args.x)
         cyc = spectacle_assemble(x, args.k, args.level)
@@ -202,19 +209,19 @@ def cmd_caps(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cohen(args: argparse.Namespace) -> int:
+def cmd_cohen(args: SimpleNamespace) -> int:
     series = cohen_eisenstein(args.r, args.nmax)
     _emit(args, series.to_json_dict(), lambda: _series_table(series, f"H({args.r}, N)"))
     return 0
 
 
-def cmd_eisenstein(args: argparse.Namespace) -> int:
+def cmd_eisenstein(args: SimpleNamespace) -> int:
     series = eisenstein_level1(args.weight, args.nmax)
     _emit(args, series.to_json_dict(), lambda: _series_table(series, f"E_{args.weight}"))
     return 0
 
 
-def cmd_lvalue(args: argparse.Namespace) -> int:
+def cmd_lvalue(args: SimpleNamespace) -> int:
     heights = [float(t) for t in args.T.split(",")]
     form = HolomorphicFormSpec.eisenstein(args.weight)
     if not all(1 < T < math.inf for T in heights):
@@ -235,7 +242,7 @@ def cmd_lvalue(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_intersect(args: argparse.Namespace) -> int:
+def cmd_intersect(args: SimpleNamespace) -> int:
     x = _parse_vec(args.x)
     y = _parse_vec(args.y)
     sign = epsilon_sign(x, y)
@@ -253,7 +260,7 @@ def cmd_intersect(args: argparse.Namespace) -> int:
     return 0 if sign == numeric_sign else 1
 
 
-def cmd_verify_all(args: argparse.Namespace) -> int:
+def cmd_verify_all(args: SimpleNamespace) -> int:
     from .verify import CRITERIA  # only this subcommand loads the acceptance matrix
 
     failed = 0
@@ -266,14 +273,6 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         return 1
     print(f"all {len(CRITERIA)} criteria passed")
     return 0
-
-
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are one line, like every other bad
-    input; the subcommand parsers are built from the same class."""
-
-    def error(self, message: str) -> NoReturn:
-        self.exit(2, f"spectacle: error: {message}\n")
 
 
 _OUT = ("--out", dict(metavar="PATH", default=None))
@@ -327,6 +326,12 @@ _COMMANDS: Dict[str, Tuple[str, List[Tuple[str, dict]], Callable[..., int]]] = {
 }
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Exit 2 with ``message`` as one line, like every other bad input."""
+    sys.stderr.write(f"spectacle: error: {message}\n")
+    sys.exit(2)
+
+
 def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """Give ``parser`` the arguments and handler of subcommand ``name``."""
     _, arguments, handler = _COMMANDS[name]
@@ -338,14 +343,22 @@ def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser
 
 @functools.cache
 def _parser(command: Optional[str]) -> argparse.ArgumentParser:
-    """The parser of subcommand ``command`` alone, which parses the argv after
-    its name; or, for ``None`` (help, no argv, an unknown name), the parser of
-    them all, so top-level help and the invalid-choice error list every one.
-    Each is built on its first request in a process and shared by every later
-    one: parse with it, never mutate it."""
+    """The argparse parser of subcommand ``command``, which prints its help;
+    or, for ``None`` (help, no argv, an unknown name), the parser of them all,
+    so top-level help and the invalid-choice error list every one.  These are
+    the only paths that import argparse: a subcommand's argv is read by
+    ``_parse``, which the tests hold to this parser's reading.  Each is built
+    on its first request in a process and shared by every later one: parse
+    with it, never mutate it."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            _usage_error(message)
+
     if command is not None:
-        return _fill(_Parser(prog=f"spectacle {command}"), command)
-    parser = _Parser(
+        return _fill(Parser(prog=f"spectacle {command}"), command)
+    parser = Parser(
         prog="spectacle",
         description="Exact capped-cycle data on the modular curve and its modular-form identities",
     )
@@ -355,14 +368,128 @@ def _parser(command: Optional[str]) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _table(name: str) -> Tuple[Dict[str, Optional[tuple]], Dict[str, object]]:
+    """Subcommand ``name``'s option strings in argparse's order, each mapped
+    to (dest, type, choices, required) with type ``bool`` for a flag, and
+    -h and --help, first, to None; and the defaults of its namespace."""
+    _, arguments, handler = _COMMANDS[name]
+    options: Dict[str, Optional[tuple]] = {"-h": None, "--help": None}
+    defaults: Dict[str, object] = {}
+    for flag, spec in arguments:
+        is_flag = spec.get("action") == "store_true"
+        kind = bool if is_flag else spec.get("type")
+        options[flag] = (flag[2:], kind, spec.get("choices"), spec.get("required"))
+        defaults[flag[2:]] = spec.get("default", False if is_flag else None)
+    return options, dict(defaults, func=handler, command=name)
+
+
+def _option(options: Dict[str, Optional[tuple]], token: str) -> Optional[tuple]:
+    """argparse's reading of ``token``: None for an argument, else (option
+    string, explicit argument or None), with option string None for an
+    unknown option; an ambiguous prefix exits at once."""
+    if not token or token[0] != "-":
+        return None
+    if token in options:
+        return token, None
+    if len(token) == 1:
+        return None
+    flag, eq, explicit = token.partition("=")
+    if eq and flag in options:
+        return flag, explicit
+    if token[1] == "-":  # a prefix of long options, split at the "="
+        matches = [(f, explicit if eq else None) for f in options if f.startswith(flag)]
+    else:  # a short option glued to its tail; every short option is one letter
+        matches = [(token[:2], token[2:])] if token[:2] in options else []
+    if len(matches) > 1:
+        _usage_error(f"ambiguous option: {token} could match {', '.join(f for f, _ in matches)}")
+    if matches:
+        return matches[0]
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None  # a negative number, or words
+    return None, None
+
+
+def _parse(name: str, argv: List[str]) -> SimpleNamespace:
+    """The namespace ``_parser(name).parse_args(argv)`` would give, from one
+    left-to-right walk over ``_table(name)``; each usage error is argparse's
+    message and exit 2, and help is argparse's.  As in argparse, an ambiguous
+    prefix anywhere comes first, then the first bad option or help in argv
+    order, then missing required options, then leftovers."""
+    options, defaults = _table(name)
+    values = dict(defaults)
+    given = set()
+    extras: List[str] = []
+    failure = None  # the first bad option's message, or "help"
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--":  # the rest are arguments, so leftovers
+            extras += argv[i - 1:]
+            break
+        option = _option(options, token)
+        if failure is not None:
+            continue  # read on only for an ambiguous prefix
+        if option is None or option[0] is None:
+            extras.append(token)
+            continue
+        flag, explicit = option
+        if options[flag] is None:  # -h or --help; -hh... is help, as argparse reads it
+            while explicit and flag == "-h" and explicit[0] == "h":
+                explicit = explicit[1:] or None
+            failure = "help" if explicit is None else (
+                f"argument -h/--help: ignored explicit argument {explicit!r}")
+            continue
+        dest, kind, choices, _ = options[flag]
+        given.add(flag)
+        if kind is bool:
+            if explicit is None:
+                values[dest] = True
+            else:
+                failure = f"argument {flag}: ignored explicit argument {explicit!r}"
+            continue
+        if explicit is None:
+            if i == len(argv) or argv[i] == "--" or _option(options, argv[i]) is not None:
+                failure = f"argument {flag}: expected one argument"
+                continue
+            explicit = argv[i]
+            i += 1
+        if explicit == "--":
+            values[dest] = []  # argparse drops a "--" value; refused after the walk
+            continue
+        try:
+            value = explicit if kind is None else kind(explicit)
+        except (TypeError, ValueError):
+            failure = f"argument {flag}: invalid {kind.__name__} value: {explicit!r}"
+            continue
+        if choices is not None and value not in choices:
+            failure = (f"argument {flag}: invalid choice: {value!r} "
+                       f"(choose from {', '.join(map(repr, choices))})")
+        else:
+            values[dest] = value
+    if failure == "help":
+        _parser(name).print_help()
+        sys.exit(0)
+    if failure is not None:
+        _usage_error(failure)
+    missing = [flag for flag, spec in options.items() if spec and spec[3] and flag not in given]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    for dest, value in values.items():
+        if value == []:
+            _usage_error(f"argument --{dest}: expected one argument")
+    return SimpleNamespace(**values)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = _parser(command)
-    args = parser.parse_args(argv if command is None else argv[1:])
-    for dest, value in vars(args).items():
-        if isinstance(value, list):  # Python 3.11 parses "--x=--" as [], not "--"
-            parser.error(f"argument --{dest}: expected one argument")
+    if argv and argv[0] in _COMMANDS:
+        args = _parse(argv[0], argv[1:])
+    else:
+        args = _parser(None).parse_args(argv)
     try:
         _configure_logging(args.command)
         return args.func(args)

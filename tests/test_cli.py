@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -237,6 +238,7 @@ def test_lvalue_bad_height_has_one_message(heights, message, capsys):
 def _first_call(capsys, argv):
     """Exit code and stdout of ``argv`` as the first call of a process."""
     cli._parser.cache_clear()
+    cli._table.cache_clear()
     code = main(argv)
     return code, capsys.readouterr().out
 
@@ -347,8 +349,8 @@ _COMMAND_NAMES = [
 
 @pytest.fixture
 def registered(monkeypatch):
-    """Names of the subcommand parsers each call builds, starting from an
-    empty parser cache, as in a fresh process."""
+    """Names of the subcommand argparse parsers each call builds, starting
+    from an empty parser cache, as in a fresh process."""
     cli._parser.cache_clear()
     names = []
     fill = cli._fill
@@ -361,39 +363,65 @@ def registered(monkeypatch):
     return names
 
 
+@pytest.fixture
+def tables(monkeypatch):
+    """Names of the subcommand tables each call builds, starting from an
+    empty table cache, as in a fresh process."""
+    names = []
+    build = cli._table.__wrapped__
+
+    def counting(name):
+        names.append(name)
+        return build(name)
+
+    monkeypatch.setattr(cli, "_table", functools.cache(counting))
+    return names
+
+
+@pytest.fixture
+def no_argparse_parse(monkeypatch):
+    """Make every argparse parse fail the test."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"argparse parsed for {self.prog}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["eisenstein", "--weight", "4", "--nmax", "2"], ["lvalue", "--weight", "4"]],
     ids=" ".join,
 )
-def test_known_subcommand_registers_only_its_parser(argv, registered, capsys):
+def test_known_subcommand_registers_only_its_parser(argv, registered, tables, no_argparse_parse,
+                                                   capsys):
+    # its own table, and no argparse parser at all
     assert main(argv) == 0
-    assert registered == [argv[0]]
+    assert (tables, registered) == ([argv[0]], [])
 
 
-def test_repeat_call_builds_no_parser(registered, capsys):
+def test_repeat_call_builds_no_parser(registered, tables, no_argparse_parse, capsys):
     assert main(_LVALUE_4) == 0
     first = capsys.readouterr().out
-    assert registered == ["lvalue"]
-    registered.clear()
+    assert (tables, registered) == (["lvalue"], [])
+    tables.clear()
     assert main(_LVALUE_4) == 0
     assert capsys.readouterr().out == first
-    assert registered == []
+    assert (tables, registered) == ([], [])
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], [], ["bogus"], ["--format", "json"]])
-def test_help_and_bad_argv_register_every_subcommand(argv, registered, capsys):
+def test_help_and_bad_argv_register_every_subcommand(argv, registered, tables, capsys):
     with pytest.raises(SystemExit):
         main(argv)
-    assert registered == _COMMAND_NAMES
+    assert (registered, tables) == (_COMMAND_NAMES, [])
 
 
 @pytest.mark.parametrize("name", _COMMAND_NAMES)
-def test_subcommand_help_matches_the_all_commands_parser(name, registered, capsys):
+def test_subcommand_help_matches_the_all_commands_parser(name, registered, tables, capsys):
     with pytest.raises(SystemExit):
         main([name, "--help"])
     alone = capsys.readouterr().out
-    assert registered == [name]
+    assert (registered, tables) == ([name], [name])
     with pytest.raises(SystemExit):
         cli._parser(None).parse_args([name, "--help"])
     assert capsys.readouterr().out == alone
@@ -414,20 +442,20 @@ _ONE_ARGV = [
 
 
 @pytest.mark.parametrize("argv", _ONE_ARGV, ids=" ".join)
-def test_a_call_parses_its_argv_once(argv, monkeypatch, capsys):
+def test_a_call_parses_its_argv_once(argv, no_argparse_parse, monkeypatch, capsys):
     from spectacle import verify
 
     monkeypatch.setattr(verify, "CRITERIA", [])
-    parses = []
-    parse_known_args = argparse.ArgumentParser.parse_known_args
+    walks = []
+    parse = cli._parse
 
-    def counting(self, *args, **kwargs):
-        parses.append(self.prog)
-        return parse_known_args(self, *args, **kwargs)
+    def counting(name, args):
+        walks.append((name, args))
+        return parse(name, args)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    monkeypatch.setattr(cli, "_parse", counting)
     assert main(argv) == 0
-    assert parses == [f"spectacle {argv[0]}"]
+    assert walks == [(argv[0], argv[1:])]
 
 
 def _readme_commands():
@@ -459,6 +487,102 @@ def test_standalone_parse_equals_the_all_commands_parse(argv):
     assert len(_README_ARGV) >= 10  # the README block was found
     alone = cli._parser(argv[0]).parse_args(argv[1:])
     assert vars(alone) == vars(cli._parser(None).parse_args(argv))
+    assert vars(cli._parse(argv[0], argv[1:])) == vars(alone)
+
+
+def _outcome(parse, argv):
+    """(namespace dict or exit code, stdout, stderr) of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _argparse_reading(name):
+    """argparse's parse of a subcommand's argv, where a value that argparse
+    strips to [] (``--x=--``) is refused as missing."""
+    parser = cli._parser(name)
+
+    def parse(argv):
+        args = parser.parse_args(argv)
+        for dest, value in vars(args).items():
+            if isinstance(value, list):
+                parser.error(f"argument --{dest}: expected one argument")
+        return args
+
+    return parse
+
+
+_WORDS = [
+    "1", "0", "-1", "-0.5", "-7/3", "--", "-", "", "x", "1.5", "json", "table", "half",
+    "1,0,1", "3,10", " 2", "a b", "1_0", "\u0663", "-hx", "-a b", "--x=--",
+    "-x", "---", "--bogus", "-1\n",
+]
+
+
+def _tokens(name):
+    """Argv pieces for subcommand ``name``: an option and a word, as two
+    tokens or as ``option=word``; an option string or a prefix of one; a
+    word."""
+    options = [flag for flag, _ in cli._COMMANDS[name][1]] or ["--help"]
+    flags = ["-h", "--help", *options]
+    prefixes = sorted({f[:n] for f in flags if f.startswith("--") for n in range(2, len(f))})
+    words = st.sampled_from(_WORDS)
+    return st.one_of(
+        st.tuples(st.sampled_from(options), words).map(list),
+        st.builds("{}={}".format, st.sampled_from(options), words).map(lambda t: [t]),
+        st.sampled_from(flags + prefixes).map(lambda t: [t]),
+        words.map(lambda t: [t]),
+    )
+
+
+def _required(name):
+    """A value for every required option of subcommand ``name``."""
+    return [token for flag, spec in cli._COMMANDS[name][1] if spec.get("required")
+            for token in (flag, "1")]
+
+
+_SUBCOMMAND_ARGV = st.sampled_from(_COMMAND_NAMES).flatmap(lambda name: st.tuples(
+    st.just(name),
+    st.builds(lambda head, pieces: head + sum(pieces, []),
+              st.sampled_from([[], _required(name)]), st.lists(_tokens(name), max_size=4)),
+))
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(case=_SUBCOMMAND_ARGV)
+@example(case=("lift", ["--k", "3", "--c"]))  # an ambiguous prefix
+@example(case=("theta11", ["--k", "1", "--w", "1"]))
+@example(case=("lvalue", ["--wei", "4"]))  # a unique prefix
+@example(case=("lvalue", ["--weight=4", "--j", "-1", "--T", "-0.5"]))  # negative numbers are values
+@example(case=("caps", ["--k", "2", "--i=0", "--r", "-7/3"]))  # ... but -7/3 is an option
+@example(case=("lvalue", ["--weight", "4", "--", "--j", "1"]))
+@example(case=("lvalue", ["--weight", "4", "-"]))
+@example(case=("caps", ["--k", "1", "--x", ""]))
+@example(case=("caps", ["--k", "1", "--x=--"]))  # argparse strips the value to []
+@example(case=("lift", ["--k=--", "--nmax", "4"]))
+@example(case=("intersect", ["--y=--", "--x=--"]))
+@example(case=("lvalue", ["--weight", "4", "--weight", "6", "--j=1", "--j=2"]))  # the last wins
+@example(case=("lift", ["--k", "1", "--nmax", "2", "--check=1"]))
+@example(case=("lift", ["--k", "x", "--h", "third"]))
+@example(case=("lift", ["--h", "third", "--k", "x"]))
+@example(case=("intersect", ["leftover", "--bogus"]))  # required before unrecognized
+@example(case=("lift", ["--help", "--k", "x"]))
+@example(case=("lift", ["--k", "x", "--help"]))
+@example(case=("lift", ["--help", "--c"]))  # an ambiguity anywhere comes first
+@example(case=("lift", ["--k", "x", "--nmax", "4", "--c"]))
+@example(case=("lvalue", ["-hh"]))
+@example(case=("lvalue", ["-hhx"]))
+@example(case=("lvalue", ["--weight", "4", "-h="]))
+@example(case=("verify-all", ["--=x"]))
+@example(case=("verify-all", ["--he=x"]))
+def test_table_parse_equals_argparse(case):
+    name, argv = case
+    assert _outcome(functools.partial(cli._parse, name), argv) == _outcome(
+        _argparse_reading(name), argv)
 
 
 def _dumps(value):
@@ -601,6 +725,26 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert done.stdout.splitlines() == ["[]"] * 4
 
 
+def test_a_call_imports_no_argparse_and_help_does():
+    # argparse (with gettext and locale) costs milliseconds of start-up, and
+    # only help and the top-level errors use it
+    probe = (
+        "import sys\n"
+        "from spectacle import cli\n"
+        "watched = ('argparse', 'gettext', 'locale')\n"
+        "assert cli.main(['eisenstein', '--weight', '4', '--nmax', '2']) == 0\n"
+        "print('loaded', [m for m in watched if m in sys.modules])\n"
+        "try:\n"
+        "    cli.main(['lvalue', '--help'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'argparse' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(),
+                          capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert "loaded []" in lines and lines[-1] == "0 True"
+
+
 def test_cli_main_leaves_the_host_root_logger_alone(tmp_path):
     # SPECTACLE_LOG unset means error, which configures nothing: the host's
     # root logger keeps its level and handlers, and its warnings still print
@@ -739,7 +883,7 @@ _ARGV = st.one_of(
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=_ARGV)
-@example(argv=["caps", "--k", "1", "--x=--"])  # Python 3.11 parses a "--" value as []
+@example(argv=["caps", "--k", "1", "--x=--"])  # a "--" value is refused as missing
 @example(argv=["lift", "--k=--", "--nmax", "4"])
 def test_fuzzed_rational_argv_never_tracebacks(argv):
     # an exception escaping main() is the traceback a shell user would see
