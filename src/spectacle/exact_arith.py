@@ -2,9 +2,10 @@
 
 Bernoulli numbers and polynomials, generalized Bernoulli numbers attached to
 quadratic characters, Kronecker symbols, divisor-power sums, a few small
-multiplicative helpers, and ``poly_product``, the package's one product of
-rational coefficient lists.  Every function returns exact values; no
-floating point appears in this module.
+multiplicative helpers, and two products of coefficient lists on one packed
+integer: ``poly_product`` of rational lists, and ``theta_product``, theta^s
+times an integer list by shifted adds.  Every function returns exact values;
+no floating point appears in this module.
 
 Conventions
 -----------
@@ -40,6 +41,7 @@ __all__ = [
     "fundamental_discriminant_split",
     "clear_denominators",
     "poly_product",
+    "theta_product",
 ]
 
 @functools.cache
@@ -323,13 +325,29 @@ def clear_denominators(x: Sequence[RationalLike]) -> Tuple[int, List[int]]:
     return d, [c.numerator * (d // c.denominator) for c in x]
 
 
-def _packed(nums: List[int], width: int, bias: int) -> int:
+def _bias(width: int, count: int) -> int:
+    """2^(8 width - 1) in each of ``count`` slots of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _packed(nums: List[int], width: int) -> int:
     """sum_i nums[i] 2^(8 width i), in one pass: each slot is written as
     nums[i] + 2^(8 width - 1), which ``width`` bytes hold without a sign, and
-    ``bias``, that offset in every slot, is subtracted once."""
+    that offset in every slot, the bias, is subtracted once."""
     half = 1 << (8 * width - 1)
     raw = b"".join((c + half).to_bytes(width, "little") for c in nums)
-    return int.from_bytes(raw, "little") - (bias & ((1 << 8 * len(raw)) - 1))
+    return int.from_bytes(raw, "little") - _bias(width, len(nums))
+
+
+def _unpacked(value: int, width: int, n: int) -> List[int]:
+    """Slots 0..n of ``value``, read modulo 2^(8 width (n + 1)), each of them
+    in (-2^(8 width - 1), 2^(8 width - 1)): the bias makes every slot
+    non-negative without carries, and a mask (linear, where a modulo is a
+    quadratic long division) cuts the rest, for either sign of ``value``."""
+    size = width * (n + 1)
+    raw = ((value + _bias(width, n + 1)) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
 
 
 def poly_product(
@@ -344,21 +362,30 @@ def poly_product(
     and cut to n + 1 terms, is one int in slots of w bytes, and one integer
     multiply convolves them.  A product coefficient sums at most n + 1
     terms, so w bytes hold it in bitlen(max|x|) + bitlen(max|y|) +
-    bitlen(n + 1) bits and a sign bit.  2^(8w - 1) added to each slot makes
-    it non-negative without carries; the slots are read back less that bias.
-    The product is cut to its low n + 1 slots by a mask, which is linear in
-    the size where a modulo by 2^(8w(n + 1)) is a quadratic long division,
-    and which agrees with that modulo for every sign.
+    bitlen(n + 1) bits and a sign bit.
     """
     if n < 0:
         raise ValueError("poly_product needs n >= 0")
     (dx, xs), (dy, ys) = clear_denominators(x[: n + 1]), clear_denominators(y[: n + 1])
     bits = sum(max(map(abs, v), default=0).bit_length() for v in (xs, ys))
     width = (bits + (n + 1).bit_length() + 8) // 8  # one sign bit, rounded up
-    size = width * (n + 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * (n + 1), "little")
-    prod = _packed(xs, width, bias) * _packed(ys, width, bias) + bias
-    raw = (prod & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    half, den = 1 << (8 * width - 1), dx * dy
-    out = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
+    out, den = _unpacked(_packed(xs, width) * _packed(ys, width), width, n), dx * dy
     return out if den == 1 else [c // den if c % den == 0 else Fraction(c, den) for c in out]
+
+
+def theta_product(g: Sequence[int], s: int, n: int) -> List[int]:
+    """Coefficients 0..n of theta^s g, theta = sum_{m in Z} q^(m^2), for a list
+    g of ints: s passes of P + 2 sum_m P 2^(8 w m^2), 1 <= m <= sqrt(n), on g
+    packed as one int P in slots of w bytes, each pass cut to n + 1 slots by
+    a mask.  The cut is exact modulo 2^(8 w (n + 1)), which is all
+    ``_unpacked`` reads, so only the result must fit a slot: its coefficients
+    are at most max|g| (2 floor(sqrt(n)) + 1)^s in size.
+    """
+    g, root = g[: n + 1], isqrt(n)
+    bound = max(map(abs, g), default=0) * (2 * root + 1) ** s
+    width = (bound.bit_length() + 8) // 8  # one sign bit, rounded up
+    p, mask = _packed(g, width), (1 << 8 * width * (n + 1)) - 1
+    shifts = [8 * width * m * m for m in range(1, root + 1)]
+    for _ in range(s):
+        p = (p + 2 * sum(p << k for k in shifts)) & mask
+    return _unpacked(p, width, n)

@@ -7,10 +7,11 @@ numerators alone (two grids meet on the lcm of their exp_den); a ``Fraction``
 exponent appears only at the public edge: the argument of ``coefficient`` and
 ``nonholo_coefficient`` and the exponent that ``first_mismatch`` returns.
 Comparisons run over the common reliable range, and a coefficient lookup past
-``n_max`` raises ``TruncationError``.  A product lays both factors out as
-dense coefficient lists on the common grid and hands them to
-``exact_arith.poly_product``, the one exact product kernel (Kronecker
-substitution: one big-integer multiply).
+``n_max`` raises ``TruncationError``.  A product of two expansions lays both
+factors out as dense coefficient lists on the common grid and hands them to
+``exact_arith.poly_product`` (Kronecker substitution: one big-integer
+multiply); the Cohen ring multiplies by theta^s with
+``exact_arith.theta_product``, shifted adds on the same packing.
 
 Table contract: a stored coefficient is an ``int`` when it is integral and a
 ``Fraction`` otherwise (an integral Fraction is stored as its numerator), and
@@ -32,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_arith import (
     RationalLike,
@@ -45,6 +46,7 @@ from .exact_arith import (
     kronecker_symbol,
     moebius,
     poly_product,
+    theta_product,
 )
 
 Table = Dict[int, RationalLike]  # exponent numerator -> coefficient
@@ -327,13 +329,14 @@ def cohen_eisenstein(r: int, n_max: int) -> QExpansion:
     r = 1 is mock modular (Zagier 1975), so no form on Gamma0(4) has these
     coefficients, but H(1, N) is the Hurwitz class number: ``_hurwitz``
     counts reduced binary quadratic forms in O(n_max^1.5) additions (about
-    0.001 s at N = 3840 and 0.004 s at 10^4).  For 2 <= r <= 5 the table
-    comes from the graded ring C[theta, F_2] (``_cohen_ring``): a fixed
-    number of full-length ``poly_product`` calls, so it grows like n_max^1.3
-    (``cohen_eisenstein(4, N)``: about 0.02 s at N = 10^3, 0.08 s at 3840
-    and 0.29 s at 10^4).  For r >= 6, M_{2r} has cusp forms, and the
-    plus-space support and the constant term no longer pin H, so the table
-    stays on Cohen's formula (``cohen_bernoulli``), which grows like
+    0.001 s at N = 3840 and 0.004 s at 10^4).  For 2 <= r <= 5 the table is
+    theta^s times a divisor-sum form on Gamma0(4) (``_cohen_ring``): one
+    O(n_max log n_max) sieve and s <= 3 passes of sqrt(n_max) shifted adds
+    on one packed int, with no dense product, so it grows like n_max^1.2
+    (``cohen_eisenstein(4, N)``: about 0.002 s at N = 10^3, 0.007 s at 3840,
+    0.02 s at 10^4 and 0.1 s at 4 10^4).  For r >= 6, M_{2r} has cusp forms,
+    and the plus-space support and the constant term no longer pin H, so the
+    table stays on Cohen's formula (``cohen_bernoulli``), which grows like
     n_max^2.  A negative n_max is refused before any route runs, with the
     message of every table.
     """
@@ -378,20 +381,6 @@ def _hurwitz(n_max: int) -> QExpansion:
     return QExpansion(1, n_max, table)
 
 
-def _theta_and_f2(n: int) -> Tuple[List[int], List[int]]:
-    """Coefficients 0..n of theta = sum_{m in Z} q^(m^2) and of
-    F_2 = sum_{m odd} sigma_1(m) q^m, the latter by a sieve over the odd
-    divisors: O(n log n) additions."""
-    theta = [1] + [0] * n
-    for m in range(1, math.isqrt(n) + 1):
-        theta[m * m] = 2
-    f2 = [0] * (n + 1)
-    for d in range(1, n + 1, 2):
-        for m in range(d, n + 1, 2 * d):
-            f2[m] += d
-    return theta, f2
-
-
 def _solve(rows: List[List[Fraction]], rhs: List[Fraction]) -> List[Fraction]:
     """The solution of the square, nonsingular system rows * c = rhs, by exact
     Gauss-Jordan elimination."""
@@ -406,48 +395,65 @@ def _solve(rows: List[List[Fraction]], rhs: List[Fraction]) -> List[Fraction]:
     return [row[-1] for row in m]
 
 
-def _cohen_ring(r: int, n_max: int) -> QExpansion:
-    """H(r, .) for 2 <= r <= 5 as an element of M_{r+1/2}(Gamma0(4)).
+# Each basis element of M_2J(Gamma0(4)), J = 1, 2, as (constant term, terms):
+# its q^n coefficient for n > 0 is sum a sigma_{2J-1}(n/d) over the terms
+# (a, d), where sigma(n/d) = 0 unless d | n.  J = 1: theta^4 by Jacobi's four
+# squares, and F_2 = sum_{n odd} sigma_1(n) q^n, as
+# sigma(n) - 3 sigma(n/2) + 2 sigma(n/4) vanishes at even n.  J = 2:
+# E_4(d tau) = 1 + 240 sum sigma_3(m) q^(dm) for d = 1, 2, 4.
+_BASIS = {
+    1: ((1, ((8, 1), (-32, 4))), (0, ((1, 1), (-3, 2), (2, 4)))),
+    2: tuple((1, ((240, d),)) for d in (1, 2, 4)),
+}
 
-    That space has the basis theta^(s + 4(J - j)) F_2^j, j = 0..J, with
-    J = floor((2r + 1)/4) and s = 2r + 1 - 4J in {1, 3} (Koblitz,
-    *Introduction to Elliptic Curves and Modular Forms*, Prop. IV.4).  Its
+
+def _divisor_series(
+    const: int, terms: Sequence[Tuple[int, int]], sigma: List[int], n: int
+) -> List[int]:
+    """Coefficients 0..n of const + sum_{m > 0} sum_{(a, d)} a sigma[m/d] q^m,
+    one slice pass per term; sigma[0] = 0 and len(sigma) > n."""
+    out = [0] * (n + 1)
+    for a, d in terms:
+        out[::d] = [c + a * x for c, x in zip(out[::d], sigma)]
+    out[0] = const
+    return out
+
+
+def _cohen_ring(r: int, n_max: int) -> QExpansion:
+    """H(r, .) for 2 <= r <= 5 as theta^s G, with G in M_2J(Gamma0(4)),
+    J = floor((2r + 1)/4) and s = 2r + 1 - 4J in {1, 3}.
+
+    M_{r+1/2}(Gamma0(4)) is theta^s C[theta^4, F_2] in degree J (Koblitz,
+    *Introduction to Elliptic Curves and Modular Forms*, Prop. IV.4), and its
     plus space, where the coefficient of q^N vanishes unless
     (-1)^r N = 0, 1 (mod 4), is one-dimensional because dim M_{2r} = 1.  So
     H is the one element with constant term -B_{2r}/(2r) that vanishes at
     the first J exponents off that support: one (J + 1) x (J + 1) exact
-    solve on coefficients below q^4.  The c_j, cleared to one denominator
-    d, are summed by Horner in F_2 over the powers of T = theta^4, then
-    multiplied once by theta^s, all in integers.
+    solve on theta^s times each basis element below q^(4J + 1).  M_2 and
+    M_4 of Gamma0(4) have no cusp forms, so every G is a divisor sum
+    (``_BASIS``): one O(n_max log n_max) sieve of sigma_{2J-1}, and G is one
+    integer combination of the basis over one denominator d, which
+    ``theta_product`` multiplies by theta^s in s passes of
+    floor(sqrt(n_max)) shifted adds on one packed int.
     """
     J, s = divmod(2 * r + 1, 4)
     off = [n for n in range(1, 4 * J + 1) if ((-1) ** r * n) % 4 in (2, 3)][:J]
     top = max(n_max, off[-1])
-    theta, f2 = _theta_and_f2(top)
-    theta2 = poly_product(theta, theta, top)
-    powers = [poly_product(theta2, theta2, top)]  # T, T^2, ..., T^J
-    while len(powers) < J:
-        powers.append(poly_product(powers[-1], powers[0], top))
-    head = theta if s == 1 else poly_product(theta2, theta, top)
-    # coefficients 0..off[-1] of each basis element, for the solve
-    low = off[-1]
-    basis = []
-    for j in range(J + 1):
-        b = head[: low + 1]
-        for _ in range(j):
-            b = poly_product(b, f2, low)
-        basis.append(poly_product(b, powers[J - j - 1], low) if j < J else b)
+    sigma = [0] * (top + 1)
+    for d in range(1, top + 1):
+        power = d ** (2 * J - 1)
+        for m in range(d, top + 1, d):
+            sigma[m] += power
+    basis = _BASIS[J]
+    low = [theta_product(_divisor_series(*b, sigma, off[-1]), s, off[-1]) for b in basis]
     c = _solve(
-        [[Fraction(b[n]) for b in basis] for n in [0] + off],
+        [[Fraction(b[n]) for b in low] for n in [0] + off],
         [-bernoulli_number(2 * r) / (2 * r)] + [Fraction(0)] * J,
     )
     d, e = clear_denominators(c)
-    # sum_j e_j T^(J - j) F_2^j = (...((e_J F_2 + e_{J-1} T) F_2 + ...) F_2) + e_0 T^J
-    acc = [e[J] * a for a in f2]
-    for j in range(J - 1, 0, -1):
-        acc = poly_product([a + e[j] * t for a, t in zip(acc, powers[J - j - 1])], f2, top)
-    acc = [a + e[0] * t for a, t in zip(acc, powers[J - 1])]
-    table = poly_product(head, acc, n_max)
+    const = sum(ej * b[0] for ej, b in zip(e, basis))
+    terms = [(ej * a, dd) for ej, b in zip(e, basis) for a, dd in b[1]]
+    table = theta_product(_divisor_series(const, terms, sigma, n_max), s, n_max)
     return QExpansion(
         1, n_max, {n: c // d if c % d == 0 else Fraction(c, d) for n, c in enumerate(table)}
     )

@@ -190,6 +190,77 @@ def test_ring_route_matches_bernoulli_route(r, n_max):
     assert cohen_eisenstein(r, n_max) == cohen_bernoulli(r, n_max)
 
 
+@pytest.mark.parametrize("n_max", [*range(9), 17, 400, 3840])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_ring_route_matches_koblitz_ring(r, n_max):
+    # the same table, to each coefficient's type, as the Koblitz basis by
+    # dense products; n_max <= 8 ends at or below the exponents of the solve
+    got, want = cohen_eisenstein(r, n_max), cohen_oracle.koblitz_ring(r, n_max)
+    assert got == want
+    assert {n: type(c) for n, c in got.coeffs.items()} == {
+        n: type(c) for n, c in want.coeffs.items()
+    }
+
+
+def _sieved_columns(J, n):
+    sigma = [0] + [divisor_power_sum(m, 2 * J - 1) for m in range(1, n + 1)]
+    return [qseries._divisor_series(*b, sigma, n) for b in qseries._BASIS[J]]
+
+
+def test_weight_two_columns_are_jacobi_theta4_and_f2():
+    theta, f2 = cohen_oracle.theta_and_f2(300)
+    theta2 = exact_arith.poly_product(theta, theta, 300)
+    theta4, sieved_f2 = _sieved_columns(1, 300)
+    assert theta4 == exact_arith.poly_product(theta2, theta2, 300)
+    assert sieved_f2 == f2
+
+
+def test_weight_four_columns_span_the_koblitz_basis():
+    # E_4(tau), E_4(2 tau), E_4(4 tau) against theta^8, theta^4 F_2 and F_2^2
+    theta, f2 = cohen_oracle.theta_and_f2(300)
+    theta2 = exact_arith.poly_product(theta, theta, 300)
+    theta4 = exact_arith.poly_product(theta2, theta2, 300)
+    columns = _sieved_columns(2, 300)
+    for (x, y), coords in [
+        ((theta4, theta4), (Fraction(1, 15), Fraction(-2, 15), Fraction(16, 15))),
+        ((theta4, f2), (Fraction(1, 240), Fraction(-1, 240), 0)),
+        ((f2, f2), (0, Fraction(1, 240), Fraction(-1, 240))),
+    ]:
+        combination = [sum(a * col[n] for a, col in zip(coords, columns)) for n in range(301)]
+        assert exact_arith.poly_product(x, y, 300) == combination
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_ring_route_makes_no_dense_product(monkeypatch, r):
+    # only products below q^(4J + 1) are allowed, so a dense product of length
+    # n_max fails here
+    sizes = []
+    product = exact_arith.poly_product
+
+    def counted(x, y, n):
+        sizes.append(n)
+        return product(x, y, n)
+
+    monkeypatch.setattr(exact_arith, "poly_product", counted)
+    monkeypatch.setattr(qseries, "poly_product", counted)
+    cohen_eisenstein(r, 2000)
+    assert all(n <= 4 * ((2 * r + 1) // 4) for n in sizes), sizes
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=40),
+    s=st.integers(1, 3),
+    n=st.integers(0, 50),
+)
+def test_theta_product_matches_poly_product(g, s, n):
+    theta = [1] + [2 if math.isqrt(m) ** 2 == m else 0 for m in range(1, n + 1)]
+    want = g
+    for _ in range(s):
+        want = exact_arith.poly_product(theta, want, n)
+    assert exact_arith.theta_product(g, s, n) == want
+
+
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 7, 2000])
 def test_class_number_route_matches_bernoulli_route(n_max):
     # n_max <= 7 covers the first forms of each weight: (1, 0, 1) at N = 4,
@@ -205,6 +276,9 @@ def test_route_follows_from_r(monkeypatch):
     monkeypatch.setattr(qseries, "_generalized_bernoulli", unavailable)
     monkeypatch.setattr(exact_arith, "kronecker_symbol", unavailable)
     monkeypatch.setattr(qseries, "kronecker_symbol", unavailable)
+    # the ring route's sigma values come from its own sieve
+    monkeypatch.setattr(exact_arith, "divisor_power_sum", unavailable)
+    monkeypatch.setattr(qseries, "divisor_power_sum", unavailable)
     for r in (1, 2, 3, 4, 5):
         assert cohen_eisenstein(r, 50).coefficient(0) == -bernoulli_number(2 * r) / (2 * r)
     with pytest.raises(RuntimeError):
