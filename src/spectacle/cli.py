@@ -68,9 +68,11 @@ def _configure_logging(command: str) -> None:
         logging.getLogger("spectacle.cli").debug("dispatching %s", command)
 
 
-# the encoder of each leaf type, as json.dumps applies it
+# the encoder of each leaf type, as json.dumps applies it: a finite float is
+# its repr, and only nan and +-inf go through json.dumps (NaN, Infinity)
 _LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
-           float: json.dumps, bool: json.dumps, type(None): json.dumps}
+           float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
+           bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
 
 
 def _json_text(obj: object, pad: str = "\n") -> str:

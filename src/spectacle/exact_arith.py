@@ -1,7 +1,8 @@
 """Exact rational arithmetic used everywhere else in the package.
 
 Bernoulli numbers and polynomials, generalized Bernoulli numbers attached to
-quadratic characters, Kronecker symbols, divisor-power sums, a few small
+quadratic characters, Kronecker symbols, divisor-power sums (one n by trial
+division, or all n up to a bound from one sieve), a few small
 multiplicative helpers, and two products of coefficient lists on one packed
 integer: ``poly_product`` of rational lists, and ``theta_product``, theta^s
 times an integer list by shifted adds.  Every function returns exact values;
@@ -34,6 +35,7 @@ __all__ = [
     "kronecker_symbol",
     "generalized_bernoulli",
     "divisor_power_sum",
+    "divisor_sums",
     "divisors",
     "factorize",
     "moebius",
@@ -166,6 +168,22 @@ def divisor_power_sum(n: int, k: int) -> int:
     if k < 0:
         raise ValueError("divisor_power_sum expects k >= 0")
     return sum(d**k for d in divisors(n))
+
+
+def divisor_sums(k: int, n: int) -> List[int]:
+    """[0, sigma_k(1), ..., sigma_k(n)] from one sieve: each d <= n adds d^k
+    to its multiples, n powers and about n ln n additions in all, where
+    ``divisor_power_sum`` over the same range divides about n^1.5 times."""
+    if n < 0:
+        raise ValueError("divisor_sums expects n >= 0")
+    if k < 0:
+        raise ValueError("divisor_sums expects k >= 0")
+    sigma = [0] * (n + 1)
+    for d in range(1, n + 1):
+        power = d**k
+        for m in range(d, n + 1, d):
+            sigma[m] += power
+    return sigma
 
 
 def kronecker_symbol(D: int, m: int) -> int:

@@ -32,7 +32,11 @@ polynomially in T, with their own mode sum over several heights.  The form
 alone fixes k, so ``spectacle_period(f, j)`` reads it as ``f.k``.
 The integral is summed Fourier mode by mode in closed form, without
 quadrature, one mode sum at height 1 per call; the a_0 mode is summed
-exactly and rounded once.
+exactly and rounded once.  A form's coefficients are exact integer pairs
+(num, den), read as ``num / den``: CPython rounds an int quotient correctly,
+as ``float(Fraction)`` does, so no mode builds a ``Fraction``.  E_w keeps
+sigma_{w-1} from one ``divisor_sums`` sieve, re-sieved to twice the index
+a mode sum passes.
 Past weight ``MAX_PERIOD_WEIGHT`` = 46 the float modes no longer meet the
 closed form (at 48 three j miss it, at 56 by a relative 11), so a larger
 weight raises ``ValueError`` before E_w's first a_n (n > 0) reads B_w.
@@ -43,9 +47,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import factorial
-from typing import Callable, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
-from .exact_arith import divisor_power_sum
+from .exact_arith import divisor_sums
 from .qseries import eisenstein_scale
 from .quad_space import GeometryError, VecV, inner, qform
 
@@ -62,32 +66,53 @@ __all__ = [
 MAX_PERIOD_WEIGHT = 46
 
 
+Coefficient = Tuple[int, int]  # the exact rational num / den, den > 0
+
+
 class _FormFields(NamedTuple):
     weight: int
-    a: Callable[[int], Fraction]
+    a: Callable[[int], Coefficient]
 
 
 class HolomorphicFormSpec(_FormFields):
     """Level-one holomorphic form given by its exact coefficient stream.
 
-    ``a`` maps n >= 0 to the exact n-th Fourier coefficient; the expansion at
-    the zero cusp coincides with ``a`` (level one, so the Fricke flip fixes
-    the form).  Weight must be even and >= 4.
+    ``a`` maps n >= 0 to the exact n-th Fourier coefficient as an integer
+    pair (num, den) with den > 0, not necessarily in lowest terms; the
+    expansion at the zero cusp coincides with ``a`` (level one, so the
+    Fricke flip fixes the form).  Weight must be even and >= 4.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace refuses too
 
-    def __new__(cls, weight: int, a: Callable[[int], Fraction]) -> "HolomorphicFormSpec":
+    def __new__(cls, weight: int, a: Callable[[int], Coefficient]) -> "HolomorphicFormSpec":
         if weight < 4 or weight % 2:
             raise ValueError("weight must be even and >= 4")
         return super().__new__(cls, weight, a)
 
     @classmethod
     def eisenstein(cls, weight: int) -> "HolomorphicFormSpec":
-        """E_weight: a_0 = 1, a_n = -(2 weight / B_weight) sigma_{weight-1}(n) on demand."""
-        return cls(weight, lambda n: (
-            eisenstein_scale(weight) * divisor_power_sum(n, weight - 1) if n else Fraction(1)))
+        """E_weight: a_0 = 1, a_n = -(2 weight / B_weight) sigma_{weight-1}(n) on
+        demand.  Building it computes nothing: the first a_n with n > 0 reads
+        -2 weight / B_weight = p/q (a weight whose B_weight is refused raises
+        there, before any power), then sigma_{weight-1} from ``divisor_sums``,
+        first to 16 and again to 2n when an n passes the end.  The sieve
+        belongs to this form; a_n is (p sigma(n), q)."""
+        p = q = 0
+        sigma: List[int] = []
+
+        def a(n: int) -> Coefficient:
+            nonlocal p, q, sigma
+            if not n:
+                return 1, 1
+            if not q:
+                p, q = eisenstein_scale(weight).as_integer_ratio()
+            if n >= len(sigma):
+                sigma = divisor_sums(weight - 1, max(16, 2 * n))
+            return p * sigma[n], q
+
+        return cls(weight, a)
 
     @property
     def k(self) -> int:
@@ -120,14 +145,16 @@ def completed_L(f: HolomorphicFormSpec, s: float) -> float:
         raise ValueError(f"s = {s} is not an integer in the critical strip (0, {w})")
     s = int(s)
     eps = (-1) ** (f.k + 1)
-    a0 = float(f.a(0))
+    num0, den0 = f.a(0)
+    a0 = num0 / den0
     total = -a0 / s - eps * a0 / (w - s)
     for expo, sign in ((s, 1.0), (w - s, float(eps))):
         g_expo = math.gamma(expo)
         n = 1
         while True:
             x = 2 * math.pi * n
-            term = float(f.a(n)) * g_expo * _gamma_q(expo, x) * x ** (-expo)
+            num, den = f.a(n)
+            term = num / den * g_expo * _gamma_q(expo, x) * x ** (-expo)
             total += sign * term
             if abs(term) < 1e-18 and n > 3:
                 break
@@ -182,8 +209,8 @@ def _mode_sum(f: HolomorphicFormSpec, den: int, deg: int, parts: Tuple[int, ...]
     for i in range(deg):  # Taylor shift by i: t_r = (re[r] + i im[r]) / den
         for m in range(deg - 1, i - 1, -1):
             re[m], im[m] = re[m] - im[m + 1], im[m] + re[m + 1]
-    a0 = f.a(0)
-    total = complex(a0 * Fraction(re[0], den), a0 * Fraction(im[0], den))
+    num0, den0 = f.a(0)  # a_0 t_0, rounded once
+    total = complex(num0 * re[0] / (den0 * den), num0 * im[0] / (den0 * den))
     taylor = [complex(re[r] / den, im[r] / den) for r in range(1, deg + 1)]
     scale = abs(total)
     for n in range(1, _MAX_MODES + 1):
@@ -191,7 +218,8 @@ def _mode_sum(f: HolomorphicFormSpec, den: int, deg: int, parts: Tuple[int, ...]
         acc = 0j  # -Q_n(i) = sum_r r! t_r mu^r by Horner
         for r in range(deg, 0, -1):
             acc = (acc + taylor[r - 1]) * r * mu
-        mode = -math.exp(-2 * math.pi * n) * acc * float(f.a(n))
+        num, d = f.a(n)
+        mode = -math.exp(-2 * math.pi * n) * acc * (num / d)
         total += mode
         scale = max(scale, abs(mode))
         if n >= 3 and abs(mode) <= _TAIL_TOL * scale:

@@ -41,6 +41,7 @@ from .exact_arith import (
     bernoulli_number,
     clear_denominators,
     divisor_power_sum,
+    divisor_sums,
     divisors,
     is_fundamental_discriminant,
     kronecker_symbol,
@@ -310,15 +311,22 @@ def eisenstein_scale(m: int) -> Fraction:
 
 
 def eisenstein_level1(m: int, n_max: int) -> QExpansion:
-    """Classical level-one Eisenstein series E_m = 1 - (2m/B_m) sum sigma_{m-1}(n) q^n."""
+    """Classical level-one Eisenstein series E_m = 1 - (2m/B_m) sum sigma_{m-1}(n) q^n.
+
+    -2m/B_m = p/q is read first, so a weight whose B_m is refused computes no
+    power; sigma_{m-1}(1..n_max) then comes from one ``divisor_sums`` sieve,
+    O(n_max log n_max) additions, and q^n stores p sigma // q where q divides
+    p sigma and ``Fraction(p sigma, q)`` elsewhere.
+    """
     if m < 4 or m % 2:
         raise ValueError("weight must be even and >= 4")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    scale = eisenstein_scale(m)
+    p, q = eisenstein_scale(m).as_integer_ratio()
     coeffs: Table = {0: 1}
-    for n in range(1, n_max + 1):
-        coeffs[n] = scale * divisor_power_sum(n, m - 1)
+    for n, sigma in enumerate(divisor_sums(m - 1, n_max)[1:], 1):
+        c = p * sigma
+        coeffs[n] = c // q if c % q == 0 else Fraction(c, q)
     return QExpansion(1, n_max, coeffs)
 
 
@@ -431,19 +439,15 @@ def _cohen_ring(r: int, n_max: int) -> QExpansion:
     the first J exponents off that support: one (J + 1) x (J + 1) exact
     solve on theta^s times each basis element below q^(4J + 1).  M_2 and
     M_4 of Gamma0(4) have no cusp forms, so every G is a divisor sum
-    (``_BASIS``): one O(n_max log n_max) sieve of sigma_{2J-1}, and G is one
+    (``_BASIS``): one O(n_max log n_max) sieve of sigma_{2J-1}
+    (``divisor_sums``, the sieve ``eisenstein_level1`` reads), and G is one
     integer combination of the basis over one denominator d, which
     ``theta_product`` multiplies by theta^s in s passes of
     floor(sqrt(n_max)) shifted adds on one packed int.
     """
     J, s = divmod(2 * r + 1, 4)
     off = [n for n in range(1, 4 * J + 1) if ((-1) ** r * n) % 4 in (2, 3)][:J]
-    top = max(n_max, off[-1])
-    sigma = [0] * (top + 1)
-    for d in range(1, top + 1):
-        power = d ** (2 * J - 1)
-        for m in range(d, top + 1, d):
-            sigma[m] += power
+    sigma = divisor_sums(2 * J - 1, max(n_max, off[-1]))
     basis = _BASIS[J]
     low = [theta_product(_divisor_series(*b, sigma, off[-1]), s, off[-1]) for b in basis]
     c = _solve(

@@ -623,6 +623,9 @@ _EDGE_VALUES = [
     [True, 1, False, 0, None], {"one": 1, "true": True, "zero": 0, "false": False},
     {"b": [1.0, -0.0, (2, "x")], "a": None, "B": "", "": 3},
     [_Str("sub\u00e9"), _Int(7)], {_Str("key"): _Int(-2)},
+    5e-324, -5e-324, 1.7976931348623157e308, 1e16, 1e-7, 0.1,
+    {"heights": [-0.0, 5e-324, 1e300, float("nan"), float("inf"), float("-inf")],
+     "flags": [True, False, None]},
 ]
 
 
@@ -909,23 +912,28 @@ def test_cohen_negative_nmax_has_one_message_for_every_route(r, capsys):
     "argv, index",
     [
         (["eisenstein", "--weight", "100000", "--nmax", "1"], 100000),
+        (["eisenstein", "--weight", "100000", "--nmax", "5000"], 100000),
         (["cohen", "--r", "100000", "--nmax", "1"], 200000),
         (["theta11", "--k", "99999", "--nmax", "1"], 100000),
         (["lift", "--k", "99999", "--nmax", "1"], 100000),
         (["theta11", "--k", "99999", "--h1", "1/2", "--nmax", "1"], 100000),
     ],
-    ids=["eisenstein", "cohen", "theta11", "lift", "theta11-h1"],
+    ids=["eisenstein", "eisenstein-nmax-5000", "cohen", "theta11", "lift", "theta11-h1"],
 )
 def test_huge_valid_request_is_refused_before_its_triangle(argv, index, monkeypatch, capsys):
     # B_n past 2048 takes seconds to hours; the refusal must come before any
-    # tangent triangle, also where B_0..B_n are filled (B_n(1/2) with --h1 1/2).
+    # tangent triangle, also where B_0..B_n are filled (B_n(1/2) with --h1 1/2),
+    # and before any divisor-sum sieve, which at --nmax 5000 would take minutes.
     # The sign convention is a fixed small-weight probe, cached before the patch.
     shintani_lift.arbitrate_signs()
 
-    def boom(m):
-        raise AssertionError(f"tangent triangle of {m} built")
+    def boom(*args):
+        raise AssertionError(f"computed before the refusal: {args}")
 
     monkeypatch.setattr(exact_arith, "_tangent_numbers", boom)
+    for mod in (exact_arith, qseries, periods):
+        if hasattr(mod, "divisor_sums"):
+            monkeypatch.setattr(mod, "divisor_sums", boom)
     assert main(argv) == 2
     message = f"Bernoulli index {index} exceeds 2048, the largest computed"
     assert capsys.readouterr() == ("", f"spectacle: error: {message}\n")
@@ -934,6 +942,16 @@ def test_huge_valid_request_is_refused_before_its_triangle(argv, index, monkeypa
 def test_huge_odd_bernoulli_index_is_zero_at_once(capsys):
     assert main(["theta11", "--k", "100000", "--nmax", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["coeffs"] == []
+
+
+def test_huge_weight_console_refusal_is_one_line_within_10_s():
+    # as the CI loop runs it: an --nmax whose sieve would take minutes must
+    # not run before the refusal of B_100000
+    argv = ["eisenstein", "--weight", "100000", "--nmax", "5000"]
+    done = subprocess.run([sys.executable, "-m", "spectacle", *argv], env=_fresh_env(),
+                          capture_output=True, check=False, timeout=10)
+    message = "Bernoulli index 100000 exceeds 2048, the largest computed"
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", f"spectacle: error: {message}\n".encode())
 
 
 @pytest.mark.parametrize(

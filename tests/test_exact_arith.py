@@ -19,6 +19,7 @@ from spectacle.exact_arith import (
     bernoulli_number,
     bernoulli_poly,
     divisor_power_sum,
+    divisor_sums,
     divisors,
     fundamental_discriminant_split,
     generalized_bernoulli,
@@ -195,6 +196,19 @@ def test_divisor_power_sum():
     assert divisor_power_sum(2, 3) == 9
     assert divisor_power_sum(1, 17) == 1
     assert divisor_power_sum(6, 1) == 12
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 11, 45])
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 500])
+def test_divisor_sums_is_the_divisor_power_sum_list(k, n):
+    assert divisor_sums(k, n) == [0] + [divisor_power_sum(m, k) for m in range(1, n + 1)]
+
+
+def test_divisor_sums_refusals():
+    with pytest.raises(ValueError, match="n >= 0"):
+        divisor_sums(1, -1)
+    with pytest.raises(ValueError, match="k >= 0"):
+        divisor_sums(-1, 3)
 
 
 def test_divisors_and_moebius():

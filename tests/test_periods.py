@@ -176,11 +176,15 @@ def _quadrature_axis_integral(f: HolomorphicFormSpec, s: int, T: float) -> float
 
     from scipy import integrate
 
-    coeffs = [float(f.a(0))]
+    def a(n: int) -> float:
+        num, den = f.a(n)
+        return num / den
+
+    coeffs = [a(0)]
     quiet = 0
     while quiet < 2:
         n = len(coeffs)
-        coeffs.append(float(f.a(n)))
+        coeffs.append(a(n))
         quiet = quiet + 1 if abs(coeffs[n]) * math.exp(-2 * math.pi * n) < 1e-16 else 0
 
     def integrand(y: float) -> float:
@@ -248,7 +252,8 @@ def _general_mode_sum(f: HolomorphicFormSpec, terms, den: int, deg: int) -> comp
         q = [den * D ** (deg - r) for r in range(deg + 1)]  # t_r = (re[r] + i im[r]) / q[r]
         exact = [exact[0] + Fraction(re[0], q[0]), exact[1] + Fraction(im[0], q[0])]
         heights.append((N / D, [complex(re[r] / q[r], im[r] / q[r]) for r in range(1, deg + 1)]))
-    total = complex(f.a(0) * exact[0], f.a(0) * exact[1])
+    a0 = Fraction(*f.a(0))
+    total = complex(a0 * exact[0], a0 * exact[1])
     scale = abs(total)
     for n in range(1, periods._MAX_MODES + 1):
         mu = 1j / (2 * math.pi * n)
@@ -260,7 +265,8 @@ def _general_mode_sum(f: HolomorphicFormSpec, terms, den: int, deg: int) -> comp
                 for r in range(len(taylor), 0, -1):
                     acc = (acc + taylor[r - 1]) * r * mu
                 mode -= decay * acc
-        mode *= float(f.a(n))
+        num, d = f.a(n)
+        mode *= num / d
         total += mode
         scale = max(scale, abs(mode))
         if n >= 3 and abs(mode) <= periods._TAIL_TOL * scale:
@@ -354,9 +360,9 @@ def test_mode_sum_stops_at_the_first_quiet_mode_from_n_3():
     # rule reads a_1, a_2 and a_3 before it stops, never a_4
     read = []
 
-    def a(n: int) -> Fraction:
+    def a(n: int) -> tuple:
         read.append(n)
-        return Fraction(1 if n == 0 else 0)
+        return (1 if n == 0 else 0), 1
 
     total = periods._mode_sum(HolomorphicFormSpec(4, a), *periods._axis_boundary(1, 0))
     assert total != 0 and max(read) == 3
@@ -367,15 +373,30 @@ def test_mode_sum_gives_up_after_max_modes(monkeypatch):
     # and raises, never reading one more
     read = []
 
-    def a(n: int) -> Fraction:
+    def a(n: int) -> tuple:
         read.append(n)
-        return Fraction(1)
+        return 1, 1
 
     monkeypatch.setattr(periods, "_TAIL_TOL", -1.0)
     monkeypatch.setattr(periods, "_MAX_MODES", 7)
     with pytest.raises(RuntimeError, match="did not converge"):
         spectacle_period(HolomorphicFormSpec(4, a), 0)
     assert max(read) == 7
+
+
+def test_completed_l_gives_up_after_2000_terms(monkeypatch):
+    # with Q(s, x) pinned to 1 the s = 1 tail is 1/(2 pi n), never below
+    # 1e-18: the sum reads a_1 .. a_2000 and raises, never reading a_2001
+    read = []
+
+    def a(n: int) -> tuple:
+        read.append(n)
+        return 1, 1
+
+    monkeypatch.setattr(periods, "_gamma_q", lambda s, x: 1.0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        completed_L(HolomorphicFormSpec(4, a), 1)
+    assert max(read) == 2000
 
 
 def test_one_axis_boundary_and_one_mode_sum_per_call(monkeypatch, capsys):
@@ -476,7 +497,7 @@ class _Coefficients:
 
     form: HolomorphicFormSpec
 
-    def __call__(self, n: int) -> Fraction:
+    def __call__(self, n: int) -> tuple:
         return self.form.a(n)
 
 
@@ -543,6 +564,60 @@ def test_capped_periods_are_frozen_to_the_bit():
     ]
     assert len(values) == 484
     assert hashlib.sha256("\n".join(values).encode()).hexdigest() == _CAPPED_HEX_SHA256
+
+
+# SHA-256 of completed_L(E_w, s).hex() for w = 4, 6, ..., 46 and, within a
+# weight, s = 1, ..., w - 1 (528 values), joined by newlines; frozen when a_n
+# was still a Fraction converted by float()
+_COMPLETED_L_HEX_SHA256 = "9ed43b0032ef35ff64c7610731bfbcfd3663aabd5b30ebc144d01cc0bc3cbac2"
+
+
+def test_completed_l_values_are_frozen_to_the_bit():
+    values = [
+        completed_L(HolomorphicFormSpec.eisenstein(w), s).hex()
+        for w in range(4, periods.MAX_PERIOD_WEIGHT + 1, 2)
+        for s in range(1, w)
+    ]
+    assert len(values) == 528
+    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == _COMPLETED_L_HEX_SHA256
+
+
+def _counted_sieves(monkeypatch) -> list:
+    """Record the (k, n) of each ``divisor_sums`` call the float layer makes."""
+    sieves = []
+    sieve = exact_arith.divisor_sums
+    monkeypatch.setattr(periods, "divisor_sums", lambda k, n: sieves.append((k, n)) or sieve(k, n))
+    return sieves
+
+
+def test_a_period_sieves_once_and_divides_never(monkeypatch):
+    # up to weight 16 the mode sum stops before a_17, so E_w's first sieve
+    # (to 16) serves every mode, and no sigma is found by trial division
+    def boom(*args):
+        raise AssertionError(f"divisor_power_sum{args}")
+
+    for mod in (exact_arith, qseries, periods):
+        if hasattr(mod, "divisor_power_sum"):
+            monkeypatch.setattr(mod, "divisor_power_sum", boom)
+    sieves = _counted_sieves(monkeypatch)
+    for weight in range(4, 17, 2):
+        k = weight // 2 - 1
+        for j in range(-(k - 1), k):
+            sieves.clear()
+            spectacle_period(HolomorphicFormSpec.eisenstein(weight), j)
+            assert sieves == [(weight - 1, 16)], (weight, j)
+
+
+def test_eisenstein_stream_resieves_to_twice_the_index(monkeypatch):
+    sieves = _counted_sieves(monkeypatch)
+    form = HolomorphicFormSpec.eisenstein(12)
+    assert form.a(0) == (1, 1) and sieves == []
+    coefficients = [form.a(n) for n in range(1, 41)]
+    assert sieves == [(11, 16), (11, 34), (11, 70)]
+    assert all(type(num) is int and type(den) is int and den > 0 for num, den in coefficients)
+    # each form keeps its own sieve: a new E_12 sieves again, from its first index
+    assert HolomorphicFormSpec.eisenstein(12).a(40) == coefficients[-1]
+    assert sieves[3:] == [(11, 80)]
 
 
 def test_spectacle_period_values():
@@ -632,19 +707,26 @@ def test_eisenstein_coefficients_match_the_exact_series():
     for weight in range(4, 47, 2):
         form = HolomorphicFormSpec.eisenstein(weight)
         series = eisenstein_level1(weight, 60)
-        assert all(form.a(n) == series.coefficient(n) for n in range(61)), weight
+        assert all(Fraction(*form.a(n)) == series.coefficient(n) for n in range(61)), weight
 
 
 def test_eisenstein_form_reads_b_weight_at_its_first_a_n(monkeypatch):
-    # building E_w and reading a_0 compute nothing; B_w is first read with a_1
-    def boom(m):
-        raise LookupError(m)
+    # building E_w and reading a_0 compute nothing; B_w is first read with
+    # a_1, before the sigma sieve, and a weight past the bound is refused there
+    def boom(*args):
+        raise LookupError(args)
 
+    def unreached(*args):
+        raise AssertionError(f"sieved before B_w was read: {args}")
+
+    monkeypatch.setattr(periods, "divisor_sums", unreached)
+    with pytest.raises(ValueError, match="^Bernoulli index 100000 exceeds 2048, the largest computed$"):
+        HolomorphicFormSpec.eisenstein(100000).a(1)
     for mod in (exact_arith, qseries, periods):
         if hasattr(mod, "bernoulli_number"):
             monkeypatch.setattr(mod, "bernoulli_number", boom)
-    form = HolomorphicFormSpec.eisenstein(100002)
-    assert form.a(0) == 1
+    form = HolomorphicFormSpec.eisenstein(100000)
+    assert form.a(0) == (1, 1)
     with pytest.raises(LookupError):
         form.a(1)
 

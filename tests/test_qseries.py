@@ -45,6 +45,36 @@ def test_eisenstein_prime_coefficients(m, p):
     assert series.coefficient(p) == want
 
 
+def per_n_eisenstein(m: int, n_max: int) -> QExpansion:
+    """E_m as the per-n walk it was built by before the divisor-sum sieve:
+    -2m/B_m times one trial-division sigma_{m-1}(n) for each n."""
+    scale = -Fraction(2 * m) / bernoulli_number(m)
+    coeffs = {0: 1}
+    for n in range(1, n_max + 1):
+        coeffs[n] = scale * divisor_power_sum(n, m - 1)
+    return QExpansion(1, n_max, coeffs)
+
+
+@pytest.mark.parametrize("m", range(4, 61, 2))
+def test_eisenstein_sieve_equals_the_per_n_walk(m):
+    for n_max in (0, 1, 300):
+        got, want = eisenstein_level1(m, n_max), per_n_eisenstein(m, n_max)
+        assert got == want, (m, n_max)
+        assert [type(c) for _, c in sorted(got.coeffs.items())] == [
+            type(c) for _, c in sorted(want.coeffs.items())
+        ], (m, n_max)
+
+
+def test_eisenstein_reads_its_scale_before_it_sieves(monkeypatch):
+    # an out-of-range weight is refused by B_m before any power is computed
+    def boom(*args):
+        raise AssertionError(f"sieved before the refusal: {args}")
+
+    monkeypatch.setattr(qseries, "divisor_sums", boom)
+    with pytest.raises(ValueError, match="Bernoulli index 100000 exceeds 2048"):
+        eisenstein_level1(100000, 5000)
+
+
 def test_eisenstein_rejects_bad_weight():
     with pytest.raises(ValueError):
         eisenstein_level1(5, 10)
@@ -276,7 +306,7 @@ def test_route_follows_from_r(monkeypatch):
     monkeypatch.setattr(qseries, "_generalized_bernoulli", unavailable)
     monkeypatch.setattr(exact_arith, "kronecker_symbol", unavailable)
     monkeypatch.setattr(qseries, "kronecker_symbol", unavailable)
-    # the ring route's sigma values come from its own sieve
+    # the ring route's sigma values come from the divisor_sums sieve, not trial division
     monkeypatch.setattr(exact_arith, "divisor_power_sum", unavailable)
     monkeypatch.setattr(qseries, "divisor_power_sum", unavailable)
     for r in (1, 2, 3, 4, 5):

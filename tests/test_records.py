@@ -23,7 +23,7 @@ from spectacle.verify import CriterionResult
 
 
 def _one(n):
-    return Fraction(1)
+    return 1, 1
 
 
 _SERIES = QExpansion(1, 2, {0: 1, 2: Fraction(1, 2)})
